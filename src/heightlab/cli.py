@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds_reduction import bound_constants, cover_list, interval_cover, reduce_system
@@ -32,7 +31,6 @@ from .infima_lab import (
     slope_profile,
     successive_infima,
 )
-from .places_heights import Place
 from .twisted_system import (
     TwistedPair,
     ValidationError,
@@ -41,23 +39,13 @@ from .twisted_system import (
     pair_invariants,
     pair_to_json,
     parse_frac,
+    places_from_json,
     theta_of,
     alpha_of,
     validate,
 )
 
-__all__ = ["main", "cmd_dispatch", "RunConfig"]
-
-
-@dataclass
-class RunConfig:
-    command: str
-    input_path: str | None = None
-    out_path: str | None = None
-    q_grid: tuple[Fraction, ...] = ()
-    box: int | None = None
-    precision: int = 12
-    seed: int = 0
+__all__ = ["main", "cmd_dispatch"]
 
 
 def _fail(code: int, msg: str) -> int:
@@ -108,12 +96,14 @@ def _load_pair(path: str) -> TwistedPair:
 
 def _load_system(path: str) -> SystemInstance:
     data = _load_json(path)
-    places = {}
-    for entry in data["places"]:
-        forms = tuple(tuple(parse_frac(a) for a in f) for f in entry["forms"])
-        exps = tuple(parse_frac(c) for c in entry["exps"])
-        places[Place.parse(entry["place"])] = (forms, exps)
-    return SystemInstance(int(data["n"]), parse_frac(data["epsilon"]), places)
+    n, places = places_from_json(data, n_min=2)
+    if "epsilon" not in data:
+        raise ValidationError("missing key 'epsilon'")
+    try:
+        epsilon = parse_frac(data["epsilon"])
+    except (ValueError, TypeError, ZeroDivisionError):
+        raise ValidationError(f"epsilon must be a rational, got {data['epsilon']!r}") from None
+    return SystemInstance(n, epsilon, places)
 
 
 def _filtration_json(pair: TwistedPair) -> dict:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .exterior_algebra import Subspace, wedge
-from .rational_linalg import mat_mul, rank, solve_exact
+from .rational_linalg import RankTracker, mat_mul, rank, solve_exact
 from .twisted_system import PlaceData, TwistedPair, ValidationError
 
 __all__ = [
@@ -64,25 +64,6 @@ def _restriction(form, basis_rows):
     return tuple(sum(a * b for a, b in zip(form, row)) for row in basis_rows)
 
 
-class _RankTracker:
-    """Incremental rank of a growing set of rational vectors."""
-
-    def __init__(self):
-        self.rows = []  # echelonized
-
-    def try_add(self, vec) -> bool:
-        v = list(vec)
-        for row in self.rows:
-            piv = next(i for i, x in enumerate(row) if x != 0)
-            if v[piv] != 0:
-                f = v[piv] / row[piv]
-                v = [a - f * b for a, b in zip(v, row)]
-        if all(x == 0 for x in v):
-            return False
-        self.rows.append(v)
-        return True
-
-
 def _greedy_selection(pd: PlaceData, basis_rows):
     """Greedy index scan at one place for U = span(basis_rows).
 
@@ -92,7 +73,7 @@ def _greedy_selection(pd: PlaceData, basis_rows):
     k = len(basis_rows)
     if k == 0:
         return Fraction(0), ()
-    tracker = _RankTracker()
+    tracker = RankTracker()
     total = Fraction(0)
     positions = []
     for pos, (form, c) in enumerate(_sorted_forms(pd), start=1):
@@ -386,7 +367,7 @@ def restrict_pair(pair: TwistedPair, t: Subspace) -> TwistedPair:
     for v, pd in pair.active.items():
         chosen_forms = []
         chosen_exps = []
-        tracker = _RankTracker()
+        tracker = RankTracker()
         for form, c in _sorted_forms(pd):
             if tracker.try_add(_restriction(form, basis)):
                 chosen_forms.append(_restriction(form, basis))
@@ -459,7 +440,7 @@ def quotient_pair(pair: TwistedPair, t: Subspace, normalized: bool = True) -> Tw
     active = {}
     for v, pd in pair.active.items():
         sorted_fc = _sorted_forms(pd)
-        tracker = _RankTracker()
+        tracker = RankTracker()
         sel: list[tuple] = []  # greedy forms, in sorted order
         comp: list[tuple[tuple, Fraction]] = []
         for form, c in sorted_fc:

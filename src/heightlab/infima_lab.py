@@ -1,9 +1,15 @@
 """Brute-force estimation of successive infima and related experiments.
 
-Primitive integer vectors up to a box bound are enumerated once; exact
-twisted heights ride along as mantissa * Q^exponent pairs (no prime
-factorization in the hot loop), and a streaming matroid greedy keeps the
-current best independent n-tuple.  The reported lambda-bar values are
+Primitive integer vectors up to a box bound are enumerated in product
+order.  The height kernel splits each twisted height at Q: the part that
+does not depend on Q (integer form values, their logs, p-adic
+valuations) is computed once per vector, and each Q adds only a float
+shift per form, so a vector carries ints and floats only.  Its exact
+value mantissa * Q^exponent is built when a float comparison is too close
+to call or the value is reported, and two such values are compared by
+one integer cross-multiplication.  A streaming matroid greedy per Q keeps
+the current best independent n-tuple, and one enumeration feeds the
+greedies of a whole grid of Q values.  The reported lambda-bar values are
 upper estimates of the true infima: lambda_i <= lambda_bar_i always.
 """
 
@@ -13,12 +19,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from operator import mul
 
 from .exact_reals import FactoredReal
 from .exterior_algebra import Subspace, wedge
 from .filtration import FiltrationChain, exterior_pair, filtration
 from .places_heights import INF, Place, abs_value, primitive_scale
-from .rational_linalg import det, qvec, rank
+from .rational_linalg import RankTracker, det, qvec, rank
 from .twisted_system import (
     PlaceData,
     TwistedPair,
@@ -48,9 +55,13 @@ __all__ = [
     "scan_system",
     "ScanReport",
     "height_floor",
+    "check_box",
+    "RAW_BOX_CAP",
 ]
 
 _LOG_TOL = 1e-9
+# the most raw tuples (2*box+1)^n any search may enumerate
+RAW_BOX_CAP = 2_000_000
 
 
 def enumerate_primitive(n: int, box: int):
@@ -77,167 +88,263 @@ def enumerate_primitive(n: int, box: int):
             yield tup
 
 
-class _FastHeight:
-    """Exact twisted-height evaluation as (mantissa, Q-exponent) pairs.
+class _IntegerForms:
+    """The part of a pair's twisted heights that does not depend on Q.
 
-    Per place the forms are cleared to integer matrices; the correction
-    factor for the clearing enters the mantissa.  Values are
-    mantissa * Q**exponent with both parts rational, plus a float log10
-    for cheap comparisons (exact fallback on near-ties).
+    Per place (the infinite place first, then the active primes) the forms
+    are cleared to integer forms F_i, and the exponents are written as
+    integers e_i over one common denominator `exp_den`, so that
+    |L_i(x)|_v Q^(-c_iv) = corr_v |F_i(x)|_v Q^(e_i/exp_den).  The constant
+    corr = prod corr_v is left out of every comparison and enters only
+    the float logs and the reported values.
     """
 
-    def __init__(self, pair: TwistedPair, q):
+    def __init__(self, pair: TwistedPair):
         pair.ensure_core_valid()
+        self.n = pair.n
+        self.exp_den = math.lcm(*(c.denominator for pd in pair.active.values() for c in pd.exps))
+        self.places = []
+        self.corr = Fraction(1)
+        for v in sorted(set(pair.active) | {INF}):
+            pd = pair.place_data(v)
+            den = math.lcm(*(a.denominator for f in pd.forms for a in f))
+            int_forms = tuple(tuple(int(a * den) for a in f) for f in pd.forms)
+            if v.is_infinite:
+                self.corr /= den
+            else:
+                while den % v.p == 0:
+                    den //= v.p
+                    self.corr *= v.p
+            exps = tuple(int(-c * self.exp_den) for c in pd.exps)
+            self.places.append((v, int_forms, exps))
+        self.logcorr = math.log10(self.corr)
+
+    def terms(self, x):
+        """Per place, (log10 |F_i(x)|_v, i, m) for every form F_i not vanishing at x.
+
+        m is |F_i(x)| at the infinite place and the p-adic valuation of
+        F_i(x) at a prime p, where |F_i(x)|_p = p^(-m).
+        """
+        out = []
+        for v, int_forms, _ in self.places:
+            p = v.p
+            place_terms = []
+            for i, form in enumerate(int_forms):
+                s = sum(map(mul, form, x))
+                if s == 0:
+                    continue
+                if p is None:
+                    m = abs(s)
+                    place_terms.append((math.log10(m), i, m))
+                else:
+                    m = 0
+                    while s % p == 0:
+                        s //= p
+                        m += 1
+                    place_terms.append((-m * math.log10(p), i, m))
+            if not place_terms:
+                raise ValidationError(f"all forms at {v.label()} vanish on {x}")
+            out.append(place_terms)
+        return out
+
+
+class _FastHeight:
+    """Twisted heights at one Q on top of the Q-free integer kernel.
+
+    A vector's height is carried as its float log10 plus, per place, the
+    chosen term of `_IntegerForms.terms`: the form index and |F_i(x)| or
+    the p-adic valuation, all integers.  The exact value
+    corr * num/den * Q^(qexp/forms.exp_den) is built from the chosen terms
+    only when a float comparison falls within _LOG_TOL or the value is
+    reported.
+    """
+
+    def __init__(self, forms: _IntegerForms, q):
+        self.forms = forms
         self.q = Fraction(q)
         if self.q < 1:
             raise ValueError("Q must be >= 1")
         self.logq = math.log10(self.q) if self.q != 1 else 0.0
-        self.places = []
-        seen = set(pair.active) | {INF}
-        for v in sorted(seen):
-            pd = pair.place_data(v)
-            den = math.lcm(*(a.denominator for f in pd.forms for a in f))
-            int_forms = [tuple(int(a * den) for a in f) for f in pd.forms]
-            if v.is_infinite:
-                corr = Fraction(1, den)
-            else:
-                e = 0
-                d = den
-                while d % v.p == 0:
-                    d //= v.p
-                    e += 1
-                corr = Fraction(v.p ** e)
-            exps = [-c for c in pd.exps]
-            logc = [float(e) * self.logq for e in exps]
-            self.places.append((v, int_forms, exps, logc, corr, math.log10(corr)))
+        self.shifts = [
+            tuple(e * self.logq / forms.exp_den for e in exps) for _, _, exps in forms.places
+        ]
+        self._qfr = None
 
-    def value(self, x):
-        """(log10 float, mantissa Fraction, Q-exponent Fraction) of H(x)."""
-        q = self.q
-        tot_m = Fraction(1)
-        tot_e = Fraction(0)
-        tot_log = 0.0
-        for v, int_forms, exps, logc, corr, logcorr in self.places:
+    def log(self, terms) -> float:
+        """log10 of the height whose Q-free terms are given, in floats only."""
+        total = self.forms.logcorr
+        for place_terms, shift in zip(terms, self.shifts):
+            best = -math.inf
+            for lm, i, _ in place_terms:
+                lv = lm + shift[i]
+                if lv > best:
+                    best = lv
+            total += best
+        return total
+
+    def value(self, terms):
+        """(log10 float, chosen term per place); ties within _LOG_TOL are broken exactly."""
+        total = self.forms.logcorr
+        picks = []
+        for (v, _, exps), place_terms, shift in zip(self.forms.places, terms, self.shifts):
             best = None
-            for form, e, le in zip(int_forms, exps, logc):
-                s = 0
-                for a, b in zip(form, x):
-                    s += a * b
-                if s == 0:
-                    continue
-                if v.p is None:
-                    m = Fraction(abs(s))
-                    lm = math.log10(abs(s))
-                else:
-                    k = 0
-                    p = v.p
-                    while s % p == 0:
-                        s //= p
-                        k += 1
-                    m = Fraction(1, p ** k)
-                    lm = -k * math.log10(p)
-                cand = (lm + le, m, e)
-                if best is None:
-                    best = cand
-                elif cand[0] > best[0] + _LOG_TOL:
-                    best = cand
-                elif cand[0] > best[0] - _LOG_TOL:
-                    if _cmp_scaled(cand[1], cand[2], best[1], best[2], q) > 0:
-                        best = cand
-            if best is None:
-                raise ValidationError(f"all forms at {v.label()} vanish on {x}")
-            tot_m *= corr * best[1]
-            tot_e += best[2]
-            tot_log += logcorr + best[0]
-        return tot_log, tot_m, tot_e
+            for t in place_terms:
+                lv = t[0] + shift[t[1]]
+                if best is None or lv > best_log + _LOG_TOL:
+                    best, best_log = t, lv
+                elif lv > best_log - _LOG_TOL:
+                    a, b = _term_exact(v, exps, t), _term_exact(v, exps, best)
+                    if _cmp_scaled(a, b, self.q, self.forms.exp_den) > 0:
+                        best, best_log = t, lv
+            picks.append(best)
+            total += best_log
+        return total, tuple(picks)
 
-    def to_factored(self, m: Fraction, e: Fraction) -> FactoredReal:
-        out = FactoredReal.from_rational(m)
-        if e != 0:
-            out = out * FactoredReal.from_rational(self.q) ** e
+    def exact(self, picks) -> tuple[int, int, int]:
+        """(num, den, qexp) with height = corr * num/den * Q^(qexp/forms.exp_den)."""
+        num = den = 1
+        qexp = 0
+        for (v, _, exps), t in zip(self.forms.places, picks):
+            tn, td, te = _term_exact(v, exps, t)
+            num, den, qexp = num * tn, den * td, qexp + te
+        return num, den, qexp
+
+    def to_factored(self, exact) -> FactoredReal:
+        num, den, qexp = exact
+        out = FactoredReal.from_rational(self.forms.corr * Fraction(num, den))
+        if qexp != 0:
+            if self._qfr is None:
+                self._qfr = FactoredReal.from_rational(self.q)
+            out = out * self._qfr ** Fraction(qexp, self.forms.exp_den)
         return out
 
 
-def _cmp_scaled(m1, e1, m2, e2, q) -> int:
-    """Exact comparison of m1*q^e1 vs m2*q^e2 for positive rationals."""
-    if e1 == e2:
-        return (m1 > m2) - (m1 < m2)
-    d = e2 - e1
-    lhs = Fraction(m1, m2) ** d.denominator
-    rhs = Fraction(q) ** d.numerator
+def _term_exact(v: Place, exps, term) -> tuple[int, int, int]:
+    """(num, den, qexp) of one term: |F_i(x)|_v Q^(e_i/exp_den) without corr_v."""
+    _, i, m = term
+    return (m, 1, exps[i]) if v.p is None else (1, v.p**m, exps[i])
+
+
+def _cmp_scaled(a, b, q: Fraction, d: int) -> int:
+    """Sign of n1/d1 * Q^(e1/d) - n2/d2 * Q^(e2/d) for a = (n1, d1, e1), b = (n2, d2, e2).
+
+    Numerators and denominators are positive integers, the e are integers.
+    Raising both sides to the power r = d/gcd(e2 - e1, d) leaves one exact
+    cross-multiplication of integers.
+    """
+    n1, d1, e1 = a
+    n2, d2, e2 = b
+    k = e2 - e1
+    g = math.gcd(k, d)
+    r, k = d // g, k // g
+    lhs = (n1 * d2) ** r
+    rhs = (n2 * d1) ** r
+    if k > 0:
+        lhs *= q.denominator**k
+        rhs *= q.numerator**k
+    elif k < 0:
+        lhs *= q.numerator**-k
+        rhs *= q.denominator**-k
     return (lhs > rhs) - (lhs < rhs)
 
 
-@dataclass
 class _Record:
-    seq: int
-    vec: tuple
-    logf: float
-    mant: Fraction
-    qexp: Fraction
+    """An enumerated vector with its float log height and lazily built exact value."""
+
+    __slots__ = ("seq", "vec", "logf", "picks", "_exact")
+
+    def __init__(self, seq, vec, logf, picks):
+        self.seq = seq
+        self.vec = vec
+        self.logf = logf
+        self.picks = picks
+        self._exact = None
+
+    def exact(self, fh: _FastHeight):
+        if self._exact is None:
+            self._exact = fh.exact(self.picks)
+        return self._exact
 
 
-def _cmp_records(a: _Record, b: _Record, q) -> int:
+def _cmp_records(a: _Record, b: _Record, fh: _FastHeight) -> int:
     """Value comparison with float prefilter; 0 means equal values."""
     if a.logf > b.logf + _LOG_TOL:
         return 1
     if a.logf < b.logf - _LOG_TOL:
         return -1
-    return _cmp_scaled(a.mant, a.qexp, b.mant, b.qexp, q)
+    return _cmp_scaled(a.exact(fh), b.exact(fh), fh.q, fh.forms.exp_den)
 
 
-class _RankTrackerInt:
-    def __init__(self):
-        self.rows = []
+class _Greedy:
+    """The streaming matroid greedy at one (Q, box).
 
-    def full(self, n):
-        return len(self.rows) >= n
+    `sel` is the best independent tuple so far in (value, seq) order;
+    `buffer` keeps, in feed order, every record not above the worst
+    selected one when it arrived (trimmed past 100k records).
+    """
 
-    def try_add(self, vec) -> bool:
-        v = [Fraction(c) for c in vec]
-        for row in self.rows:
-            piv = next(i for i, x in enumerate(row) if x != 0)
-            if v[piv] != 0:
-                f = v[piv] / row[piv]
-                v = [a - f * b for a, b in zip(v, row)]
-        if all(x == 0 for x in v):
-            return False
-        self.rows.append(v)
-        return True
+    def __init__(self, forms: _IntegerForms, q, box: int):
+        self.fh = _FastHeight(forms, q)
+        self.box = box
+        self.n = forms.n
+        self.sel: list[_Record] = []
+        self.buffer: list[_Record] = []
+        self.seq = 0
 
+    def feed(self, vec, terms):
+        seq = self.seq
+        self.seq = seq + 1
+        sel = self.sel
+        full = len(sel) == self.n
+        # reject on the float alone before building a record
+        if full and self.fh.log(terms) > sel[-1].logf + _LOG_TOL:
+            return
+        rec = _Record(seq, vec, *self.fh.value(terms))
+        buffer = self.buffer
+        if full:
+            c = _cmp_records(rec, sel[-1], self.fh)
+            if c > 0:
+                return
+            buffer.append(rec)
+            if len(buffer) > 100_000:
+                buffer[:] = [r for r in buffer if _cmp_records(r, sel[-1], self.fh) <= 0]
+            if c == 0:
+                return
+        else:
+            buffer.append(rec)
+        self._insert(rec)
 
-def _greedy_basis(records: list[_Record], n: int, q) -> list[_Record]:
-    order = sorted(records, key=_CmpKey(q))  # value order, seq tie-break
-    tracker = _RankTrackerInt()
-    sel = []
-    for r in order:
-        if tracker.try_add(r.vec):
-            sel.append(r)
-            if len(sel) == n:
-                break
-    return sel
+    def _insert(self, rec: _Record):
+        """Greedy over sel plus rec, in (value, seq) order; rec has the largest seq."""
+        sel = self.sel
+        pos = len(sel)
+        while pos and _cmp_records(rec, sel[pos - 1], self.fh) < 0:
+            pos -= 1
+        tracker = RankTracker()
+        out = []
+        for r in (*sel[:pos], rec, *sel[pos:]):
+            if tracker.try_add(r.vec):
+                out.append(r)
+                if len(out) == self.n:
+                    break
+        self.sel = out
 
-
-class _CmpKey:
-    def __init__(self, q):
-        self.q = q
-
-    def __call__(self, record):
-        return _SortProxy(record, self.q)
-
-
-class _SortProxy:
-    __slots__ = ("r", "q")
-
-    def __init__(self, r, q):
-        self.r = r
-        self.q = q
-
-    def __lt__(self, other):
-        c = _cmp_records(self.r, other.r, self.q)
-        if c != 0:
-            return c < 0
-        return self.r.seq < other.r.seq
+    def estimate(self) -> "InfimaEstimate":
+        n, sel, fh = self.n, self.sel, self.fh
+        if len(sel) < n:
+            raise RuntimeError("failed to find n independent vectors (internal)")
+        lambdas = tuple(fh.to_factored(r.exact(fh)) for r in sel)
+        spans = []
+        for thr in sel:
+            tracker = RankTracker()
+            vecs = []
+            for rec in self.buffer:
+                if len(tracker) >= n:
+                    break
+                if _cmp_records(rec, thr, fh) <= 0 and tracker.try_add(rec.vec):
+                    vecs.append(rec.vec)
+            spans.append(Subspace.span(n, vecs))
+        return InfimaEstimate(fh.q, self.box, lambdas, tuple(r.vec for r in sel), tuple(spans))
 
 
 @dataclass
@@ -254,6 +361,45 @@ class InfimaEstimate:
         return tuple(l.log10_float() for l in self.lambdas)
 
 
+def _infima_grid(pair: TwistedPair, grid, extra_vectors=()) -> list[InfimaEstimate]:
+    """successive_infima at every (Q, box) of `grid`, from one enumeration.
+
+    The largest box is enumerated once and the Q-free terms of each
+    vector are computed once; each (Q, box) then feeds its own greedy the
+    vectors of its own box.  Product order restricted to a smaller box is
+    that box's product order, so every greedy sees exactly the sequence a
+    search of its own box alone would.
+    """
+    n = pair.n
+    for _, box in grid:
+        check_box(n, box)
+    forms = _IntegerForms(pair)
+    states = [_Greedy(forms, q, box) for q, box in grid]
+
+    seeds = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    extras = [primitive_scale(v) for v in extra_vectors]
+    for vec in seeds + extras:
+        terms = forms.terms(vec)
+        for st in states:
+            st.feed(vec, terms)
+    seen = set(seeds) | set(extras)
+    bmax = max(box for _, box in grid)
+    nested = any(st.box < bmax for st in states)
+    for vec in enumerate_primitive(n, bmax):
+        if vec in seen:
+            continue
+        terms = forms.terms(vec)
+        if nested:
+            h = max(map(abs, vec))
+            for st in states:
+                if h <= st.box:
+                    st.feed(vec, terms)
+        else:
+            for st in states:
+                st.feed(vec, terms)
+    return [st.estimate() for st in states]
+
+
 def successive_infima(pair: TwistedPair, q, box: int, extra_vectors=()) -> InfimaEstimate:
     """Enumerate, sort by exact twisted height, select greedily.
 
@@ -262,66 +408,23 @@ def successive_infima(pair: TwistedPair, q, box: int, extra_vectors=()) -> Infim
     enumerated vectors of height <= lambda_bar_i.  True infima are never
     larger than the reported estimates.
     """
-    n = pair.n
-    fh = _FastHeight(pair, q)
-    qq = fh.q
-
-    seeds = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    extras = [primitive_scale(v) for v in extra_vectors]
-
-    sel: list[_Record] = []
-    buffer: list[_Record] = []
-    seq = 0
-
-    def feed(vec):
-        nonlocal sel, seq
-        logf, m, e = fh.value(vec)
-        rec = _Record(seq, vec, logf, m, e)
-        seq += 1
-        if len(sel) == n:
-            c = _cmp_records(rec, sel[-1], qq)
-            if c > 0:
-                return
-            buffer.append(rec)
-            if len(buffer) > 100_000:
-                buffer[:] = [r for r in buffer if _cmp_records(r, sel[-1], qq) <= 0]
-            if c == 0:
-                return
-        else:
-            buffer.append(rec)
-        sel = _greedy_basis(sel + [rec], n, qq)
-
-    for vec in seeds:
-        feed(vec)
-    for vec in extras:
-        feed(vec)
-    seen_box = set(seeds) | set(extras)
-    for vec in enumerate_primitive(n, box):
-        if vec in seen_box:
-            continue
-        feed(vec)
-
-    if len(sel) < n:
-        raise RuntimeError("failed to find n independent vectors (internal)")
-
-    lambdas = tuple(fh.to_factored(r.mant, r.qexp) for r in sel)
-    achievers = tuple(r.vec for r in sel)
-
-    spans = []
-    for i in range(n):
-        thr = sel[i]
-        tracker = _RankTrackerInt()
-        vecs = []
-        for rec in buffer:
-            if tracker.full(n):
-                break
-            if _cmp_records(rec, thr, qq) <= 0 and tracker.try_add(rec.vec):
-                vecs.append(rec.vec)
-        spans.append(Subspace.span(n, vecs))
-    return InfimaEstimate(qq, box, lambdas, achievers, tuple(spans))
+    return _infima_grid(pair, [(q, box)], extra_vectors)[0]
 
 
-def default_box_policy(pair: TwistedPair, raw_cap: int = 2_000_000):
+def check_box(n: int, box: int) -> None:
+    """Refuse an empty box or one of more than RAW_BOX_CAP raw tuples (2*box+1)^n."""
+    if box < 1:
+        raise ValidationError(f"box must be >= 1, got {box}")
+    tuples = 1
+    for _ in range(n):  # stops after a few factors; (2*box+1)**n could be huge
+        tuples *= 2 * box + 1
+        if tuples > RAW_BOX_CAP:
+            raise ValidationError(
+                f"box {box} in dimension {n} spans (2*{box}+1)^{n} tuples, over the cap of {RAW_BOX_CAP}"
+            )
+
+
+def default_box_policy(pair: TwistedPair, raw_cap: int = RAW_BOX_CAP):
     """B(Q) = ceil(Q^c_max), capped so the raw box has <= raw_cap tuples."""
     n = pair.n
     cmax = 0.0
@@ -395,13 +498,13 @@ def slope_profile(pair: TwistedPair, q_list, box_policy=None) -> SlopeReport:
         raise ValueError("q_list must be increasing and >= 2")
     if box_policy is None:
         box_policy = default_box_policy(pair)
+    estimates = _infima_grid(pair, [(q, box_policy(q)) for q in qs])
     chain = filtration(pair)
     n = pair.n
     expected = tuple(-float(chain.slope_for_index(i)) for i in range(1, n + 1))
     rows = []
     matches = {}
-    for q in qs:
-        est = successive_infima(pair, q, box_policy(q))
+    for q, est in zip(qs, estimates):
         logq = math.log10(float(q))
         for i, lam in enumerate(est.lambdas, start=1):
             ll = lam.log10_float()
@@ -505,13 +608,14 @@ def gap_experiment(pair: TwistedPair, delta, a, box: int) -> GapReport:
     dl, _ = pair_invariants(pair)
     threshold = dl ** Fraction(1, n) * FactoredReal.from_rational(a) ** (-delta / 2)
     thr_log = threshold.log10_float()
-    fh = _FastHeight(pair, a)
+    check_box(n, box)
+    fh = _FastHeight(_IntegerForms(pair), a)
     sols = []
     for vec in enumerate_primitive(n, box):
-        logf, m, e = fh.value(vec)
+        logf, picks = fh.value(fh.forms.terms(vec))
         if logf > thr_log + _LOG_TOL:
             continue
-        if fh.to_factored(m, e) < threshold:
+        if logf < thr_log - _LOG_TOL or fh.to_factored(fh.exact(picks)) < threshold:
             sols.append(vec)
     span = Subspace.span(n, sols) if sols else Subspace.zero(n)
     return GapReport(a, delta, box, threshold, tuple(sols), span, span.dim < n)
@@ -580,6 +684,8 @@ def scan_system(sys: SystemInstance, h_max, box: int) -> ScanReport:
     from .filtration import exceptional_subspace
 
     h_max = Fraction(h_max)
+    bmax = min(box, int(h_max))
+    check_box(sys.n, bmax)
     pair, delta, _ = reduce_system(sys)
     t_prime = exceptional_subspace(pair)
     ratio = 1 + delta / 2
@@ -587,7 +693,6 @@ def scan_system(sys: SystemInstance, h_max, box: int) -> ScanReport:
     a_vals = {v: sys.a_value(v) for v in sys.places}
     solutions = []
     hist: dict[int, int] = {}
-    bmax = min(box, int(h_max))
     for vec in enumerate_primitive(sys.n, bmax):
         h = max(abs(c) for c in vec)
         if h > h_max:

@@ -21,6 +21,7 @@ __all__ = [
     "identity",
     "solve_exact",
     "minors",
+    "RankTracker",
 ]
 
 
@@ -146,3 +147,37 @@ def minors(rows, p: int) -> tuple[Fraction, ...]:
         sub = [[row[c] for c in cols] for row in rows]
         out.append(det(sub))
     return tuple(out)
+
+
+class RankTracker:
+    """Incremental rank of a growing set of vectors, without division.
+
+    Stored rows have pairwise distinct pivots (first nonzero entries), and
+    each row is zero at the pivots of the rows stored before it.  A new
+    vector v is reduced against each row in turn by v <- b*v - a*row, with
+    b the row's pivot entry and a the entry of v there; v is independent of
+    the rows iff something nonzero is left.  Int rows stay integer; Fraction
+    rows work the same way.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self):
+        self.rows = []  # (pivot column, row)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def try_add(self, vec) -> bool:
+        """Store vec and return True iff it is independent of the stored rows."""
+        v = vec
+        for piv, row in self.rows:
+            a = v[piv]
+            if a:
+                b = row[piv]
+                v = [b * x - a * y for x, y in zip(v, row)]
+        for i, x in enumerate(v):
+            if x:
+                self.rows.append((i, tuple(v)))
+                return True
+        return False

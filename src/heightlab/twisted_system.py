@@ -33,6 +33,7 @@ __all__ = [
     "pair_from_json",
     "frac_str",
     "parse_frac",
+    "places_from_json",
 ]
 
 
@@ -335,11 +336,51 @@ def pair_to_json(pair: TwistedPair) -> dict:
     }
 
 
-def pair_from_json(data) -> TwistedPair:
-    active = {}
+def places_from_json(data, n_min: int = 1) -> tuple[int, dict]:
+    """(n, {Place: (forms, exps)}) from a pair or system JSON object.
+
+    Raises ValidationError unless the input is an object with a dimension
+    n >= n_min and a list of places, each with a label ("inf" or a prime),
+    n forms of n rationals and n rational exponents.
+    """
+    if not isinstance(data, dict):
+        raise ValidationError(f"expected a JSON object, got {type(data).__name__}")
+    for key in ("n", "places"):
+        if key not in data:
+            raise ValidationError(f"missing key {key!r}")
+    try:
+        n = int(data["n"])
+    except (ValueError, TypeError):
+        raise ValidationError(f"n must be an integer, got {data['n']!r}") from None
+    if n < n_min:
+        raise ValidationError(f"n must be >= {n_min}, got {n}")
+    if not isinstance(data["places"], list):
+        raise ValidationError("places must be a list")
+    places = {}
     for entry in data["places"]:
-        place = Place.parse(entry["place"])
-        forms = tuple(tuple(parse_frac(a) for a in form) for form in entry["forms"])
-        exps = tuple(parse_frac(c) for c in entry["exps"])
-        active[place] = PlaceData(forms, exps)
-    return TwistedPair(int(data["n"]), active)
+        if not isinstance(entry, dict) or any(k not in entry for k in ("place", "forms", "exps")):
+            raise ValidationError("each place needs the keys 'place', 'forms' and 'exps'")
+        try:
+            place = Place.parse(entry["place"])
+        except (ValueError, TypeError):
+            raise ValidationError(f"place must be 'inf' or a prime, got {entry['place']!r}") from None
+        where = f"at place {place.label()}"
+        if not isinstance(entry["forms"], list) or len(entry["forms"]) != n:
+            raise ValidationError(f"need {n} forms {where}")
+        forms = tuple(_rationals(f, n, f"a form {where}") for f in entry["forms"])
+        places[place] = (forms, _rationals(entry["exps"], n, f"the exponents {where}"))
+    return n, places
+
+
+def _rationals(values, n: int, what: str) -> tuple[Fraction, ...]:
+    if not isinstance(values, list) or len(values) != n:
+        raise ValidationError(f"{what} must be a list of {n} rationals")
+    try:
+        return tuple(parse_frac(a) for a in values)
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError):
+        raise ValidationError(f"{what} holds a value that is not a rational: {values!r}") from None
+
+
+def pair_from_json(data) -> TwistedPair:
+    n, places = places_from_json(data)
+    return TwistedPair(n, {v: PlaceData(*fe) for v, fe in places.items()})

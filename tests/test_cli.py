@@ -5,7 +5,7 @@ import pytest
 
 from heightlab.cli import cmd_dispatch
 from heightlab.suite import pair_e1, pair_e3
-from heightlab.twisted_system import pair_from_json, pair_to_json
+from heightlab.twisted_system import ValidationError, pair_from_json, pair_to_json
 
 F = Fraction
 
@@ -211,3 +211,83 @@ def test_determinism_byte_identical(e1_path, e3_path, sys_path, tmp_path):
 def test_pair_round_trip_through_cli(e3_path, tmp_path):
     original = json.loads(open(e3_path).read())
     assert pair_to_json(pair_from_json(original)) == original
+
+
+def _write(tmp_path, name, data):
+    p = tmp_path / name
+    p.write_text(data if isinstance(data, str) else json.dumps(data))
+    return str(p)
+
+
+_GOOD_PLACE = {"place": "inf", "forms": [["1", "0"], ["0", "1"]], "exps": ["1", "-1"]}
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"n": 2},  # no places key
+        {"n": 2, "places": [dict(_GOOD_PLACE, forms=[["x", "0"], ["0", "1"]])]},
+        {"n": 2, "places": [dict(_GOOD_PLACE, place="4")]},
+        [_GOOD_PLACE],  # a top-level array
+        {"n": 2, "places": [dict(_GOOD_PLACE, exps=["1"])]},
+        {"n": 2, "places": [dict(_GOOD_PLACE, forms=[["1", "0"]])]},
+        {"n": "two", "places": [_GOOD_PLACE]},
+        {"n": 2, "places": [dict(_GOOD_PLACE, exps=["1/0", "-1"])]},
+        {"n": 2, "places": [{"place": "inf"}]},
+    ],
+)
+def test_malformed_pair_exit_2(tmp_path, data):
+    path = _write(tmp_path, "bad.json", data)
+    for cmd in (["validate", path], ["infima", path, "--q", "10", "--box", "2"]):
+        assert cmd_dispatch(cmd) == 2
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"n": 2, "places": [{"place": "inf", "forms": [["1", "0"], ["0", "1"]], "exps": ["-3", "0"]}]},
+        {"n": 2, "epsilon": "1", "places": [{"place": "6", "forms": [["1", "0"], ["0", "1"]], "exps": ["-3", "0"]}]},
+        {"n": 2, "epsilon": "1", "places": [{"place": "inf", "forms": [["1", "y"], ["0", "1"]], "exps": ["-3", "0"]}]},
+        ["not", "a", "system"],
+    ],
+)
+def test_malformed_system_exit_2(tmp_path, data):
+    path = _write(tmp_path, "bad.json", data)
+    assert cmd_dispatch(["reduce", path]) == 2
+    assert cmd_dispatch(["scan", path, "--hmax", "3", "--box", "3"]) == 2
+
+
+def test_empty_box_exit_2(e1_path, sys_path):
+    assert cmd_dispatch(["infima", e1_path, "--q", "10", "--box", "0"]) == 2
+    assert cmd_dispatch(["slopes", e1_path, "--qgrid", "10:100:2", "--box", "0"]) == 2
+    assert cmd_dispatch(["scan", sys_path, "--hmax", "3", "--box", "0"]) == 2
+
+
+def test_box_over_budget_refused_before_enumerating(e1_path, sys_path):
+    # (2*100000+1)^2 raw tuples is far over the cap; refusal must be immediate
+    import time
+
+    t0 = time.perf_counter()
+    for cmd in (
+        ["infima", e1_path, "--q", "10", "--box", "100000"],
+        ["slopes", e1_path, "--qgrid", "10:100:2", "--box", "100000"],
+        ["minkowski", e1_path, "--q", "10", "--box", "100000"],
+        ["gap", e1_path, "--delta", "1", "--a", "4", "--box", "100000"],
+        ["scan", sys_path, "--hmax", "1000000", "--box", "100000"],
+    ):
+        assert cmd_dispatch(cmd) == 2, cmd
+    assert time.perf_counter() - t0 < 5
+
+
+def test_box_at_the_cap_is_accepted(e1_path, sys_path, tmp_path):
+    from heightlab.infima_lab import RAW_BOX_CAP, check_box
+
+    b = 1
+    while (2 * (b + 1) + 1) ** 2 <= RAW_BOX_CAP:
+        b += 1
+    check_box(2, b)  # the largest box within the cap passes
+    with pytest.raises(ValidationError):
+        check_box(2, b + 1)
+    # a scan enumerates the box min(box, hmax): a large --box with a small --hmax is fine
+    code, _ = _run(["scan", sys_path, "--hmax", "3", "--box", "100000"], tmp_path / "ok.json")
+    assert code == 0

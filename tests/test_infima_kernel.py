@@ -1,0 +1,171 @@
+"""Property tests: the integer height kernel and the shared Q-grid search
+against the exact routes they replace."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from heightlab import infima_lab
+from heightlab.exact_reals import FactoredReal
+from heightlab.infima_lab import (
+    _FastHeight,
+    _infima_grid,
+    _IntegerForms,
+    _cmp_scaled,
+    slope_profile,
+    successive_infima,
+)
+from heightlab.places_heights import INF, Place, primitive_scale
+from heightlab.rational_linalg import RankTracker, rank
+from heightlab.suite import diag_pair
+from heightlab.twisted_system import TwistedPair, twisted_height
+
+F = Fraction
+FR = FactoredReal
+
+SETTINGS = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow]
+)
+
+coeffs = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 1, 1, 2, 3, 4, 5, 6, 9]))
+exponents = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+qs = st.builds(F, st.integers(1, 60), st.integers(1, 4)).filter(lambda q: q >= 1)
+
+
+@st.composite
+def pairs(draw, n_max=3):
+    """Core-valid pairs with 1-3 active places, p-adic places included."""
+    n = draw(st.integers(2, n_max))
+    labels = draw(st.lists(st.sampled_from(["inf", 2, 3, 5]), min_size=1, max_size=3, unique=True))
+    active = {}
+    for label in labels:
+        square = st.lists(st.lists(coeffs, min_size=n, max_size=n), min_size=n, max_size=n)
+        forms = draw(square.filter(lambda f: rank(f) == n))
+        exps = draw(st.lists(exponents, min_size=n, max_size=n))
+        active[Place.parse(label)] = (forms, exps)
+    return TwistedPair(n, active)
+
+
+@st.composite
+def pair_and_vector(draw):
+    pair = draw(pairs())
+    x = draw(st.lists(st.integers(-8, 8), min_size=pair.n, max_size=pair.n))
+    assume(any(x))
+    return pair, primitive_scale(x)
+
+
+@SETTINGS
+@given(pair_and_vector(), qs)
+def test_kernel_matches_twisted_height(px, q):
+    pair, x = px
+    forms = _IntegerForms(pair)
+    fh = _FastHeight(forms, q)
+    terms = forms.terms(x)
+    logf, picks = fh.value(terms)
+    exact = fh.to_factored(fh.exact(picks))
+    assert exact == twisted_height(pair, q, x)
+    assert abs(logf - exact.log10_float()) < 1e-9
+    assert abs(fh.log(terms) - logf) < 1e-9
+
+
+@SETTINGS
+@given(
+    st.tuples(st.integers(1, 40), st.integers(1, 40), st.integers(-6, 6)),
+    st.tuples(st.integers(1, 40), st.integers(1, 40), st.integers(-6, 6)),
+    qs,
+    st.integers(1, 6),
+)
+def test_cmp_scaled_matches_factored_reals(a, b, q, d):
+    def value(t):
+        num, den, e = t
+        return FR.from_rational(F(num, den)) * FR.from_rational(q) ** F(e, d)
+
+    assert _cmp_scaled(a, b, q, d) == value(a).cmp(value(b))
+
+
+def _same_estimates(a, b):
+    assert a.q == b.q and a.box == b.box
+    assert a.lambdas == b.lambdas
+    assert a.achievers == b.achievers
+    assert a.spans == b.spans
+
+
+@SETTINGS
+@given(
+    pairs(n_max=3),
+    st.lists(st.integers(2, 400), min_size=1, max_size=3, unique=True),
+    st.lists(st.integers(1, 3), min_size=3, max_size=3),
+)
+def test_shared_grid_matches_per_q_search(pair, q_ints, boxes):
+    grid = [(F(q), box) for q, box in zip(sorted(q_ints), boxes)]
+    shared = _infima_grid(pair, grid)
+    for (q, box), est in zip(grid, shared):
+        _same_estimates(est, successive_infima(pair, q, box))
+
+
+@pytest.mark.parametrize("box", [None, 2])
+def test_slope_profile_matches_per_q_search(box):
+    pair = diag_pair([1, F(1, 3), F(-4, 3)])
+    policy = (lambda q: box) if box else (lambda q: min(4, int(q) // 10))
+    grid = [10, 20, 40]
+    rep = slope_profile(pair, grid, policy)
+    for q in grid:
+        est = successive_infima(pair, q, policy(q))
+        assert [row[2] for row in rep.rows if row[0] == q] == [l.log10_float() for l in est.lambdas]
+
+
+def test_exact_ties_use_the_exact_branch_and_seq(monkeypatch):
+    calls = []
+    real = infima_lab._cmp_scaled
+
+    def spy(*args):
+        c = real(*args)
+        calls.append(c)
+        return c
+
+    monkeypatch.setattr(infima_lab, "_cmp_scaled", spy)
+    # (0,1), (1,1) and (1,-1) all have height Q: the float logs tie and the
+    # exact comparison says equal, so the earliest vector, the seed (0,1), wins
+    est = successive_infima(diag_pair([1, -1]), 10, 1)
+    assert est.lambdas == (FR.from_rational(F(1, 10)), FR.from_rational(10))
+    assert est.achievers == ((1, 0), (0, 1))
+    assert 0 in calls
+
+    # at Q=2, |x_1| Q^-1 and |x_2| Q tie exactly within the place at x = (4, 1)
+    calls.clear()
+    pair = diag_pair([1, -1])
+    forms = _IntegerForms(pair)
+    fh = _FastHeight(forms, 2)
+    logf, picks = fh.value(forms.terms((4, 1)))
+    assert 0 in calls
+    assert fh.to_factored(fh.exact(picks)) == twisted_height(pair, 2, (4, 1)) == FR.from_rational(2)
+
+
+def test_ties_across_q_exponents_match_brute_force():
+    from test_infima_lab import _brute_force_infima
+
+    pair = TwistedPair(2, {INF: (((1, 0), (0, 1)), (1, -1)), Place.finite(2): (((1, 1), (0, 1)), (F(1, 2), F(-1, 2)))})
+    for q in (1, 2, 4, 16):
+        est = successive_infima(pair, q, 4)
+        lambdas, _ = _brute_force_infima(pair, q, 4)
+        assert list(est.lambdas) == lambdas
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=7)
+    ),
+    st.booleans(),
+)
+def test_rank_tracker_matches_rank(rows, as_fractions):
+    if as_fractions:
+        rows = [[F(a, 2) for a in row] for row in rows]
+    tracker = RankTracker()
+    for k, row in enumerate(rows, start=1):
+        before = len(tracker)
+        added = tracker.try_add(row)
+        assert len(tracker) == rank(rows[:k])
+        assert added == (len(tracker) > before)
