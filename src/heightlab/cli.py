@@ -34,6 +34,7 @@ from .infima_lab import (
 from .twisted_system import (
     TwistedPair,
     ValidationError,
+    _rationals,
     frac_str,
     pair_from_json,
     pair_invariants,
@@ -46,6 +47,9 @@ from .twisted_system import (
 )
 
 __all__ = ["main", "cmd_dispatch"]
+
+# Significant digits a report may ask for with --precision.
+MAX_PRECISION = 100
 
 
 def _fail(code: int, msg: str) -> int:
@@ -86,8 +90,31 @@ def _subspace_json(s: Subspace) -> dict:
     }
 
 
-def _subspace_from_json(data) -> Subspace:
-    return Subspace(int(data["ambient"]), [[parse_frac(a) for a in row] for row in data["basis"]])
+def _rational(text, flag: str, ok=None, need: str = "") -> Fraction:
+    """The value of a numeric flag; ValidationError unless it parses and passes `ok`."""
+    try:
+        x = parse_frac(text)
+    except (ValueError, TypeError, ZeroDivisionError):
+        raise ValidationError(f"--{flag} must be a rational, got {text!r}") from None
+    if ok is not None and not ok(x):
+        raise ValidationError(f"--{flag} must be {need}, got {text}")
+    return x
+
+
+def _at_least_one(x) -> bool:
+    return x >= 1
+
+
+def _in_unit_interval(x) -> bool:
+    return 0 < x <= 1
+
+
+def _subspace_from_json(data, n: int) -> Subspace:
+    if not isinstance(data, dict) or "basis" not in data or not isinstance(data["basis"], list):
+        raise ValidationError("a subspace file needs a 'basis' list")
+    if data.get("ambient") not in (n, str(n)):
+        raise ValidationError(f"subspace ambient dimension must be the pair's n = {n}")
+    return Subspace(n, [_rationals(row, n, "a basis row") for row in data["basis"]])
 
 
 def _load_pair(path: str) -> TwistedPair:
@@ -133,11 +160,12 @@ def _infima_json(est, precision: int) -> dict:
 
 def _parse_qgrid(spec: str) -> list[Fraction]:
     parts = spec.split(":")
-    if len(parts) != 3:
-        raise ValueError("qgrid must be a:b:steps")
-    a, b, steps = Fraction(parts[0]), Fraction(parts[1]), int(parts[2])
-    if steps < 1 or a < 2 or b < a:
-        raise ValueError("qgrid needs 2 <= a <= b and steps >= 1")
+    try:
+        a, b, steps = Fraction(parts[0]), Fraction(parts[1]), int(parts[2])
+    except (ValueError, ZeroDivisionError, IndexError):
+        raise ValidationError(f"--qgrid must be a:b:steps, got {spec!r}") from None
+    if len(parts) != 3 or steps < 1 or a < 2 or b < a:
+        raise ValidationError(f"--qgrid needs 2 <= a <= b and steps >= 1, got {spec!r}")
     if steps == 1:
         return [a]
     ratio = (float(b) / float(a)) ** (1.0 / (steps - 1))
@@ -154,6 +182,8 @@ def cmd_dispatch(argv) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if not 1 <= args.precision <= MAX_PRECISION:
+            raise ValidationError(f"--precision must be in [1, {MAX_PRECISION}], got {args.precision}")
         return args.func(args)
     except ValidationError as exc:
         return _fail(2, f"validation failure: {exc}")
@@ -279,7 +309,7 @@ def _cmd_invariants(args) -> int:
 
 def _cmd_weight(args) -> int:
     pair = _load_pair(args.pair)
-    sub = _subspace_from_json(_load_json(args.subspace))
+    sub = _subspace_from_json(_load_json(args.subspace), pair.n)
     _emit({"weight": frac_str(weight(pair, sub)), "dim": sub.dim}, args.out)
     return 0
 
@@ -314,7 +344,7 @@ def _cmd_special_t(args) -> int:
 
 def _cmd_infima(args) -> int:
     pair = _load_pair(args.pair)
-    q = parse_frac(args.q)
+    q = _rational(args.q, "q", _at_least_one, ">= 1")
     box = args.box
     if box is None:
         from .infima_lab import default_box_policy
@@ -352,12 +382,13 @@ def _cmd_slopes(args) -> int:
 
 def _cmd_minkowski(args) -> int:
     pair = _load_pair(args.pair)
+    q = _rational(args.q, "q", _at_least_one, ">= 1")
     box = args.box
     if box is None:
         from .infima_lab import default_box_policy
 
-        box = default_box_policy(pair)(parse_frac(args.q))
-    rep = minkowski_check(pair, parse_frac(args.q), box)
+        box = default_box_policy(pair)(q)
+    rep = minkowski_check(pair, q, box)
     _emit(
         {
             "q": frac_str(rep.q),
@@ -375,7 +406,11 @@ def _cmd_minkowski(args) -> int:
 
 def _cmd_gap(args) -> int:
     pair = _load_pair(args.pair)
-    rep = gap_experiment(pair, parse_frac(args.delta), parse_frac(args.a), args.box)
+    delta = _rational(args.delta, "delta", _in_unit_interval, "in (0, 1]")
+    a = _rational(args.a, "a", _at_least_one, ">= 1")
+    if FactoredReal.from_rational(a) ** delta < FactoredReal.from_rational(pair.n):
+        raise ValidationError(f"--a must be >= n^(1/delta) for n = {pair.n}, got {args.a}")
+    rep = gap_experiment(pair, delta, a, args.box)
     _emit(
         {
             "a": frac_str(rep.a),
@@ -393,7 +428,7 @@ def _cmd_gap(args) -> int:
 
 def _cmd_scan(args) -> int:
     sys_inst = _load_system(args.system)
-    rep = scan_system(sys_inst, parse_frac(args.hmax), args.box)
+    rep = scan_system(sys_inst, _rational(args.hmax, "hmax", _at_least_one, ">= 1"), args.box)
     _emit(
         {
             "solutions": [
@@ -414,14 +449,14 @@ def _cmd_bounds(args) -> int:
     # degree-like inputs and heights default to 1 for plain rational data
     params = {
         "n": args.n,
-        "delta": parse_frac(args.delta) if args.delta else None,
-        "eps": parse_frac(args.eps) if args.eps else None,
-        "R": parse_frac(args.R) if args.R else None,
-        "D": parse_frac(args.D) if args.D else Fraction(1),
+        "delta": _rational(args.delta, "delta") if args.delta else None,
+        "eps": _rational(args.eps, "eps") if args.eps else None,
+        "R": _rational(args.R, "R") if args.R else None,
+        "D": _rational(args.D, "D") if args.D else Fraction(1),
         "d": args.dd if args.dd else 1,
         "s": args.s if args.s else 1,
-        "H_L": parse_frac(args.hl) if args.hl else Fraction(1),
-        "H_star": parse_frac(args.hstar) if args.hstar else Fraction(1),
+        "H_L": _rational(args.hl, "hl") if args.hl else Fraction(1),
+        "H_star": _rational(args.hstar, "hstar") if args.hstar else Fraction(1),
     }
     rep = bound_constants(args.thm, params, precision=args.precision)
     _emit(rep.to_json(), args.out)
@@ -443,12 +478,13 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_cover(args) -> int:
-    omega = parse_frac(args.omega)
-    delta = parse_frac(args.delta)
+    omega = _rational(args.omega, "omega", lambda x: x > 1, "> 1")
+    delta = _rational(args.delta, "delta", _in_unit_interval, "in (0, 1]")
     s = interval_cover(omega, delta)
     out = {"s": s}
     if args.q1 is not None:
-        out["endpoints_log10"] = [f"{e:.12f}" for e in cover_list(parse_frac(args.q1), omega, delta)]
+        q1 = _rational(args.q1, "q1", lambda x: x > 1, "> 1")
+        out["endpoints_log10"] = [f"{e:.12f}" for e in cover_list(q1, omega, delta)]
     _emit(out, args.out)
     return 0
 

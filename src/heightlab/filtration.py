@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .exterior_algebra import Subspace, wedge
-from .rational_linalg import RankTracker, mat_mul, rank, solve_exact
+from .rational_linalg import RankTracker, int_row, mat_mul, rank, solve_exact
 from .twisted_system import PlaceData, TwistedPair, ValidationError
 
 __all__ = [
@@ -64,20 +64,29 @@ def _restriction(form, basis_rows):
     return tuple(sum(a * b for a, b in zip(form, row)) for row in basis_rows)
 
 
-def _greedy_selection(pd: PlaceData, basis_rows):
-    """Greedy index scan at one place for U = span(basis_rows).
+def _int_restriction(form, u: Subspace):
+    """(c L(b_1), ..., c L(b_k)) over U's integer basis b, with c > 0 clearing L's denominators.
+
+    Scaling a form, or a basis row, scales the restriction or one of its
+    coordinates, so which restrictions are independent does not change.
+    """
+    return _restriction(int_row(form), u.ints)
+
+
+def _greedy_selection(pd: PlaceData, u: Subspace):
+    """Greedy index scan at one place for U.
 
     Returns (weight, positions) where positions are 1-based indices into
     the exponent-sorted order of the place's forms.
     """
-    k = len(basis_rows)
+    k = u.dim
     if k == 0:
         return Fraction(0), ()
     tracker = RankTracker()
     total = Fraction(0)
     positions = []
     for pos, (form, c) in enumerate(_sorted_forms(pd), start=1):
-        if tracker.try_add(_restriction(form, basis_rows)):
+        if tracker.try_add(_int_restriction(form, u)):
             total += c
             positions.append(pos)
             if len(positions) == k:
@@ -89,12 +98,12 @@ def _greedy_selection(pd: PlaceData, basis_rows):
 
 def local_weight(pair: TwistedPair, u: Subspace, v) -> Fraction:
     """w_v(U): minimal exponent sum over independent restrictions."""
-    return _greedy_selection(pair.place_data(v), u.rows)[0]
+    return _greedy_selection(pair.place_data(v), u)[0]
 
 
 def index_set(pair: TwistedPair, u: Subspace, v) -> tuple[int, ...]:
     """The greedy index set I_v(U), as positions in the sorted order."""
-    return _greedy_selection(pair.place_data(v), u.rows)[1]
+    return _greedy_selection(pair.place_data(v), u)[1]
 
 
 def weight(pair: TwistedPair, u: Subspace) -> Fraction:
@@ -174,20 +183,20 @@ def _semilattice_closure(generators, op, cap: int) -> list[Subspace]:
     op-combination of generator subsets, and stays finite (unlike the
     full modular-lattice closure, which need not be).
     """
-    pool: dict[tuple, Subspace] = {g.rows: g for g in generators}
-    work = list(pool.values())
+    pool = dict.fromkeys(generators)  # an ordered set: subspaces hash on their basis
+    work = list(pool)
     while work:
         fresh = []
         for a in work:
             for g in generators:
                 c = op(a, g)
-                if c.rows not in pool:
+                if c not in pool:
                     if len(pool) >= cap:
                         raise RuntimeError(f"candidate closure exceeded cap {cap}")
-                    pool[c.rows] = c
+                    pool[c] = None
                     fresh.append(c)
         work = fresh
-    return list(pool.values())
+    return list(pool)
 
 
 def candidate_subspaces(
@@ -209,38 +218,33 @@ def candidate_subspaces(
     """
     pair.ensure_core_valid()
     n = pair.n
-    flag_gens: dict[tuple, Subspace] = {}
-    single_gens: dict[tuple, Subspace] = {}
-    for base in (Subspace.zero(n), Subspace.full(n)):
-        flag_gens[base.rows] = base
+    # ordered sets of subspaces
+    flag_gens = dict.fromkeys((Subspace.zero(n), Subspace.full(n)))
+    single_gens = {}
     for v, pd in pair.active.items():
         sorted_fc = _sorted_forms(pd)
         for form, _ in sorted_fc:
-            s = Subspace.kernel(n, [form])
-            single_gens[s.rows] = s
+            single_gens[Subspace.kernel(n, [form])] = None
         for i in range(1, n + 1):
             if i < n and sorted_fc[i][1] == sorted_fc[i - 1][1]:
                 continue  # not an exponent jump: flag carries zero weight
-            s = Subspace.kernel(n, [f for f, _ in sorted_fc[:i]])
-            flag_gens[s.rows] = s
+            flag_gens[Subspace.kernel(n, [f for f, _ in sorted_fc[:i]])] = None
 
-    all_gens = list({**flag_gens, **single_gens}.values())
+    all_gens = list({**flag_gens, **single_gens})
     meets = _semilattice_closure(all_gens, Subspace.intersect, cap)
     if len(meets) <= meet_budget:
-        pool = {s.rows: s for s in _semilattice_closure(meets, Subspace.add, cap)}
+        pool = dict.fromkeys(_semilattice_closure(meets, Subspace.add, cap))
     else:
-        flag_meets = _semilattice_closure(list(flag_gens.values()), Subspace.intersect, cap)
-        pool = {s.rows: s for s in _semilattice_closure(flag_meets, Subspace.add, cap)}
-        for s in meets:
-            pool.setdefault(s.rows, s)
+        flag_meets = _semilattice_closure(list(flag_gens), Subspace.intersect, cap)
+        pool = dict.fromkeys(_semilattice_closure(flag_meets, Subspace.add, cap))
+        pool.update(dict.fromkeys(meets))
 
     if _is_special_shaped(pair):
         for family in _partition_families(n):
             if len(pool) >= cap:
                 break
-            s = _partition_subspace(n, family)
-            pool.setdefault(s.rows, s)
-    return list(pool.values())
+            pool.setdefault(_partition_subspace(n, family))
+    return list(pool)
 
 
 def exceptional_subspace(pair: TwistedPair, cap: int = 100_000) -> Subspace:
@@ -369,7 +373,7 @@ def restrict_pair(pair: TwistedPair, t: Subspace) -> TwistedPair:
         chosen_exps = []
         tracker = RankTracker()
         for form, c in _sorted_forms(pd):
-            if tracker.try_add(_restriction(form, basis)):
+            if tracker.try_add(_int_restriction(form, t)):
                 chosen_forms.append(_restriction(form, basis))
                 chosen_exps.append(c)
                 if len(chosen_forms) == k:
@@ -444,7 +448,7 @@ def quotient_pair(pair: TwistedPair, t: Subspace, normalized: bool = True) -> Tw
         sel: list[tuple] = []  # greedy forms, in sorted order
         comp: list[tuple[tuple, Fraction]] = []
         for form, c in sorted_fc:
-            if len(sel) < k and tracker.try_add(_restriction(form, basis)):
+            if len(sel) < k and tracker.try_add(_int_restriction(form, t)):
                 sel.append(form)
             else:
                 comp.append((form, c))

@@ -1,17 +1,27 @@
-"""Small exact linear algebra kit over Fraction.
+"""Small exact linear algebra kit over Q, on one integer elimination core.
 
 Row vectors are tuples of Fraction; matrices are lists/tuples of rows.
-Everything here is plain Gaussian elimination, sized for the n <= 6
-ambient dimensions this package works in.
+Every elimination runs through `int_echelon`: each row is cleared of its
+denominators, and fraction-free Gauss-Jordan elimination runs on the
+integer rows -- kept primitive with a positive pivot, or, for `det`,
+divided exactly by the previous pivot (Bareiss, Math. Comp. 22, 1968).
+Fractions are built only at the boundary: the reduced-echelon rows of
+`rref` and `kernel_basis`, solutions and determinants.  Sized for the
+n <= 6 ambient dimensions this package works in.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 __all__ = [
     "qvec",
+    "int_row",
+    "int_echelon",
+    "int_kernel",
+    "echelon_fractions",
     "rref",
     "rank",
     "det",
@@ -30,84 +40,143 @@ def qvec(seq) -> tuple[Fraction, ...]:
     return tuple(Fraction(x) for x in seq)
 
 
+def _cleared(row) -> tuple[list[int], int]:
+    """(integer row, d): the row times d, the lcm of its denominators."""
+    try:
+        d = lcm(*[x.denominator for x in row])
+    except AttributeError:  # strings, floats: go through Fraction
+        row = qvec(row)
+        d = lcm(*[x.denominator for x in row])
+    if d == 1:
+        return [x.numerator for x in row], 1
+    return [x.numerator * (d // x.denominator) for x in row], d
+
+
+def int_row(row) -> list[int]:
+    """The row times the lcm of its denominators: an integer row on the same line."""
+    return _cleared(row)[0]
+
+
+def int_echelon(rows, bareiss: bool = False) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination; returns (rows, pivot columns).
+
+    The rows (rational entries of any kind) are cleared to integer rows
+    with the same span.  The result has one integer row per pivot column,
+    zero at every other pivot column; zero rows are dropped.  By default
+    every row is kept primitive with a positive pivot, which makes the
+    result canonical: two row spaces are equal iff the outputs are equal,
+    and dividing each row by its pivot entry gives the rref.  With
+    `bareiss` each update is instead divided exactly by the previous
+    pivot, and a row swap negates the row moved down, so for a
+    nonsingular square integer matrix every pivot entry ends equal to the
+    determinant.
+    """
+    m = [_cleared(r)[0] for r in rows]
+    if not bareiss:
+        m = [_primitive(r) for r in m if any(r)]
+    if not m:
+        return [], []
+    pivots: list[int] = []
+    prev = 1
+    r = 0
+    for c in range(len(m[0])):
+        for i in range(r, len(m)):
+            if m[i][c]:
+                break
+        else:
+            continue
+        if i != r:
+            m[r], m[i] = m[i], ([-x for x in m[r]] if bareiss else m[r])
+        prow = m[r]
+        p = prow[c]
+        if bareiss:
+            for i, row in enumerate(m):
+                if i != r:
+                    a = row[c]
+                    m[i] = [(p * x - a * y) // prev for x, y in zip(row, prow)]
+            prev = p
+        else:
+            if p < 0:
+                prow = m[r] = [-x for x in prow]
+                p = -p
+            for i, row in enumerate(m):
+                a = row[c]
+                if a and i != r:
+                    g = gcd(a, p)
+                    s, t = p // g, a // g
+                    m[i] = _primitive([s * x - t * y for x, y in zip(row, prow)])
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
+
+
+def _primitive(row: list[int]) -> list[int]:
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def echelon_fractions(rows) -> list[list[Fraction]]:
+    """The rref rows of a primitive integer echelon: each row over its pivot."""
+    out = []
+    for row in rows:
+        p = next(x for x in row if x)
+        out.append([Fraction(x, p) for x in row])
+    return out
+
+
 def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row-echelon form; returns (rows, pivot column indices).
 
     Zero rows are dropped, so the result is a canonical basis of the row
     space: two row spaces are equal iff their rref outputs are equal.
     """
-    m = [list(map(Fraction, r)) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(m)):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return [row for row in m[:r]], pivots
+    red, pivots = int_echelon(rows)
+    return echelon_fractions(red), pivots
 
 
 def rank(rows) -> int:
-    return len(rref(rows)[0])
+    return len(int_echelon(rows)[1])
 
 
 def det(rows) -> Fraction:
-    m = [list(map(Fraction, r)) for r in rows]
-    n = len(m)
-    if any(len(r) != n for r in m):
+    n = len(rows)
+    if any(len(r) != n for r in rows):
         raise ValueError("det needs a square matrix")
-    sign = 1
-    result = Fraction(1)
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        result *= m[c][c]
-        inv = Fraction(1) / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return sign * result
+    if n == 0:
+        return Fraction(1)
+    m = []
+    scale = 1
+    for row in rows:
+        ints, d = _cleared(row)
+        m.append(ints)
+        scale *= d
+    red, pivots = int_echelon(m, bareiss=True)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(red[-1][-1], scale)
+
+
+def int_kernel(rows, ncols: int) -> list[list[int]]:
+    """Primitive integer echelon basis (see int_echelon) of {x : A x = 0}."""
+    red, pivots = int_echelon(rows)
+    d = lcm(*(row[pc] for row, pc in zip(red, pivots)))
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [0] * ncols
+        v[fc] = d
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[fc] * (d // row[pc])
+        basis.append(v)
+    return int_echelon(basis)[0]
 
 
 def kernel_basis(rows, ncols: int) -> list[tuple[Fraction, ...]]:
     """Basis (rref rows) of {x : A x = 0} for the matrix with given rows."""
-    red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -red[i][fc]
-        basis.append(tuple(v))
-    out, _ = rref(basis)
-    return [tuple(r) for r in out]
+    return [tuple(r) for r in echelon_fractions(int_kernel(rows, ncols))]
 
 
 def mat_vec(rows, x) -> tuple[Fraction, ...]:
@@ -125,17 +194,13 @@ def identity(n: int) -> list[list[Fraction]]:
 
 def solve_exact(rows, rhs) -> tuple[Fraction, ...] | None:
     """One solution of A x = rhs, or None if inconsistent."""
-    aug = [list(map(Fraction, r)) + [Fraction(v)] for r, v in zip(rows, rhs)]
     ncols = len(rows[0]) if rows else 0
-    red, pivots = rref(aug)
-    for row in red:
-        if all(x == 0 for x in row[:-1]) and row[-1] != 0:
-            return None
+    red, pivots = int_echelon([list(r) + [v] for r, v in zip(rows, rhs)])
+    if pivots and pivots[-1] == ncols:
+        return None
     x = [Fraction(0)] * ncols
-    for i, pc in enumerate(pivots):
-        if pc == ncols:
-            return None
-        x[pc] = red[i][-1]
+    for row, pc in zip(red, pivots):
+        x[pc] = Fraction(row[-1], row[pc])
     return tuple(x)
 
 
@@ -156,8 +221,8 @@ class RankTracker:
     each row is zero at the pivots of the rows stored before it.  A new
     vector v is reduced against each row in turn by v <- b*v - a*row, with
     b the row's pivot entry and a the entry of v there; v is independent of
-    the rows iff something nonzero is left.  Int rows stay integer; Fraction
-    rows work the same way.
+    the rows iff something nonzero is left.  Every caller adds integer
+    vectors, so no Fraction is built.
     """
 
     __slots__ = ("rows",)

@@ -336,12 +336,20 @@ def pair_to_json(pair: TwistedPair) -> dict:
     }
 
 
+# Largest dimension n a pair or system file may declare.  Every check of
+# a pair builds its n x n identity forms (the inactive places), so a bare
+# {"n": 10**9, "places": []} must be refused before anything is built.
+# The package works in n <= 6; exterior systems of such pairs (n up to
+# C(6, 3) = 20) are built in process, not read from files.
+DIM_CAP = 32
+
+
 def places_from_json(data, n_min: int = 1) -> tuple[int, dict]:
     """(n, {Place: (forms, exps)}) from a pair or system JSON object.
 
     Raises ValidationError unless the input is an object with a dimension
-    n >= n_min and a list of places, each with a label ("inf" or a prime),
-    n forms of n rationals and n rational exponents.
+    n_min <= n <= DIM_CAP and a list of places, each with a label ("inf"
+    or a prime), n forms of n rationals and n rational exponents.
     """
     if not isinstance(data, dict):
         raise ValidationError(f"expected a JSON object, got {type(data).__name__}")
@@ -352,8 +360,8 @@ def places_from_json(data, n_min: int = 1) -> tuple[int, dict]:
         n = int(data["n"])
     except (ValueError, TypeError):
         raise ValidationError(f"n must be an integer, got {data['n']!r}") from None
-    if n < n_min:
-        raise ValidationError(f"n must be >= {n_min}, got {n}")
+    if not n_min <= n <= DIM_CAP:
+        raise ValidationError(f"n must be in [{n_min}, {DIM_CAP}], got {n}")
     if not isinstance(data["places"], list):
         raise ValidationError("places must be a list")
     places = {}

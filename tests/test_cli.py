@@ -291,3 +291,62 @@ def test_box_at_the_cap_is_accepted(e1_path, sys_path, tmp_path):
     # a scan enumerates the box min(box, hmax): a large --box with a small --hmax is fine
     code, _ = _run(["scan", sys_path, "--hmax", "3", "--box", "100000"], tmp_path / "ok.json")
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["infima", "{e1}", "--q", "x"],
+        ["infima", "{e1}", "--q", "0"],
+        ["infima", "{e1}", "--q", "1/0"],
+        ["minkowski", "{e1}", "--q", "-3"],
+        ["slopes", "{e1}", "--qgrid", "10:5:2"],
+        ["slopes", "{e1}", "--qgrid", "10:100"],
+        ["slopes", "{e1}", "--qgrid", "a:100:2"],
+        ["gap", "{e1}", "--delta", "2", "--a", "4"],
+        ["gap", "{e1}", "--delta", "1", "--a", "x"],
+        ["gap", "{e1}", "--delta", "1", "--a", "1"],  # A < n^(1/delta)
+        ["cover", "--omega", "x", "--delta", "1"],
+        ["cover", "--omega", "2", "--delta", "0"],
+        ["cover", "--omega", "2", "--delta", "1", "--q1", "1"],
+        ["scan", "{sys}", "--hmax", "x"],
+        ["bounds", "--thm", "2.3", "--n", "2", "--R", "x", "--delta", "1", "--hl", "1"],
+        ["infima", "{e1}", "--q", "10", "--box", "2", "--precision", "-3"],
+    ],
+)
+def test_bad_numeric_flag_exit_2(e1_path, sys_path, args):
+    argv = [a.format(e1=e1_path, sys=sys_path) for a in args]
+    assert cmd_dispatch(argv) == 2
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"ambient": 3, "basis": [["1", "0", "0"]]},  # not the pair's n = 2
+        {"ambient": 2},
+        {"ambient": 2, "basis": [["1", "x"]]},
+        {"ambient": 2, "basis": [["1"]]},
+    ],
+)
+def test_bad_subspace_file_exit_2(e1_path, tmp_path, data):
+    assert cmd_dispatch(["weight", e1_path, _write(tmp_path, "sub.json", data)]) == 2
+
+
+def test_dimension_over_cap_refused_before_building_forms(tmp_path, monkeypatch):
+    import heightlab.twisted_system as ts
+
+    built = []
+    monkeypatch.setattr(ts, "_identity_forms", lambda n: built.append(n))
+    path = _write(tmp_path, "huge.json", {"n": 1000000000, "places": []})
+    for cmd in (["validate", path], ["filtration", path], ["infima", path, "--q", "10"]):
+        assert cmd_dispatch(cmd) == 2
+    system = _write(tmp_path, "huge-sys.json", {"n": ts.DIM_CAP + 1, "epsilon": "1", "places": []})
+    assert cmd_dispatch(["reduce", system]) == 2
+    assert built == []
+
+
+def test_dimension_at_cap_is_accepted(tmp_path):
+    from heightlab.twisted_system import DIM_CAP
+
+    code, text = _run(["validate", _write(tmp_path, "cap.json", {"n": DIM_CAP, "places": []})], tmp_path / "v.json")
+    assert code == 0 and json.loads(text)["r"] == DIM_CAP

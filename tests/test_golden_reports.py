@@ -1,0 +1,137 @@
+"""Golden digests of CLI reports on fixed suite pairs and systems.
+
+Each command runs over a fixed set of inputs; the exit codes and report
+bytes of all its cases are hashed together.  A refactor that keeps the
+printed reports byte-identical keeps every digest; a digest changes only
+when a report does, which then has to be a deliberate change.
+
+To print the digests of the current code:
+    PYTHONPATH=src python tests/test_golden_reports.py
+"""
+
+import hashlib
+import json
+import random
+
+import pytest
+
+from heightlab.cli import cmd_dispatch
+from heightlab.suite import (
+    curated_falsification_suite,
+    curated_slope_suite,
+    random_pair,
+    random_special_pair,
+    random_subspace_rows,
+)
+from heightlab.twisted_system import frac_str, pair_to_json
+
+SLOPES_BOX = {2: 6, 3: 3, 4: 2}
+
+# Diophantine systems: nonpositive exponents summing to -n - epsilon.
+SYSTEMS = (
+    {"n": 2, "epsilon": "1", "places": [
+        {"place": "inf", "forms": [["1", "0"], ["0", "1"]], "exps": ["-3", "0"]}]},
+    {"n": 2, "epsilon": "1/2", "places": [
+        {"place": "inf", "forms": [["1", "-2"], ["1", "1"]], "exps": ["-5/4", "-5/12"]},
+        {"place": "3", "forms": [["2", "1"], ["0", "1"]], "exps": ["-5/12", "-5/12"]}]},
+    {"n": 2, "epsilon": "1/4", "places": [
+        {"place": "inf", "forms": [["2", "1"], ["-1", "1"]], "exps": ["-9/8", "-9/8"]}]},
+    {"n": 3, "epsilon": "1/2", "places": [
+        {"place": "inf", "forms": [["1", "1", "0"], ["0", "1", "-1"], ["1", "0", "2"]],
+         "exps": ["-7/4", "-7/8", "-7/8"]}]},
+    {"n": 3, "epsilon": "3/4", "places": [
+        {"place": "inf", "forms": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+         "exps": ["-15/8", "-15/16", "-15/16"]}]},
+)
+SCAN_BOX = {2: 12, 3: 3}
+
+
+def _pairs():
+    """The 20 falsification pairs plus two-place n=3 and n=4 random pairs."""
+    rng = random.Random(4242)
+    pairs = list(curated_falsification_suite(seed=0))
+    pairs += [random_pair(rng, 3, places=2), random_pair(rng, 4, places=2, coeff=2)]
+    return pairs
+
+
+def _special_pairs():
+    rng = random.Random(77)
+    pairs = [p for _, p in curated_slope_suite()]
+    pairs += [random_special_pair(rng, n, places) for n in (2, 3, 4) for places in (1, 2)]
+    pairs.append(random_pair(rng, 3))  # not special-shaped: exit 3
+    return pairs
+
+
+def _write(tmp_path, name, data):
+    p = tmp_path / name
+    p.write_text(json.dumps(data, sort_keys=True))
+    return str(p)
+
+
+def _cases(command, tmp_path):
+    """(label, argv) for every case of one command."""
+    if command in ("filtration", "exceptional"):
+        for k, pair in enumerate(_pairs()):
+            yield k, [command, _write(tmp_path, f"p{k}.json", pair_to_json(pair))]
+    elif command == "special-t":
+        for k, pair in enumerate(_special_pairs()):
+            yield k, [command, _write(tmp_path, f"s{k}.json", pair_to_json(pair))]
+    elif command == "weight":
+        rng = random.Random(11)
+        for k, pair in enumerate(_pairs()):
+            path = _write(tmp_path, f"p{k}.json", pair_to_json(pair))
+            for dim in range(1, pair.n):
+                rows = random_subspace_rows(rng, pair.n, dim)
+                sub = {"ambient": pair.n, "basis": [[frac_str(a) for a in r] for r in rows]}
+                yield f"{k}-{dim}", [command, path, _write(tmp_path, f"u{k}-{dim}.json", sub)]
+    elif command == "slopes":
+        for name, pair in curated_slope_suite():
+            path = _write(tmp_path, f"{name}.json", pair_to_json(pair))
+            yield name, [command, path, "--qgrid", "10:1000:3", "--box", str(SLOPES_BOX[pair.n])]
+    elif command in ("scan", "reduce"):
+        for k, system in enumerate(SYSTEMS):
+            path = _write(tmp_path, f"sys{k}.json", system)
+            if command == "reduce":
+                yield k, [command, path]
+            else:
+                box = str(SCAN_BOX[system["n"]])
+                yield k, [command, path, "--hmax", box, "--box", box]
+    else:
+        raise ValueError(command)
+
+
+def report_digest(command, tmp_path) -> str:
+    h = hashlib.sha256()
+    for label, argv in _cases(command, tmp_path):
+        out = tmp_path / "report.out"
+        if out.exists():
+            out.unlink()
+        code = cmd_dispatch(argv + ["--out", str(out)])
+        text = out.read_bytes() if out.exists() else b""
+        h.update(f"{label}\0{code}\0".encode() + text + b"\0")
+    return h.hexdigest()
+
+
+GOLDEN = {
+    "filtration": "b66d52ee6a9f58850f2d2c7ddacc7929f92cee9bdd86e9c218189d14ff026f29",
+    "exceptional": "5756689d1ba30f10428abdbacac1569bbfe288d91dc1a24464494f3498f7d7e4",
+    "special-t": "07441b3ed6f8085385771fe44d6633d1c44137a0cfc702863b67a2578685cf65",
+    "weight": "35b5fdb36a017b46a6ba5c90c7477a27745f85ffd709ae10433c267d05d372ac",
+    "slopes": "53d668133eaab6eafd0f3ba439b931e8f346001fa6bde262d512f4b59e6c34fa",
+    "scan": "1e31724168419f13a9f652f75ba4ceed50353165bfdf734cd8230ab90a72f1a1",
+    "reduce": "74da5ec1ced65f2ff6c57348a2f9a1ca691116657e8fc7cffbd42ca50b68d364",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_report_digest(command, tmp_path):
+    assert report_digest(command, tmp_path) == GOLDEN[command]
+
+
+if __name__ == "__main__":
+    import tempfile
+    from pathlib import Path
+
+    for command in ("filtration", "exceptional", "special-t", "weight", "slopes", "scan", "reduce"):
+        with tempfile.TemporaryDirectory() as d:
+            print(f'    "{command}": "{report_digest(command, Path(d))}",')
