@@ -20,6 +20,7 @@ from .exact_reals import FactoredReal
 from .twisted_system import PlaceData, TwistedPair, ValidationError, pair_invariants, twisted_height, validate
 
 __all__ = [
+    "CertificationError",
     "BoundReport",
     "bound_constants",
     "THEOREMS",
@@ -34,6 +35,10 @@ __all__ = [
     "reduction_inequality_holds",
     "internal_t0_consistency",
 ]
+
+
+class CertificationError(RuntimeError):
+    """A constant could not be certified within the precision ceiling, or is too long to print."""
 
 
 # -- interval plumbing ------------------------------------------------------
@@ -83,7 +88,7 @@ def _certified_floor(build, dps: int = 30) -> int:
         if math.floor(lo) == math.floor(hi):
             return math.floor(lo)
         dps *= 2
-    raise RuntimeError("floor bracket straddles an integer at max precision")
+    raise CertificationError("floor bracket straddles an integer at max precision")
 
 
 def _certified_decimal(build, sig: int, dps: int = 30) -> str:
@@ -101,7 +106,7 @@ def _certified_decimal(build, sig: int, dps: int = 30) -> str:
                 v = mpmath.mpf(mid.numerator) / mpmath.mpf(mid.denominator)
                 return mpmath.nstr(v, sig)
         dps *= 2
-    raise RuntimeError("failed to certify decimal digits")
+    raise CertificationError("failed to certify decimal digits at max precision")
 
 
 # -- the constant calculator -------------------------------------------------
@@ -120,7 +125,7 @@ class BoundReport:
         return {
             "theorem": self.theorem,
             "log_convention": self.log_convention,
-            "inputs": {k: str(v) for k, v in self.inputs.items()},
+            "inputs": {k: _text(v) for k, v in self.inputs.items()},
             "constants": self.constants,
         }
 
@@ -139,13 +144,25 @@ def _as_height(x) -> FactoredReal:
     return FactoredReal.from_rational(Fraction(x))
 
 
+def _text(x) -> str:
+    """str(x) of an int or Fraction; CertificationError when it has more digits than Python writes out."""
+    try:
+        return str(x)
+    except ValueError:
+        raise CertificationError("a number of the report has too many digits to print") from None
+
+
 def _entry_int(m: int) -> dict:
-    return {"tier": "exact", "value": str(m), "log10": None, "loglog10": None}
+    return {"tier": "exact", "value": _text(m), "log10": None, "loglog10": None}
 
 
 def _entry_factored(x: FactoredReal, sig: int) -> dict:
+    factored = x.to_json()
+    for _, num, den in factored:  # the report prints these integers
+        _text(num)
+        _text(den)
     log10 = _certified_decimal(lambda iv: _iv_ln(iv, x) / iv.log(10), sig) if not x.is_one() else "0"
-    return {"tier": "exact", "value": None, "factored": x.to_json(), "log10": log10, "loglog10": None}
+    return {"tier": "exact", "value": None, "factored": factored, "log10": log10, "loglog10": None}
 
 
 def _entry_real(build, sig: int) -> dict:
@@ -456,7 +473,7 @@ def internal_t0_consistency(n: int, R, delta) -> bool:
         if lhi < rlo:
             return False
         dps *= 2
-    raise RuntimeError("consistency comparison did not resolve")
+    raise CertificationError("consistency comparison did not resolve at max precision")
 
 
 # -- interval covers ---------------------------------------------------------
@@ -509,7 +526,7 @@ def _min_power_at_least(base: Fraction, target_builder, dps: int = 30) -> int:
                 break
             cur *= 2
             if cur > 20_000:
-                raise RuntimeError("power comparison straddles the boundary")
+                raise CertificationError("power comparison straddles the boundary at max precision")
         s += 1
         if s > 10_000:
             raise RuntimeError("cover count did not converge")

@@ -1,8 +1,8 @@
 """Command-line front end: reproducible experiments with JSON/CSV reports.
 
-Exit codes: 0 success, 2 validation failure, 3 unsupported system,
-4 I/O error.  All reports are emitted with sorted keys so identical
-inputs produce byte-identical output.
+Exit codes (EXIT_CODES): 0 success, 2 validation failure, 3 unsupported
+system, 4 I/O error, 5 could not certify.  All reports are emitted with
+sorted keys so identical inputs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -12,7 +12,13 @@ import json
 import sys
 from fractions import Fraction
 
-from .bounds_reduction import bound_constants, cover_list, interval_cover, reduce_system
+from .bounds_reduction import (
+    CertificationError,
+    bound_constants,
+    cover_list,
+    interval_cover,
+    reduce_system,
+)
 from .exact_reals import FactoredReal
 from .exterior_algebra import Subspace
 from .filtration import (
@@ -50,6 +56,16 @@ __all__ = ["main", "cmd_dispatch"]
 
 # Significant digits a report may ask for with --precision.
 MAX_PRECISION = 100
+# Most points a --qgrid a:b:steps may ask for; the grid is built point by point.
+QGRID_STEPS_CAP = 100
+
+EXIT_CODES = """exit codes:
+  0  success
+  2  validation failure (bad input, flag out of range, box over budget)
+  3  unsupported system
+  4  I/O error
+  5  could not certify (a certified constant needs more precision than
+     allowed, or has too many digits to print)"""
 
 
 def _fail(code: int, msg: str) -> int:
@@ -161,11 +177,13 @@ def _infima_json(est, precision: int) -> dict:
 def _parse_qgrid(spec: str) -> list[Fraction]:
     parts = spec.split(":")
     try:
-        a, b, steps = Fraction(parts[0]), Fraction(parts[1]), int(parts[2])
+        a, b, steps = parse_frac(parts[0]), parse_frac(parts[1]), int(parts[2])
     except (ValueError, ZeroDivisionError, IndexError):
         raise ValidationError(f"--qgrid must be a:b:steps, got {spec!r}") from None
-    if len(parts) != 3 or steps < 1 or a < 2 or b < a:
-        raise ValidationError(f"--qgrid needs 2 <= a <= b and steps >= 1, got {spec!r}")
+    if len(parts) != 3 or not 1 <= steps <= QGRID_STEPS_CAP or a < 2 or b < a:
+        raise ValidationError(
+            f"--qgrid needs 2 <= a <= b and 1 <= steps <= {QGRID_STEPS_CAP}, got {spec!r}"
+        )
     if steps == 1:
         return [a]
     ratio = (float(b) / float(a)) ** (1.0 / (steps - 1))
@@ -191,12 +209,16 @@ def cmd_dispatch(argv) -> int:
         return _fail(3, f"unsupported system: {exc}")
     except (OSError, json.JSONDecodeError) as exc:
         return _fail(4, f"I/O error: {exc}")
+    except CertificationError as exc:
+        return _fail(5, f"could not certify: {exc}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="heightlab",
         description="Exact twisted heights, filtrations, infima search and bound tables.",
+        epilog=EXIT_CODES,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -11,6 +11,8 @@ one integer cross-multiplication.  A streaming matroid greedy per Q keeps
 the current best independent n-tuple, and one enumeration feeds the
 greedies of a whole grid of Q values.  The reported lambda-bar values are
 upper estimates of the true infima: lambda_i <= lambda_bar_i always.
+The Diophantine scan decides each vector on the same integer forms: a
+float log comparison, and one integer comparison of N-th powers on ties.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from operator import mul
 from .exact_reals import FactoredReal
 from .exterior_algebra import Subspace, wedge
 from .filtration import FiltrationChain, exterior_pair, filtration
-from .places_heights import INF, Place, abs_value, primitive_scale
+from .places_heights import INF, Place, _valuation, primitive_scale
 from .rational_linalg import RankTracker, det, qvec, rank
 from .twisted_system import (
     PlaceData,
@@ -88,6 +90,12 @@ def enumerate_primitive(n: int, box: int):
             yield tup
 
 
+def _clear_forms(forms) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(den, F): the least common denominator of a place's forms and the integer forms F_i = den * L_i."""
+    den = math.lcm(*(a.denominator for f in forms for a in f))
+    return den, tuple(tuple(int(a * den) for a in f) for f in forms)
+
+
 class _IntegerForms:
     """The part of a pair's twisted heights that does not depend on Q.
 
@@ -107,8 +115,7 @@ class _IntegerForms:
         self.corr = Fraction(1)
         for v in sorted(set(pair.active) | {INF}):
             pd = pair.place_data(v)
-            den = math.lcm(*(a.denominator for f in pd.forms for a in f))
-            int_forms = tuple(tuple(int(a * den) for a in f) for f in pd.forms)
+            den, int_forms = _clear_forms(pd.forms)
             if v.is_infinite:
                 self.corr /= den
             else:
@@ -657,11 +664,6 @@ class SystemInstance:
                 f"exponent sum is {total}, expected {-self.n - self.epsilon}"
             )
 
-    def a_value(self, v: Place) -> FactoredReal:
-        """A_v = |det forms|_v^{1/n}."""
-        d = det(self.places[v].forms)
-        return abs_value(d, v) ** Fraction(1, self.n)
-
 
 @dataclass
 class ScanReport:
@@ -672,11 +674,80 @@ class ScanReport:
     bin_ratio: Fraction
 
 
+class _SolutionTest:
+    """The solution test of a system on its integer forms, for primitive vectors.
+
+    A primitive x has |x|_inf = H(x) = h and |x|_p = 1 at every prime.
+    With the forms at v cleared to F_i = den_v L_i, the condition
+    |L_i(x)|_v <= |det L_v|_v^(1/n) h^(d_iv) |x|_v reads
+    |F_i(x)|_v <= C_v^(1/n) h^(e_iv), with C_v = |den_v|_v^n |det L_v|_v
+    and e_iv = d_iv + 1 at the infinite place, d_iv at a prime.  A float
+    log comparison decides it unless the two logs lie within _LOG_TOL;
+    then both sides are raised to the power N = lcm(n, den e_iv) and
+    compared by one integer cross-multiplication.  A form vanishing at x
+    imposes nothing.
+    """
+
+    def __init__(self, sys: SystemInstance, h_max: int):
+        n = sys.n
+        logh = [math.log10(h) for h in range(1, h_max + 1)]
+        self.places = []
+        for v, pd in sys.places.items():
+            den, int_forms = _clear_forms(pd.forms)
+            dt = det(pd.forms)
+            if v.is_infinite:
+                c, shift = den**n * abs(dt), 1
+            else:
+                c, shift = Fraction(v.p) ** -(n * _valuation(den, v.p) + _valuation(dt, v.p)), 0
+            logc = (math.log10(c.numerator) - math.log10(c.denominator)) / n  # c may lie outside the float range
+            tests = []
+            for form, d in zip(int_forms, pd.exps):
+                e = d + shift
+                big_n = math.lcm(n, e.denominator)
+                cpow = c ** (big_n // n)
+                # log10 of the right-hand side at heights 1..h_max
+                rhs = [logc + float(e) * lh for lh in logh]
+                tests.append((form, rhs, big_n, int(e * big_n), cpow.numerator, cpow.denominator))
+            self.places.append((v.p, math.log10(v.p) if v.p else 0.0, tests))
+
+    def holds(self, x, h: int) -> bool:
+        for p, logp, tests in self.places:
+            for form, rhs, big_n, k, cn, cd in tests:
+                s = sum(map(mul, form, x))
+                if s == 0:
+                    continue
+                if p is None:
+                    fn, fd = abs(s), 1
+                    lhs = math.log10(fn)
+                else:
+                    m = 0
+                    while s % p == 0:
+                        s //= p
+                        m += 1
+                    fn, fd = 1, p**m
+                    lhs = -m * logp
+                r = rhs[h - 1]
+                if lhs < r - _LOG_TOL:
+                    continue
+                if lhs > r + _LOG_TOL:
+                    return False
+                # a tie within the float tolerance: (fn/fd)^N <= (cn/cd) h^k, exactly
+                left, right = fn**big_n * cd, fd**big_n * cn
+                if k > 0:
+                    right *= h**k
+                else:
+                    left *= h**-k
+                if left > right:
+                    return False
+        return True
+
+
 def scan_system(sys: SystemInstance, h_max, box: int) -> ScanReport:
     """Enumerate primitive solutions of the system, classify against T'.
 
-    A vector solves the system when |L_i(x)|_v / |x|_v <= A_v H(x)^{d_iv}
-    holds exactly at every listed place; solutions are reported with
+    A vector solves the system when |L_i(x)|_v / |x|_v <= A_v H(x)^{d_iv},
+    A_v = |det L_v|_v^{1/n}, holds exactly at every listed place (decided
+    on integer forms by _SolutionTest); solutions are reported with
     their heights, membership in the exceptional subspace of the reduced
     twisted pair, and a multiplicative height histogram.
     """
@@ -690,46 +761,18 @@ def scan_system(sys: SystemInstance, h_max, box: int) -> ScanReport:
     t_prime = exceptional_subspace(pair)
     ratio = 1 + delta / 2
 
-    a_vals = {v: sys.a_value(v) for v in sys.places}
+    test = _SolutionTest(sys, bmax)
     solutions = []
     hist: dict[int, int] = {}
     for vec in enumerate_primitive(sys.n, bmax):
-        h = max(abs(c) for c in vec)
-        if h > h_max:
-            continue
-        hfr = FactoredReal.from_rational(h)
-        ok = True
-        for v, pd in sys.places.items():
-            xnorm = _sup_norm(vec, v)
-            for form, d in zip(pd.forms, pd.exps):
-                val = sum(a * b for a, b in zip(form, vec))
-                lhs = abs_value(val, v)
-                if lhs is None:
-                    continue
-                rhs = a_vals[v] * hfr ** d * xnorm
-                if not lhs <= rhs:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        h = max(map(abs, vec))
+        if test.holds(vec, h):
             k = _mult_bin(h, ratio)
             hist[k] = hist.get(k, 0) + 1
             solutions.append(
                 {"x": vec, "height": h, "in_T_prime": t_prime.contains_vector(vec)}
             )
     return ScanReport(solutions, t_prime, delta, hist, ratio)
-
-
-def _sup_norm(vec, v: Place) -> FactoredReal:
-    best = None
-    for c in vec:
-        av = abs_value(Fraction(c), v)
-        if av is None:
-            continue
-        if best is None or av > best:
-            best = av
-    return best
 
 
 def _mult_bin(h: int, ratio: Fraction) -> int:

@@ -9,6 +9,7 @@ every twisted height value is an exact FactoredReal.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -318,8 +319,27 @@ def frac_str(x) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+# Largest decimal exponent a rational may carry, as in "1e-4300": Python's
+# limit on the digits of an int read from a string.  Without a cap a few
+# characters such as "1e1000000" buy a million-digit power of ten.
+EXPONENT_CAP = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
 def parse_frac(s) -> Fraction:
-    return Fraction(s)
+    """The rational of an int, a Fraction, a finite float or a string ("-3/4", "0.25", "1e-3").
+
+    Raises what Fraction raises for other input, and ValueError for a
+    decimal exponent beyond EXPONENT_CAP in magnitude or an infinite float.
+    """
+    if isinstance(s, str):
+        m = _EXPONENT.search(s)
+        if m and abs(int(m.group(1))) > EXPONENT_CAP:
+            raise ValueError(f"decimal exponent beyond +-{EXPONENT_CAP}")
+    try:
+        return Fraction(s)
+    except OverflowError:
+        raise ValueError("not a finite rational") from None
 
 
 def pair_to_json(pair: TwistedPair) -> dict:
@@ -385,7 +405,7 @@ def _rationals(values, n: int, what: str) -> tuple[Fraction, ...]:
         raise ValidationError(f"{what} must be a list of {n} rationals")
     try:
         return tuple(parse_frac(a) for a in values)
-    except (ValueError, TypeError, ZeroDivisionError, OverflowError):
+    except (ValueError, TypeError, ZeroDivisionError):
         raise ValidationError(f"{what} holds a value that is not a rational: {values!r}") from None
 
 

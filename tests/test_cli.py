@@ -350,3 +350,64 @@ def test_dimension_at_cap_is_accepted(tmp_path):
 
     code, text = _run(["validate", _write(tmp_path, "cap.json", {"n": DIM_CAP, "places": []})], tmp_path / "v.json")
     assert code == 0 and json.loads(text)["r"] == DIM_CAP
+
+
+def test_qgrid_steps_over_cap_refused_before_building_the_grid(e1_path, tmp_path):
+    import time
+
+    from heightlab.cli import QGRID_STEPS_CAP
+
+    t0 = time.perf_counter()
+    assert cmd_dispatch(["slopes", e1_path, "--qgrid", "2:3:2000000", "--box", "2"]) == 2
+    assert cmd_dispatch(["slopes", e1_path, "--qgrid", f"2:3:{QGRID_STEPS_CAP + 1}", "--box", "2"]) == 2
+    assert time.perf_counter() - t0 < 1
+    code, text = _run(["slopes", e1_path, "--qgrid", f"2:3:{QGRID_STEPS_CAP}", "--box", "2"], tmp_path / "s.json")
+    assert code == 0 and json.loads(text)["qs"] == ["2", "3"]
+
+
+def test_exponent_over_cap_refused_in_flags_and_files(e1_path, tmp_path):
+    import time
+
+    from heightlab.twisted_system import EXPONENT_CAP, parse_frac
+
+    assert parse_frac(f"1e-{EXPONENT_CAP}") == F(1, 10**EXPONENT_CAP)
+    assert parse_frac("25e-1") == F(5, 2)
+    t0 = time.perf_counter()
+    # the flag route
+    assert cmd_dispatch(["bounds", "--thm", "1.3", "--n", "2", "--eps", "1e-100000"]) == 2
+    assert cmd_dispatch(["infima", e1_path, "--q", f"1e{EXPONENT_CAP + 1}", "--box", "2"]) == 2
+    assert cmd_dispatch(["slopes", e1_path, "--qgrid", "2e1000000:3e1000000:2", "--box", "2"]) == 2
+    # the pair-file and system-file routes
+    pair = {"n": 2, "places": [dict(_GOOD_PLACE, forms=[["1e1000000", "0"], ["0", "1"]])]}
+    assert cmd_dispatch(["validate", _write(tmp_path, "p.json", pair)]) == 2
+    system = {"n": 2, "epsilon": "1e-100000", "places": [dict(_GOOD_PLACE, exps=["-3", "0"])]}
+    assert cmd_dispatch(["reduce", _write(tmp_path, "s.json", system)]) == 2
+    assert time.perf_counter() - t0 < 1
+    # a JSON number beyond the float range reads as infinity
+    path = tmp_path / "inf.json"
+    path.write_text('{"n": 2, "epsilon": 1e999, "places": []}')
+    assert cmd_dispatch(["reduce", str(path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # m' has about 8000 digits: more than Python writes out
+        ["bounds", "--thm", "1.3", "--n", "2", "--eps", "1/1" + "0" * 4000],
+        # the floor bracket of m' needs more than the evaluator's 20,000 digits
+        ["bounds", "--thm", "1.3", "--n", "100000", "--eps", "1"],
+        # Q0 = 1024^(10^4299) has an exponent of 4301 digits
+        ["bounds", "--thm", "1.1", "--n", "1024", "--delta", "1/1" + "0" * 4299],
+    ],
+)
+def test_uncertifiable_bounds_exit_5(args, capsys):
+    assert cmd_dispatch(args) == 5
+    assert "could not certify" in capsys.readouterr().err
+
+
+def test_help_lists_exit_codes(capsys):
+    with pytest.raises(SystemExit):
+        cmd_dispatch(["--help"])
+    out = capsys.readouterr().out
+    for code in ("0  success", "2  validation failure", "3  unsupported system", "4  I/O error", "5  could not certify"):
+        assert code in out
