@@ -10,13 +10,12 @@ throughout (recorded in every report).
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath
 
-from .exact_reals import FactoredReal
+from .exact_reals import CertificationError, FactoredReal, _iv_endpoints, _ivdps, log10_rational
 from .twisted_system import PlaceData, TwistedPair, ValidationError, pair_invariants, twisted_height, validate
 
 __all__ = [
@@ -37,31 +36,13 @@ __all__ = [
 ]
 
 
-class CertificationError(RuntimeError):
-    """A constant could not be certified within the precision ceiling, or is too long to print."""
+# Most intervals a cover may have (also the count cap of _min_power_at_least).
+COVER_COUNT_CAP = 10_000
+# Most bits of an exact power (1+delta/2)^k that interval_cover and cover_list may build.
+COVER_POWER_BITS = 1 << 18
 
 
 # -- interval plumbing ------------------------------------------------------
-
-
-@contextmanager
-def _ivdps(dps: int):
-    iv = mpmath.iv
-    old = iv.dps
-    iv.dps = dps
-    try:
-        yield iv
-    finally:
-        iv.dps = old
-
-
-def _endpoints(x) -> tuple[Fraction, Fraction]:
-    lo, hi = x._mpi_
-    out = []
-    for sign, man, exp, _ in (lo, hi):
-        f = Fraction(int(man)) * Fraction(2) ** int(exp)
-        out.append(-f if sign else f)
-    return out[0], out[1]
 
 
 def _iv_fr(iv, x: Fraction):
@@ -84,7 +65,7 @@ def _iv_ln(iv, x):
 def _certified_floor(build, dps: int = 30) -> int:
     while dps <= 20_000:
         with _ivdps(dps) as iv:
-            lo, hi = _endpoints(build(iv))
+            lo, hi = _iv_endpoints(build(iv))
         if math.floor(lo) == math.floor(hi):
             return math.floor(lo)
         dps *= 2
@@ -95,7 +76,7 @@ def _certified_decimal(build, sig: int, dps: int = 30) -> str:
     """Decimal string of a positive-width target with sig certified digits."""
     while dps <= 20_000:
         with _ivdps(dps) as iv:
-            lo, hi = _endpoints(build(iv))
+            lo, hi = _iv_endpoints(build(iv))
         mid = (lo + hi) / 2
         width = hi - lo
         scale = max(abs(lo), abs(hi))
@@ -463,13 +444,13 @@ def internal_t0_consistency(n: int, R, delta) -> bool:
     dps = 30
     while dps <= 2000:
         with _ivdps(dps) as iv:
-            llo, _ = _endpoints(lhs(iv))
-            _, rhi = _endpoints(rhs(iv))
+            llo, _ = _iv_endpoints(lhs(iv))
+            _, rhi = _iv_endpoints(rhs(iv))
         if llo >= rhi:
             return True
         with _ivdps(dps) as iv:
-            _, lhi = _endpoints(lhs(iv))
-            rlo, _ = _endpoints(rhs(iv))
+            _, lhi = _iv_endpoints(lhs(iv))
+            rlo, _ = _iv_endpoints(rhs(iv))
         if lhi < rlo:
             return False
         dps *= 2
@@ -480,7 +461,13 @@ def internal_t0_consistency(n: int, R, delta) -> bool:
 
 
 def interval_cover(omega, delta) -> int:
-    """Minimal s with (1+delta/2)^s >= omega, for omega > 1, exact."""
+    """Minimal s with (1+delta/2)^s >= omega, for omega > 1, exact.
+
+    s is the ceiling of ln(omega)/ln(1+delta/2), read off an interval
+    enclosure of that ratio; only an enclosure that holds an integer is
+    settled by exact powers.  ValidationError when s > COVER_COUNT_CAP,
+    or when those powers would have more than COVER_POWER_BITS bits.
+    """
     omega = Fraction(omega)
     delta = Fraction(delta)
     if omega <= 1:
@@ -488,12 +475,23 @@ def interval_cover(omega, delta) -> int:
     if not 0 < delta <= 1:
         raise ValueError("delta must be in (0, 1]")
     base = 1 + delta / 2
-    s = 0
-    power = Fraction(1)
-    while power < omega:
-        power *= base
-        s += 1
+    # ln(num) - ln(den) cancels about -log10(x - 1) digits when x = num/den is near 1
+    lost = max(x.denominator.bit_length() - (x.numerator - x.denominator).bit_length() for x in (omega, base))
+    with _ivdps(30 + max(lost, 0) // 3) as iv:
+        lo, hi = _iv_endpoints(_iv_ln(iv, omega) / _iv_ln(iv, base))
+    s = max(1, math.ceil(lo))
+    if s <= COVER_COUNT_CAP and math.ceil(hi) > s:  # the enclosure holds an integer
+        _check_power_bits(base, math.ceil(hi))
+        while base**s < omega:
+            s += 1
+    if s > COVER_COUNT_CAP:
+        raise ValidationError(f"the cover needs more than {COVER_COUNT_CAP} intervals")
     return s
+
+
+def _check_power_bits(base: Fraction, k: int) -> None:
+    if k * base.numerator.bit_length() > COVER_POWER_BITS:
+        raise ValidationError(f"the cover needs exact powers (1+delta/2)^k of more than {COVER_POWER_BITS} bits")
 
 
 def cover_list(q1, omega, delta) -> list[float]:
@@ -503,8 +501,17 @@ def cover_list(q1, omega, delta) -> list[float]:
         raise ValueError("Q1 must be > 1")
     s = interval_cover(omega, delta)
     base = 1 + Fraction(delta) / 2
-    logq = math.log10(float(q1))
-    return [float(base ** k) * logq for k in range(s + 1)]
+    _check_power_bits(base, s)
+    logq = log10_rational(q1)
+    if log10_rational(Fraction(omega) * base) + math.log10(logq) > 308:  # the last endpoint is below
+        raise ValidationError("the cover's log10 endpoints lie past the float range")
+    out = []
+    num = den = 1
+    for _ in range(s + 1):
+        out.append(num / den * logq)  # float(base**k), base**k = num/den in lowest terms
+        num *= base.numerator
+        den *= base.denominator
+    return out
 
 
 def _min_power_at_least(base: Fraction, target_builder, dps: int = 30) -> int:
@@ -519,7 +526,7 @@ def _min_power_at_least(base: Fraction, target_builder, dps: int = 30) -> int:
         cur = dps
         while True:
             with _ivdps(cur) as iv:
-                lo, hi = _endpoints(target_builder(iv))
+                lo, hi = _iv_endpoints(target_builder(iv))
             if power >= hi:
                 return s
             if power < lo:
@@ -528,7 +535,7 @@ def _min_power_at_least(base: Fraction, target_builder, dps: int = 30) -> int:
             if cur > 20_000:
                 raise CertificationError("power comparison straddles the boundary at max precision")
         s += 1
-        if s > 10_000:
+        if s > COVER_COUNT_CAP:
             raise RuntimeError("cover count did not converge")
 
 
@@ -556,7 +563,7 @@ def s1_bound(n: int, delta, R, h_l) -> float:
     with _ivdps(40) as iv:
         inner = iv.log(3) + _iv_ln(iv, _as_height(h_l)) / _iv_fr(iv, Fraction(R))
         val = 2 + 3 * _iv_fr(iv, 1 / delta) * iv.log(inner)
-        lo, hi = _endpoints(val)
+        lo, hi = _iv_endpoints(val)
     return float((lo + hi) / 2)
 
 

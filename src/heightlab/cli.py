@@ -8,6 +8,7 @@ sorted keys so identical inputs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -58,6 +59,8 @@ __all__ = ["main", "cmd_dispatch"]
 MAX_PRECISION = 100
 # Most points a --qgrid a:b:steps may ask for; the grid is built point by point.
 QGRID_STEPS_CAP = 100
+# Largest --qgrid bound: the grid is spaced in floats, with headroom for their rounding.
+QGRID_MAX = sys.float_info.max / 2
 
 EXIT_CODES = """exit codes:
   0  success
@@ -65,7 +68,8 @@ EXIT_CODES = """exit codes:
   3  unsupported system
   4  I/O error
   5  could not certify (a certified constant needs more precision than
-     allowed, or has too many digits to print)"""
+     allowed, or has too many digits to print, or an integer cannot be
+     factored into certified primes within the budget)"""
 
 
 def _fail(code: int, msg: str) -> int:
@@ -184,6 +188,8 @@ def _parse_qgrid(spec: str) -> list[Fraction]:
         raise ValidationError(
             f"--qgrid needs 2 <= a <= b and 1 <= steps <= {QGRID_STEPS_CAP}, got {spec!r}"
         )
+    if b > QGRID_MAX:
+        raise ValidationError(f"--qgrid bounds must be at most {QGRID_MAX:g}, got {spec!r}")
     if steps == 1:
         return [a]
     ratio = (float(b) / float(a)) ** (1.0 / (steps - 1))
@@ -213,6 +219,7 @@ def cmd_dispatch(argv) -> int:
         return _fail(5, f"could not certify: {exc}")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="heightlab",

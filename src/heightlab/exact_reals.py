@@ -3,20 +3,158 @@
 Every height value produced by this package over the rationals is a
 finite product of prime powers with rational exponents.  FactoredReal
 stores that exponent map exactly, so multiplication, rational powers and
-order comparisons never round.
+order comparisons never round.  The factorizations behind them come
+from trial division, Pollard-Brent rho and a Miller-Rabin test that is a
+proof in the range where it is used; an integer that cannot be factored
+into certified primes within a fixed budget raises CertificationError.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 
 import mpmath
-from sympy import factorint
 
-__all__ = ["FactoredReal", "ONE"]
+__all__ = ["FactoredReal", "ONE", "CertificationError", "is_prime", "factorint", "log10_rational"]
 
 _RatLike = (int, Fraction)
+
+
+class CertificationError(RuntimeError):
+    """A result could not be certified: a constant within the precision ceiling,
+    a number short enough to print, or an integer factored into certified primes."""
+
+
+# -- primality and factorization ----------------------------------------------
+
+# Strong Miller-Rabin on the first 13 primes proves primality below PSI_13, the
+# least strong pseudoprime to all of them (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PSI_13 = 3_317_044_064_679_887_385_961_981
+# Larger integers without a small factor are refused: one rho step or test at
+# this size costs about a microsecond, so the budget below stays under a second.
+BITS_CAP = 128
+# Trial division by the primes below _TRIAL; a cofactor below _TRIAL**2 is prime.
+_TRIAL = 1024
+_SMALL_PRIMES = tuple(p for p in range(2, _TRIAL) if all(p % d for d in range(2, math.isqrt(p) + 1)))
+# Pollard-Brent rho steps one factorization may take (Brent, BIT 20, 1980).
+RHO_BUDGET = 1 << 19
+
+
+def is_prime(n: int) -> bool:
+    """Primality of n, proved for n < PSI_13.
+
+    At or above PSI_13 a witness still proves n composite; without one,
+    and for n of more than BITS_CAP bits with no factor among the bases,
+    CertificationError is raised.
+    """
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n.bit_length() > BITS_CAP:
+        raise CertificationError(f"an integer of {n.bit_length()} bits is beyond the {BITS_CAP}-bit primality bound")
+    d = n - 1
+    r = (d & -d).bit_length() - 1
+    d >>= r
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n >= PSI_13:
+        raise CertificationError(f"{n} passes Miller-Rabin on the first 13 primes but is not below PSI_13")
+    return True
+
+
+def factorint(n: int) -> dict[int, int]:
+    """{prime: exponent} of a positive integer, ascending, every prime certified.
+
+    Trial division, then Pollard-Brent rho on composite cofactors with at
+    most RHO_BUDGET steps in all; CertificationError when a cofactor can
+    be neither split nor certified.
+    """
+    if n < 1:
+        raise ValueError(f"factorint needs a positive integer, got {n}")
+    out: dict[int, int] = {}
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
+        if n % p == 0:
+            n, out[p] = _strip(n, p)
+    budget = RHO_BUDGET
+    todo = [n] if n > 1 else []
+    while todo:
+        m = todo.pop()
+        if m < _TRIAL * _TRIAL or is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            d, budget = _rho(m, budget)
+            todo += (d, m // d)
+    return dict(sorted(out.items()))
+
+
+def _strip(n: int, p: int) -> tuple[int, int]:
+    """(n / p**e, e) for the largest such e; a large e costs O(log e) divisions."""
+    if n % p:
+        return n, 0
+    n, e = _strip(n // p, p * p)  # what is left may hold p once more
+    if n % p == 0:
+        return n // p, 2 * e + 2
+    return n, 2 * e + 1
+
+
+def _rho(n: int, budget: int) -> tuple[int, int]:
+    """(a proper divisor of the composite n, the steps left of budget)."""
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            budget -= 2 * r  # r steps to the cycle start, r steps in batches
+            if budget < 0:
+                raise CertificationError(f"{n} could not be split within {RHO_BUDGET} rho steps")
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: step back through it one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g, budget
+
+
+# -- interval plumbing ----------------------------------------------------------
+
+
+@contextmanager
+def _ivdps(dps: int):
+    """mpmath.iv at dps decimal digits, restored on exit."""
+    iv = mpmath.iv
+    old = iv.dps
+    iv.dps = dps
+    try:
+        yield iv
+    finally:
+        iv.dps = old
 
 
 def _as_fraction(x) -> Fraction:
@@ -35,6 +173,15 @@ def _iv_endpoints(x) -> tuple[Fraction, Fraction]:
         f = Fraction(int(man)) * Fraction(2) ** int(exp)
         out.append(-f if sign else f)
     return out[0], out[1]
+
+
+def log10_rational(q) -> float:
+    """Float log10 of a positive rational: log10(float(q)) while float(q) is
+    finite and nonzero, log10(numerator) - log10(denominator) beyond."""
+    try:
+        return math.log10(q)
+    except (OverflowError, ValueError):
+        return math.log10(q.numerator) - math.log10(q.denominator)
 
 
 class FactoredReal:
@@ -58,7 +205,7 @@ class FactoredReal:
                 e = _as_fraction(e)
                 if e == 0:
                     continue
-                if not (isinstance(p, int) and p >= 2 and _is_prime(p)):
+                if not (isinstance(p, int) and is_prime(p)):
                     raise ValueError(f"key {p!r} is not prime")
                 f[int(p)] = e
         object.__setattr__(self, "_f", f)
@@ -78,9 +225,9 @@ class FactoredReal:
             raise ValueError(f"from_rational needs a positive rational, got {q}")
         f: dict[int, Fraction] = {}
         for p, e in factorint(q.numerator).items():
-            f[int(p)] = Fraction(e)
+            f[p] = Fraction(e)
         for p, e in factorint(q.denominator).items():
-            f[int(p)] = f.get(int(p), Fraction(0)) - e
+            f[p] = f.get(p, Fraction(0)) - e
         return cls({p: e for p, e in f.items() if e != 0}, _trusted=True)
 
     @classmethod
@@ -88,7 +235,7 @@ class FactoredReal:
         e = _as_fraction(e)
         if e == 0:
             return cls.one()
-        if not _is_prime(p):
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         return cls({p: e}, _trusted=True)
 
@@ -215,10 +362,7 @@ class FactoredReal:
         target = Fraction(1, 10 ** digits)
         dps = digits + 15
         while True:
-            iv = mpmath.iv
-            old = iv.dps
-            try:
-                iv.dps = dps
+            with _ivdps(dps) as iv:
                 total = iv.mpf(0)
                 ln10 = iv.log(10)
                 for p, e in sorted(self._f.items()):
@@ -226,8 +370,6 @@ class FactoredReal:
                     term = term * iv.mpf(e.numerator) / iv.mpf(e.denominator)
                     total = total + term
                 lo, hi = _iv_endpoints(total)
-            finally:
-                iv.dps = old
             mid = (lo + hi) / 2
             err = (hi - lo) / 2
             if err <= target:
@@ -257,12 +399,6 @@ class FactoredReal:
         for p, e in sorted(self._f.items()):
             parts.append(f"{p}^{e}" if e.denominator != 1 or e < 0 else f"{p}^{e.numerator}")
         return "FactoredReal(" + " * ".join(parts) + ")"
-
-
-def _is_prime(p: int) -> bool:
-    from sympy import isprime
-
-    return bool(isprime(p))
 
 
 ONE = FactoredReal.one()

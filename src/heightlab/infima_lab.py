@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from operator import mul
 
-from .exact_reals import FactoredReal
+from .exact_reals import FactoredReal, log10_rational
 from .exterior_algebra import Subspace, wedge
 from .filtration import FiltrationChain, exterior_pair, filtration
 from .places_heights import INF, Place, _valuation, primitive_scale
@@ -124,7 +124,7 @@ class _IntegerForms:
                     self.corr *= v.p
             exps = tuple(int(-c * self.exp_den) for c in pd.exps)
             self.places.append((v, int_forms, exps))
-        self.logcorr = math.log10(self.corr)
+        self.logcorr = log10_rational(self.corr)
 
     def terms(self, x):
         """Per place, (log10 |F_i(x)|_v, i, m) for every form F_i not vanishing at x.
@@ -171,7 +171,7 @@ class _FastHeight:
         self.q = Fraction(q)
         if self.q < 1:
             raise ValueError("Q must be >= 1")
-        self.logq = math.log10(self.q) if self.q != 1 else 0.0
+        self.logq = log10_rational(self.q) if self.q != 1 else 0.0
         self.shifts = [
             tuple(e * self.logq / forms.exp_den for e in exps) for _, _, exps in forms.places
         ]
@@ -443,8 +443,11 @@ def default_box_policy(pair: TwistedPair, raw_cap: int = RAW_BOX_CAP):
         bcap += 1
 
     def policy(q) -> int:
-        want = math.ceil(float(q) ** cmax) if cmax > 0 else 1
-        return max(1, min(want, bcap))
+        if cmax == 0:
+            return 1
+        if cmax * log10_rational(Fraction(q)) > math.log10(bcap) + 1:  # also when float(q) overflows
+            return bcap
+        return max(1, min(math.ceil(float(q) ** cmax), bcap))
 
     return policy
 
@@ -512,7 +515,7 @@ def slope_profile(pair: TwistedPair, q_list, box_policy=None) -> SlopeReport:
     rows = []
     matches = {}
     for q, est in zip(qs, estimates):
-        logq = math.log10(float(q))
+        logq = log10_rational(q)
         for i, lam in enumerate(est.lambdas, start=1):
             ll = lam.log10_float()
             rows.append((q, i, ll, ll / logq))

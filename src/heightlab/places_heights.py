@@ -12,9 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from sympy import isprime
-
-from .exact_reals import FactoredReal
+from .exact_reals import FactoredReal, is_prime
 from .rational_linalg import qvec
 
 __all__ = [
@@ -48,7 +46,7 @@ class Place:
 
     @staticmethod
     def finite(p: int) -> "Place":
-        if not isprime(p):
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         return Place(p, p)
 

@@ -1,11 +1,15 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from heightlab.bounds_reduction import (
+    COVER_COUNT_CAP,
     bound_constants,
     cover_list,
     gamma_value,
@@ -197,6 +201,53 @@ def test_cover_list():
     # endpoints grow by factors (1+delta/2)
     ends = cover_list(10, F(17918, 10000), 1)
     assert len(ends) == 3
+
+
+def _cover_by_multiplication(omega, delta):
+    base = 1 + delta / 2
+    s, power = 0, F(1)
+    while power < omega:
+        power *= base
+        s += 1
+    return s
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.builds(F, st.integers(11, 10**4), st.integers(1, 10)),
+    st.builds(F, st.integers(1, 3), st.integers(1, 100)).filter(lambda d: d <= 1),
+    st.integers(-1, 1),
+)
+def test_interval_cover_matches_exact_multiplication(omega, delta, near):
+    """Includes omega = (1+delta/2)^k exactly and a hair either side of it."""
+    if near or omega.numerator % 2:
+        k = omega.numerator % 300 + 1
+        omega = (1 + delta / 2) ** k + near * F(1, 10**40)
+    assume(omega > 1)
+    s = _cover_by_multiplication(omega, delta)
+    assume(s <= COVER_COUNT_CAP)
+    assert interval_cover(omega, delta) == s
+    base = 1 + delta / 2
+    logq = math.log10(float(F(37, 3)))
+    assert cover_list(F(37, 3), omega, delta) == [float(base**k) * logq for k in range(s + 1)]
+
+
+def test_interval_cover_near_one_and_at_the_cap():
+    tiny = F(1, 10**4000)
+    assert interval_cover(1 + tiny, 2 * tiny) == 1
+    assert interval_cover(1 + 2 * tiny, 2 * tiny) == 2
+    base = 1 + F(1, 2000)
+    assert interval_cover(base**COVER_COUNT_CAP, F(1, 1000)) == COVER_COUNT_CAP
+    with pytest.raises(ValidationError):
+        interval_cover(base**COVER_COUNT_CAP + F(1, 10**9), F(1, 1000))
+
+
+def test_interval_cover_refuses_large_counts_quickly():
+    start = time.perf_counter()
+    for omega, delta in [(10**6, F(1, 10**4)), (2, F(1, 10**4000)), (10**4000, 1)]:
+        with pytest.raises(ValidationError):
+            interval_cover(omega, delta)
+    assert time.perf_counter() - start < 1
 
 
 def test_s1_bound_holds():

@@ -5,7 +5,7 @@ import pytest
 
 from heightlab.cli import cmd_dispatch
 from heightlab.suite import pair_e1, pair_e3
-from heightlab.twisted_system import ValidationError, pair_from_json, pair_to_json
+from heightlab.twisted_system import ValidationError, pair_from_json, pair_to_json, twisted_height
 
 F = Fraction
 
@@ -411,3 +411,76 @@ def test_help_lists_exit_codes(capsys):
     out = capsys.readouterr().out
     for code in ("0  success", "2  validation failure", "3  unsupported system", "4  I/O error", "5  could not certify"):
         assert code in out
+
+
+# -- Q past the float range -------------------------------------------------
+
+HUGE = "1e400"
+
+
+def test_infima_q_past_float_range_matches_twisted_height(e1_path, tmp_path):
+    code, text = _run(["infima", e1_path, "--q", HUGE, "--box", "1"], tmp_path / "i.json")
+    assert code == 0
+    data = json.loads(text)
+    pair = pair_e1()
+    for x, lam in zip(data["achievers"], data["lambdas"]):
+        assert lam["factored"] == twisted_height(pair, F(10**400), x).to_json()
+    assert data["lambdas"][0]["log10"] == "-400"
+
+
+def test_minkowski_q_past_float_range(e1_path, tmp_path):
+    code, text = _run(["minkowski", e1_path, "--q", HUGE, "--box", "1"], tmp_path / "m.json")
+    assert code == 0
+    data = json.loads(text)
+    assert data["lower_ok"] and data["product"]["factored"] == []
+
+
+def test_gap_a_past_float_range(e1_path, tmp_path):
+    code, text = _run(["gap", e1_path, "--delta", "1", "--a", HUGE, "--box", "2"], tmp_path / "g.json")
+    assert code == 0
+    assert json.loads(text)["solutions"] == [[1, 0]]
+
+
+def test_slopes_qgrid_past_float_range_exit_2(e1_path, capsys):
+    assert cmd_dispatch(["slopes", e1_path, "--qgrid", "1e400:1e401:2", "--box", "1"]) == 2
+    assert cmd_dispatch(["slopes", e1_path, "--qgrid", "2:1e308:3", "--box", "1"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cover_q1_past_float_range(tmp_path):
+    code, text = _run(["cover", "--omega", "2", "--delta", "1", "--q1", HUGE], tmp_path / "c.json")
+    assert code == 0
+    assert json.loads(text)["endpoints_log10"] == ["400.000000000000", "600.000000000000", "900.000000000000"]
+    # (3/2)^s passes omega = 10^400 at s = 2272; the endpoints would overflow floats
+    assert cmd_dispatch(["cover", "--omega", HUGE, "--delta", "1", "--q1", "10"]) == 2
+
+
+def test_default_box_policy_past_float_range():
+    from heightlab.infima_lab import default_box_policy
+
+    policy = default_box_policy(pair_e1())
+    cap = policy(F(10**300))
+    assert policy(F(10**400)) == cap
+    assert [policy(F(q)) for q in (1, 2, 10, 100)] == [1, 2, 10, 100]
+
+
+def test_cover_count_over_cap_refused_quickly(capsys):
+    import time
+
+    start = time.perf_counter()
+    assert cmd_dispatch(["cover", "--omega", "1e6", "--delta", "1e-4"]) == 2
+    assert time.perf_counter() - start < 1
+    assert "10000 intervals" in capsys.readouterr().err
+
+
+def test_parser_is_built_once():
+    from heightlab.cli import _build_parser
+
+    assert _build_parser() is _build_parser()
+
+
+
+def test_help_names_the_factoring_refusal(capsys):
+    with pytest.raises(SystemExit):
+        cmd_dispatch(["--help"])
+    assert "factored into certified primes" in capsys.readouterr().out
