@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .exact_reals import CertificationError, FactoredReal, _iv_endpoints, _ivdps, log10_rational
+from .exact_reals import POWER_BITS, CertificationError, FactoredReal, _iv_endpoints, _ivdps, log10_rational
 from .twisted_system import PlaceData, TwistedPair, ValidationError, pair_invariants, twisted_height, validate
 
 __all__ = [
@@ -38,8 +38,6 @@ __all__ = [
 
 # Most intervals a cover may have (also the count cap of _min_power_at_least).
 COVER_COUNT_CAP = 10_000
-# Most bits of an exact power (1+delta/2)^k that interval_cover and cover_list may build.
-COVER_POWER_BITS = 1 << 18
 
 
 # -- interval plumbing ------------------------------------------------------
@@ -466,7 +464,7 @@ def interval_cover(omega, delta) -> int:
     s is the ceiling of ln(omega)/ln(1+delta/2), read off an interval
     enclosure of that ratio; only an enclosure that holds an integer is
     settled by exact powers.  ValidationError when s > COVER_COUNT_CAP,
-    or when those powers would have more than COVER_POWER_BITS bits.
+    or when those powers would have more than exact_reals.POWER_BITS bits.
     """
     omega = Fraction(omega)
     delta = Fraction(delta)
@@ -490,8 +488,8 @@ def interval_cover(omega, delta) -> int:
 
 
 def _check_power_bits(base: Fraction, k: int) -> None:
-    if k * base.numerator.bit_length() > COVER_POWER_BITS:
-        raise ValidationError(f"the cover needs exact powers (1+delta/2)^k of more than {COVER_POWER_BITS} bits")
+    if k * base.numerator.bit_length() > POWER_BITS:
+        raise ValidationError(f"the cover needs exact powers (1+delta/2)^k of more than {POWER_BITS} bits")
 
 
 def cover_list(q1, omega, delta) -> list[float]:

@@ -68,8 +68,9 @@ EXIT_CODES = """exit codes:
   3  unsupported system
   4  I/O error
   5  could not certify (a certified constant needs more precision than
-     allowed, or has too many digits to print, or an integer cannot be
-     factored into certified primes within the budget)"""
+     allowed, or has too many digits to print, an integer cannot be
+     factored into certified primes within the budget, or an exact
+     comparison needs more than POWER_BITS = 2^18 bits)"""
 
 
 def _fail(code: int, msg: str) -> int:
@@ -239,7 +240,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(f"--{flag}", **kw)
         p.add_argument("--out", default=None)
         p.add_argument("--precision", type=int, default=12)
-        p.add_argument("--seed", type=int, default=0)
         p.set_defaults(func=fn)
         return p
 

@@ -6,7 +6,8 @@ stores that exponent map exactly, so multiplication, rational powers and
 order comparisons never round.  The factorizations behind them come
 from trial division, Pollard-Brent rho and a Miller-Rabin test that is a
 proof in the range where it is used; an integer that cannot be factored
-into certified primes within a fixed budget raises CertificationError.
+into certified primes within a fixed budget raises CertificationError,
+and so does an exact comparison (cmp_power_product) past POWER_BITS bits.
 """
 
 from __future__ import annotations
@@ -18,14 +19,18 @@ from fractions import Fraction
 
 import mpmath
 
-__all__ = ["FactoredReal", "ONE", "CertificationError", "is_prime", "factorint", "log10_rational"]
+__all__ = [
+    "FactoredReal", "ONE", "CertificationError", "is_prime", "factorint", "log10_rational",
+    "cmp_power_product", "POWER_BITS",
+]
 
 _RatLike = (int, Fraction)
 
 
 class CertificationError(RuntimeError):
     """A result could not be certified: a constant within the precision ceiling,
-    a number short enough to print, or an integer factored into certified primes."""
+    a number short enough to print, an integer factored into certified primes,
+    or an exact comparison within POWER_BITS bits."""
 
 
 # -- primality and factorization ----------------------------------------------
@@ -140,6 +145,42 @@ def _rho(n: int, budget: int) -> tuple[int, int]:
                 g = math.gcd(abs(x - ys), n)
         if g != n:
             return g, budget
+
+
+# -- exact comparison of power products -------------------------------------
+
+# Most bits either side of an exact comparison may have (a few milliseconds to
+# multiply out at this size); also the bound on the exact powers of interval covers.
+POWER_BITS = 1 << 18
+
+
+def cmp_power_product(terms) -> int:
+    """Sign of prod (a/b)**k - 1 over terms (a, b, k): positive ints a, b, int k.
+
+    Skips a == b and k == 0, divides the k by their gcd g (t -> t**(1/g) keeps
+    the sign), and bounds both cross-multiplied sides from bit_length before
+    any power: CertificationError above POWER_BITS bits, else one comparison.
+    """
+    g = bits_a = bits_b = 0  # bits: g times an upper bound of either side's bit length
+    live = []
+    for a, b, k in terms:
+        if k and a != b:
+            if k < 0:
+                a, b, k = b, a, -k
+            live.append((a, b, k))
+            g = math.gcd(g, k)
+            bits_a += k * (a - 1).bit_length()  # a <= 2**bit_length(a - 1); 1 costs none
+            bits_b += k * (b - 1).bit_length()
+    if not g:
+        return 0
+    if bits_a > POWER_BITS * g or bits_b > POWER_BITS * g:
+        raise CertificationError(f"an exact comparison needs more than {POWER_BITS} bits")
+    lhs = rhs = 1
+    for a, b, k in live:
+        k //= g
+        lhs *= a**k
+        rhs *= b**k
+    return (lhs > rhs) - (lhs < rhs)
 
 
 # -- interval plumbing ----------------------------------------------------------
@@ -269,8 +310,8 @@ class FactoredReal:
     def cmp(self, other: "FactoredReal") -> int:
         """Exact ordering: -1, 0 or 1.
 
-        Clears exponent denominators by their lcm M and compares the two
-        integer-exponent products as big integers; (a/b)**M > 1 iff a > b.
+        Clears the exponent denominators of self/other by their lcm M and
+        hands prod p**(e_p M) to cmp_power_product; (a/b)**M > 1 iff a > b.
         """
         diff: dict[int, Fraction] = dict(self._f)
         for p, e in other._f.items():
@@ -282,15 +323,7 @@ class FactoredReal:
         if not diff:
             return 0
         m = math.lcm(*(e.denominator for e in diff.values()))
-        num = 1
-        den = 1
-        for p, e in diff.items():
-            k = int(e * m)
-            if k > 0:
-                num *= p ** k
-            else:
-                den *= p ** (-k)
-        return (num > den) - (num < den)
+        return cmp_power_product([(p, 1, e.numerator * (m // e.denominator)) for p, e in diff.items()])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FactoredReal):

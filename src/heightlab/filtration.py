@@ -10,6 +10,7 @@ pairs yields the Newton-polygon filtration.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -252,7 +253,9 @@ def exceptional_subspace(pair: TwistedPair, cap: int = 100_000) -> Subspace:
 
     Under the per-place zero-sum normalization this is the minimal
     maximizer of w(U)/(n - dim U); the slope form is used so the result
-    is invariant under exponent shifts.
+    is invariant under exponent shifts.  Tied winners give way to their
+    meet, which the pool missed: U -> w(U) - mu* dim U is supermodular, so
+    the subspaces of least slope mu* form a sublattice.
     """
     n = pair.n
     w_full = weight(pair, Subspace.full(n))
@@ -263,10 +266,7 @@ def exceptional_subspace(pair: TwistedPair, cap: int = 100_000) -> Subspace:
         mu = Fraction(w_full - weight(pair, cand), n - cand.dim)
         scored.append(((mu, cand.dim), cand))
     best_key = min(key for key, _ in scored)
-    winners = {cand.rows: cand for key, cand in scored if key == best_key}
-    if len(winners) != 1:
-        raise RuntimeError("exceptional subspace not unique among candidates")
-    return next(iter(winners.values()))
+    return functools.reduce(Subspace.intersect, (cand for key, cand in scored if key == best_key))
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,12 @@ valuations) is computed once per vector, and each Q adds only a float
 shift per form, so a vector carries ints and floats only.  Its exact
 value mantissa * Q^exponent is built when a float comparison is too close
 to call or the value is reported, and two such values are compared by
-one integer cross-multiplication.  A streaming matroid greedy per Q keeps
+exact_reals.cmp_power_product.  A streaming matroid greedy per Q keeps
 the current best independent n-tuple, and one enumeration feeds the
 greedies of a whole grid of Q values.  The reported lambda-bar values are
 upper estimates of the true infima: lambda_i <= lambda_bar_i always.
 The Diophantine scan decides each vector on the same integer forms: a
-float log comparison, and one integer comparison of N-th powers on ties.
+float log comparison, and cmp_power_product on ties.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from operator import mul
 
-from .exact_reals import FactoredReal, log10_rational
+from .exact_reals import FactoredReal, cmp_power_product, log10_rational
 from .exterior_algebra import Subspace, wedge
 from .filtration import FiltrationChain, exterior_pair, filtration
 from .places_heights import INF, Place, _valuation, primitive_scale
@@ -90,6 +90,14 @@ def enumerate_primitive(n: int, box: int):
             yield tup
 
 
+def _check_float_exponents(pair: TwistedPair) -> float:
+    """max |c_iv|; ValidationError, before any enumeration, for one past the float range."""
+    try:
+        return max((abs(float(c)) for pd in pair.active.values() for c in pd.exps), default=0.0)
+    except OverflowError:
+        raise ValidationError("pair exponents must lie within the float range") from None
+
+
 def _clear_forms(forms) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(den, F): the least common denominator of a place's forms and the integer forms F_i = den * L_i."""
     den = math.lcm(*(a.denominator for f in forms for a in f))
@@ -109,6 +117,7 @@ class _IntegerForms:
 
     def __init__(self, pair: TwistedPair):
         pair.ensure_core_valid()
+        _check_float_exponents(pair)
         self.n = pair.n
         self.exp_den = math.lcm(*(c.denominator for pd in pair.active.values() for c in pd.exps))
         self.places = []
@@ -172,9 +181,9 @@ class _FastHeight:
         if self.q < 1:
             raise ValueError("Q must be >= 1")
         self.logq = log10_rational(self.q) if self.q != 1 else 0.0
-        self.shifts = [
-            tuple(e * self.logq / forms.exp_den for e in exps) for _, _, exps in forms.places
-        ]
+        # int / int is correctly rounded even when e or exp_den lies past the float range
+        self.shifts = [tuple(e / forms.exp_den * self.logq for e in exps) for _, _, exps in forms.places]
+        self._qn, self._qd = self.q.numerator, self.q.denominator
         self._qfr = None
 
     def log(self, terms) -> float:
@@ -200,12 +209,17 @@ class _FastHeight:
                 if best is None or lv > best_log + _LOG_TOL:
                     best, best_log = t, lv
                 elif lv > best_log - _LOG_TOL:
-                    a, b = _term_exact(v, exps, t), _term_exact(v, exps, best)
-                    if _cmp_scaled(a, b, self.q, self.forms.exp_den) > 0:
+                    if self.cmp(_term_exact(v, exps, t), _term_exact(v, exps, best)) > 0:
                         best, best_log = t, lv
             picks.append(best)
             total += best_log
         return total, tuple(picks)
+
+    def cmp(self, a, b) -> int:
+        """Sign of a - b for exact values (num, den, qexp): (a/b)^exp_den = (n1 d2/(d1 n2))^exp_den Q^(e1-e2)."""
+        n1, d1, e1 = a
+        n2, d2, e2 = b
+        return cmp_power_product(((n1 * d2, d1 * n2, self.forms.exp_den), (self._qn, self._qd, e1 - e2)))
 
     def exact(self, picks) -> tuple[int, int, int]:
         """(num, den, qexp) with height = corr * num/den * Q^(qexp/forms.exp_den)."""
@@ -232,29 +246,6 @@ def _term_exact(v: Place, exps, term) -> tuple[int, int, int]:
     return (m, 1, exps[i]) if v.p is None else (1, v.p**m, exps[i])
 
 
-def _cmp_scaled(a, b, q: Fraction, d: int) -> int:
-    """Sign of n1/d1 * Q^(e1/d) - n2/d2 * Q^(e2/d) for a = (n1, d1, e1), b = (n2, d2, e2).
-
-    Numerators and denominators are positive integers, the e are integers.
-    Raising both sides to the power r = d/gcd(e2 - e1, d) leaves one exact
-    cross-multiplication of integers.
-    """
-    n1, d1, e1 = a
-    n2, d2, e2 = b
-    k = e2 - e1
-    g = math.gcd(k, d)
-    r, k = d // g, k // g
-    lhs = (n1 * d2) ** r
-    rhs = (n2 * d1) ** r
-    if k > 0:
-        lhs *= q.denominator**k
-        rhs *= q.numerator**k
-    elif k < 0:
-        lhs *= q.numerator**-k
-        rhs *= q.denominator**-k
-    return (lhs > rhs) - (lhs < rhs)
-
-
 class _Record:
     """An enumerated vector with its float log height and lazily built exact value."""
 
@@ -279,7 +270,7 @@ def _cmp_records(a: _Record, b: _Record, fh: _FastHeight) -> int:
         return 1
     if a.logf < b.logf - _LOG_TOL:
         return -1
-    return _cmp_scaled(a.exact(fh), b.exact(fh), fh.q, fh.forms.exp_den)
+    return fh.cmp(a.exact(fh), b.exact(fh))
 
 
 class _Greedy:
@@ -434,10 +425,7 @@ def check_box(n: int, box: int) -> None:
 def default_box_policy(pair: TwistedPair, raw_cap: int = RAW_BOX_CAP):
     """B(Q) = ceil(Q^c_max), capped so the raw box has <= raw_cap tuples."""
     n = pair.n
-    cmax = 0.0
-    for pd in pair.active.values():
-        for c in pd.exps:
-            cmax = max(cmax, abs(float(c)))
+    cmax = _check_float_exponents(pair)
     bcap = 1
     while (2 * (bcap + 1) + 1) ** n <= raw_cap:
         bcap += 1
@@ -686,9 +674,8 @@ class _SolutionTest:
     |F_i(x)|_v <= C_v^(1/n) h^(e_iv), with C_v = |den_v|_v^n |det L_v|_v
     and e_iv = d_iv + 1 at the infinite place, d_iv at a prime.  A float
     log comparison decides it unless the two logs lie within _LOG_TOL;
-    then both sides are raised to the power N = lcm(n, den e_iv) and
-    compared by one integer cross-multiplication.  A form vanishing at x
-    imposes nothing.
+    then cmp_power_product decides |F_i(x)|_v^N C_v^(-N/n) h^(-e_iv N) <= 1
+    with N = lcm(n, den e_iv).  A form vanishing at x imposes nothing.
     """
 
     def __init__(self, sys: SystemInstance, h_max: int):
@@ -707,15 +694,14 @@ class _SolutionTest:
             for form, d in zip(int_forms, pd.exps):
                 e = d + shift
                 big_n = math.lcm(n, e.denominator)
-                cpow = c ** (big_n // n)
                 # log10 of the right-hand side at heights 1..h_max
                 rhs = [logc + float(e) * lh for lh in logh]
-                tests.append((form, rhs, big_n, int(e * big_n), cpow.numerator, cpow.denominator))
-            self.places.append((v.p, math.log10(v.p) if v.p else 0.0, tests))
+                tests.append((form, rhs, big_n, -(big_n // n), -e.numerator * (big_n // e.denominator)))
+            self.places.append((v.p, math.log10(v.p) if v.p else 0.0, c.numerator, c.denominator, tests))
 
     def holds(self, x, h: int) -> bool:
-        for p, logp, tests in self.places:
-            for form, rhs, big_n, k, cn, cd in tests:
+        for p, logp, cn, cd, tests in self.places:
+            for form, rhs, big_n, ck, hk in tests:
                 s = sum(map(mul, form, x))
                 if s == 0:
                     continue
@@ -734,13 +720,8 @@ class _SolutionTest:
                     continue
                 if lhs > r + _LOG_TOL:
                     return False
-                # a tie within the float tolerance: (fn/fd)^N <= (cn/cd) h^k, exactly
-                left, right = fn**big_n * cd, fd**big_n * cn
-                if k > 0:
-                    right *= h**k
-                else:
-                    left *= h**-k
-                if left > right:
+                # a tie within the float tolerance, decided exactly
+                if cmp_power_product(((fn, fd, big_n), (cn, cd, ck), (h, 1, hk))) > 0:
                     return False
         return True
 

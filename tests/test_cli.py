@@ -203,9 +203,16 @@ def test_determinism_byte_identical(e1_path, e3_path, sys_path, tmp_path):
     for k, job in enumerate(jobs):
         a = tmp_path / f"a{k}.json"
         b = tmp_path / f"b{k}.json"
-        assert cmd_dispatch(job + ["--seed", "0", "--out", str(a)]) == 0
-        assert cmd_dispatch(job + ["--seed", "0", "--out", str(b)]) == 0
+        assert cmd_dispatch(job + ["--out", str(a)]) == 0
+        assert cmd_dispatch(job + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+def test_seed_flag_is_refused(e1_path):
+    # no command is random, so none takes a seed
+    with pytest.raises(SystemExit) as exc:
+        cmd_dispatch(["infima", e1_path, "--q", "10", "--box", "1", "--seed", "0"])
+    assert exc.value.code == 2
 
 
 def test_pair_round_trip_through_cli(e3_path, tmp_path):
@@ -484,3 +491,76 @@ def test_help_names_the_factoring_refusal(capsys):
     with pytest.raises(SystemExit):
         cmd_dispatch(["--help"])
     assert "factored into certified primes" in capsys.readouterr().out
+
+
+# -- exact comparisons and pair exponents past the float range ---------------
+
+_TINY = F(1, 10**400)
+
+
+def _system(tmp_path, forms, exps):
+    return _write(
+        tmp_path,
+        "s.json",
+        {"n": 2, "epsilon": "1", "places": [{"place": "inf", "forms": forms, "exps": [str(e) for e in exps]}]},
+    )
+
+
+def test_scan_with_400_digit_exponent_denominators_is_bounded(tmp_path, capsys):
+    import time
+
+    # exponents -3/2 +- 10^-400: the N-th powers of the exact test would have 10^400 bits
+    path = _system(tmp_path, [["2", "0"], ["0", "1"]], [F(-3, 2) + _TINY, F(-3, 2) - _TINY])
+    start = time.perf_counter()
+    assert cmd_dispatch(["scan", path, "--hmax", "10", "--box", "10", "--out", str(tmp_path / "o.json")]) in (0, 5)
+    # x = (1, 3) ties |3 x_1| <= 3^(1/2) 3^(1/2 + 10^-400) within the float tolerance
+    path = _system(tmp_path, [["3", "0"], ["0", "1"]], [F(-1, 2) + _TINY, F(-5, 2) - _TINY])
+    assert cmd_dispatch(["scan", path, "--hmax", "10", "--box", "5"]) == 5
+    assert time.perf_counter() - start < 2
+    assert "more than 262144 bits" in capsys.readouterr().err
+
+
+def _pair_with_exps(tmp_path, exps):
+    return _write(tmp_path, "p.json", {"n": 2, "places": [dict(_GOOD_PLACE, exps=exps)]})
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["infima", "--q", "10"],
+        ["infima", "--q", "10", "--box", "1"],
+        ["slopes", "--qgrid", "2:10:3"],
+        ["slopes", "--qgrid", "2:10:3", "--box", "2"],
+        ["minkowski", "--q", "10"],
+        ["minkowski", "--q", "10", "--box", "2"],
+    ],
+)
+def test_pair_exponents_past_float_range_exit_2(tmp_path, capsys, args):
+    path = _pair_with_exps(tmp_path, ["1e400", "-1e400"])
+    assert cmd_dispatch(args[:1] + [path] + args[1:]) == 2
+    assert "within the float range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["infima", "--q", "10"],
+        ["infima", "--q", "10", "--box", "2"],
+        ["slopes", "--qgrid", "2:10:3"],
+        ["minkowski", "--q", "10"],
+        ["gap", "--delta", "1", "--a", "10", "--box", "2"],
+    ],
+)
+def test_pair_exponents_below_float_resolution(tmp_path, args):
+    import time
+
+    path = _pair_with_exps(tmp_path, ["1e-400", "-1e-400"])
+    start = time.perf_counter()
+    code, text = _run(args[:1] + [path] + args[1:], tmp_path / "o.json")
+    assert code in (0, 5)
+    assert time.perf_counter() - start < 2
+    if code == 0 and args[0] == "infima":
+        pair = pair_from_json(json.loads((tmp_path / "p.json").read_text()))
+        data = json.loads(text)
+        for x, lam in zip(data["achievers"], data["lambdas"]):
+            assert lam["factored"] == twisted_height(pair, 10, x).to_json()

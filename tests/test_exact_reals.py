@@ -1,10 +1,14 @@
 import json
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from heightlab.exact_reals import ONE, FactoredReal
+from heightlab.exact_reals import ONE, POWER_BITS, CertificationError, FactoredReal, cmp_power_product
 
 from conftest import random_positive_fraction
 
@@ -117,3 +121,66 @@ def test_total_order():
     s = sorted(vals)
     for a, b in zip(s, s[1:]):
         assert a <= b
+
+
+# -- cmp_power_product ------------------------------------------------------
+
+power_terms = st.lists(st.tuples(st.integers(1, 30), st.integers(1, 30), st.integers(-8, 8)), max_size=4)
+
+
+def _sign_of_fraction_product(terms):
+    value = math.prod((F(a, b) ** k for a, b, k in terms), start=F(1))
+    return (value > 1) - (value < 1)
+
+
+@settings(max_examples=400, deadline=None)
+@given(power_terms, st.integers(1, 6))
+def test_cmp_power_product_matches_fraction_product(terms, scale):
+    terms = [(a, b, k * scale) for a, b, k in terms]  # a common factor of the k, divided out
+    assert cmp_power_product(terms) == _sign_of_fraction_product(terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(power_terms, st.integers(1, 5), st.randoms(use_true_random=False))
+def test_cmp_power_product_equal_and_nearly_equal_products(terms, c, rnd):
+    # the inverse of each (a/b)^k as the two terms (b/1)^k and (1/a)^k, times (c/1)^k
+    # and (1/c)^k: the product is exactly 1 with no single term cancelling another
+    inverse = [t for a, b, k in terms for t in ((b * c, 1, k), (1, a * c, k))]
+    both = terms + inverse
+    rnd.shuffle(both)
+    assert cmp_power_product(both) == 0
+    assert cmp_power_product(both + [(c + 1, c, 1)]) == 1
+    assert cmp_power_product(both + [(c + 1, c, -1)]) == -1
+
+
+def test_cmp_power_product_examples():
+    assert cmp_power_product([]) == 0
+    assert cmp_power_product([(1, 1, 5), (7, 7, -3), (2, 3, 0)]) == 0  # bases 1 and k = 0 are skipped
+    assert cmp_power_product([(1, 2, 3)]) == -1
+    assert cmp_power_product([(2, 1, -1)]) == -1
+    assert cmp_power_product([(1, 2, -1)]) == 1
+    # 2^(1/2) vs 3^(1/3): sixth powers are 8 vs 9
+    assert cmp_power_product([(2, 1, 3), (3, 1, -2)]) == -1
+    # the k share the factor POWER_BITS; without dividing it out this needs 3 * POWER_BITS bits
+    assert cmp_power_product([(2, 1, 3 * POWER_BITS), (3, 1, -2 * POWER_BITS)]) == -1
+    assert cmp_power_product([(2, 3, 4 * POWER_BITS), (3, 2, 4 * POWER_BITS)]) == 0
+
+
+def test_cmp_power_product_budget():
+    # coprime k, so that the gcd leaves them as they are; 2^POWER_BITS has POWER_BITS + 1 bits
+    assert cmp_power_product([(2, 1, POWER_BITS), (3, 1, -1)]) == 1
+    start = time.perf_counter()
+    for terms in (
+        [(2, 1, POWER_BITS + 1), (3, 1, -1)],
+        [(3, 2, -(POWER_BITS // 2 + 1)), (5, 1, 1)],  # the 3^k on the right-hand side
+        [(2, 1, 1), (3, 1, -(10**400))],
+        [(10**40000, 1, 7), (3, 1, -1)],  # a large base
+    ):
+        with pytest.raises(CertificationError, match="more than"):
+            cmp_power_product(terms)
+    # FactoredReal.cmp goes through the same routine and budget
+    with pytest.raises(CertificationError):
+        FR({2: F(1, 10**400), 3: F(-1, 10**400 + 1)}).cmp(ONE)
+    assert FR({2: F(1, 10**400)}).cmp(ONE) == 1  # a single exponent clears to 2^1
+    assert cmp_power_product([(10**400, 10**400 + 1, 10**400 + 7)]) == -1  # so does a single term
+    assert time.perf_counter() - start < 1

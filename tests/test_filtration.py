@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -148,6 +149,46 @@ def test_exceptional_subspace_falsification_smoke():
             u = _rand_subspace(rng, n_dim, rng.randint(0, n_dim - 1))
             mu = F(w_full - weight(pair, u), n_dim - u.dim)
             assert mu >= best
+
+
+# Tied winners: random forms at three places whose only exponent jumps are the
+# line {F_1 = F_2 = F_3 = 0} at inf and the planes {F_1 = F_2 = 0} at 2 and 3.  The
+# candidate pool misses the optimum U, and two 3-dim candidates tie at its
+# slope; U is their meet.
+_TIE_EXPS = {"inf": (-1, -1, -1, 3), 2: (-1, -1, 1, 1), 3: (-1, -1, 1, 1)}
+
+
+def _tie_pair(seed):
+    rng = random.Random(seed)
+    active = {}
+    for label, exps in _TIE_EXPS.items():
+        forms = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)]
+        while rank(forms) < 4:
+            forms = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)]
+        active[Place.parse(label)] = (forms, exps)
+    return TwistedPair(4, active)
+
+
+def _key(pair, u):
+    """(mu(full, U), dim U): the exceptional subspace is the least proper U."""
+    return F(weight(pair, Subspace.full(pair.n)) - weight(pair, u), pair.n - u.dim), u.dim
+
+
+def test_exceptional_subspace_is_the_meet_of_tied_winners():
+    for seed in range(20):  # all but seed 4 raised "not unique" before
+        pair = _tie_pair(seed)
+        chain = filtration(pair)  # its top step is exceptional_subspace(pair)
+        assert chain.dims == (0, 2, 4)
+        assert _key(pair, chain.subspaces[1]) == (F(-1), 2)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_meet_of_tied_winners_against_brute_force(seed):
+    pair = _tie_pair(seed)
+    best = _key(pair, exceptional_subspace(pair))
+    vecs = [v for v in itertools.product((-1, 0, 1), repeat=4) if v > (0,) * 4]
+    spans = {Subspace.span(4, list(vs)) for k in (1, 2, 3) for vs in combinations(vecs, k)}
+    assert all(_key(pair, u) >= best for u in spans if u.dim < 4)
 
 
 def test_filtration_examples():

@@ -13,7 +13,6 @@ from heightlab.infima_lab import (
     _FastHeight,
     _infima_grid,
     _IntegerForms,
-    _cmp_scaled,
     slope_profile,
     successive_infima,
 )
@@ -77,12 +76,16 @@ def test_kernel_matches_twisted_height(px, q):
     qs,
     st.integers(1, 6),
 )
-def test_cmp_scaled_matches_factored_reals(a, b, q, d):
+def test_tie_comparison_matches_factored_reals(a, b, q, d):
+    # exponents +-1/d make exp_den = d; a and b are (num, den, qexp) values
+    fh = _FastHeight(_IntegerForms(diag_pair([F(1, d), F(-1, d)])), q)
+    assert fh.forms.exp_den == d
+
     def value(t):
         num, den, e = t
         return FR.from_rational(F(num, den)) * FR.from_rational(q) ** F(e, d)
 
-    assert _cmp_scaled(a, b, q, d) == value(a).cmp(value(b))
+    assert fh.cmp(a, b) == value(a).cmp(value(b))
 
 
 def _same_estimates(a, b):
@@ -118,14 +121,14 @@ def test_slope_profile_matches_per_q_search(box):
 
 def test_exact_ties_use_the_exact_branch_and_seq(monkeypatch):
     calls = []
-    real = infima_lab._cmp_scaled
+    real = infima_lab.cmp_power_product
 
     def spy(*args):
         c = real(*args)
         calls.append(c)
         return c
 
-    monkeypatch.setattr(infima_lab, "_cmp_scaled", spy)
+    monkeypatch.setattr(infima_lab, "cmp_power_product", spy)
     # (0,1), (1,1) and (1,-1) all have height Q: the float logs tie and the
     # exact comparison says equal, so the earliest vector, the seed (0,1), wins
     est = successive_infima(diag_pair([1, -1]), 10, 1)
