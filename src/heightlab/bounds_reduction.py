@@ -1,10 +1,12 @@
 """Explicit theorem constants, interval covers, and the system reduction.
 
-All closed-form constants are evaluated with outward-rounded interval
-arithmetic at escalating precision: floor brackets are only taken once
-the enclosure pins the integer, and reported decimals carry certified
-significant digits.  "log" in the formulas is the natural logarithm
-throughout (recorded in every report).
+All closed-form constants are evaluated by exact_reals.enclose, with
+outward-rounded interval arithmetic at escalating precision: floor
+brackets are only taken once the enclosure pins the integer, and reported
+decimals carry certified significant digits.  A constant that needs more
+than exact_reals.MAX_DPS digits raises CertificationError.  Every cover
+count is one routine, _cover_count, on the same enclosures.  "log" in the
+formulas is the natural logarithm throughout (recorded in every report).
 """
 
 from __future__ import annotations
@@ -13,9 +15,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import mpmath
-
-from .exact_reals import POWER_BITS, CertificationError, FactoredReal, _iv_endpoints, _ivdps, log10_rational
+from .exact_reals import POWER_BITS, CertificationError, FactoredReal, decimal_str, enclose, log10_rational
 from .twisted_system import PlaceData, TwistedPair, ValidationError, pair_invariants, twisted_height, validate
 
 __all__ = [
@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 
-# Most intervals a cover may have (also the count cap of _min_power_at_least).
+# Most intervals a cover may have.
 COVER_COUNT_CAP = 10_000
 
 
@@ -60,32 +60,23 @@ def _iv_ln(iv, x):
     return iv.log(iv.mpf(x.numerator)) - iv.log(iv.mpf(x.denominator))
 
 
-def _certified_floor(build, dps: int = 30) -> int:
-    while dps <= 20_000:
-        with _ivdps(dps) as iv:
-            lo, hi = _iv_endpoints(build(iv))
-        if math.floor(lo) == math.floor(hi):
-            return math.floor(lo)
-        dps *= 2
-    raise CertificationError("floor bracket straddles an integer at max precision")
+def _certified_floor(build) -> int:
+    lo, _ = enclose(build, lambda lo, hi: math.floor(lo) == math.floor(hi), 30)
+    return math.floor(lo)
 
 
-def _certified_decimal(build, sig: int, dps: int = 30) -> str:
+def _certified_decimal(build, sig: int) -> str:
     """Decimal string of a positive-width target with sig certified digits."""
-    while dps <= 20_000:
-        with _ivdps(dps) as iv:
-            lo, hi = _iv_endpoints(build(iv))
-        mid = (lo + hi) / 2
-        width = hi - lo
+    rel = Fraction(1, 10 ** (sig + 2))
+
+    def done(lo, hi):
         scale = max(abs(lo), abs(hi))
-        if scale == 0:
-            return "0"
-        if width / scale <= Fraction(1, 10 ** (sig + 2)):
-            with mpmath.workdps(sig + 10):
-                v = mpmath.mpf(mid.numerator) / mpmath.mpf(mid.denominator)
-                return mpmath.nstr(v, sig)
-        dps *= 2
-    raise CertificationError("failed to certify decimal digits at max precision")
+        return scale == 0 or (hi - lo) / scale <= rel
+
+    lo, hi = enclose(build, done, 30)
+    if lo == hi == 0:
+        return "0"
+    return decimal_str((lo + hi) / 2, sig)
 
 
 # -- the constant calculator -------------------------------------------------
@@ -261,20 +252,27 @@ def _c0_of(n, delta, R, h_l) -> FactoredReal:
     return a if a > b else b
 
 
+def _t0(iv, n, delta, R):
+    """t0 of theorem 2.1."""
+    core = iv.mpf(10) ** 6 * _two_pow_2n(iv, n) * iv.mpf(n) ** 10
+    core = core * _iv_fr(iv, delta) ** -3
+    core = core * iv.log(_iv_fr(iv, 3 * R / delta))
+    return core * iv.log(_omega0(iv, delta, R))
+
+
+def _omega0(iv, delta, R):
+    """omega0 of theorem 2.3."""
+    return _iv_fr(iv, 1 / delta) * iv.log(_iv_fr(iv, 3 * R))
+
+
 def _thm_2_1(params, sig):
     _need(params, ["n", "delta", "R", "H_L"])
     n, delta, R = int(params["n"]), Fraction(params["delta"]), Fraction(params["R"])
     _check_common(n=n, delta=delta, R=R)
     h_l = _as_height(params["H_L"])
 
-    def t0(iv):
-        core = iv.mpf(10) ** 6 * _two_pow_2n(iv, n) * iv.mpf(n) ** 10
-        core = core * _iv_fr(iv, delta) ** -3
-        core = core * iv.log(_iv_fr(iv, 3 * R / delta))
-        return core * iv.log(_iv_fr(iv, 1 / delta) * iv.log(_iv_fr(iv, 3 * R)))
-
     rep = BoundReport("2.1", {"n": n, "delta": delta, "R": R, "H_L": params["H_L"]})
-    rep.constants["t0"] = _entry_real(t0, sig)
+    rep.constants["t0"] = _entry_real(lambda iv: _t0(iv, n, delta, R), sig)
     rep.constants["C0"] = _entry_factored(_c0_of(n, delta, R, h_l), sig)
     return rep
 
@@ -307,12 +305,9 @@ def _thm_2_3(params, sig):
         core = core * _iv_fr(iv, delta) ** -2
         return core * iv.log(_iv_fr(iv, 3 * R / delta))
 
-    def omega0(iv):
-        return _iv_fr(iv, 1 / delta) * iv.log(_iv_fr(iv, 3 * R))
-
     rep = BoundReport("2.3", {"n": n, "delta": delta, "R": R, "H_L": params["H_L"]})
     rep.constants["m0"] = _entry_int(_certified_floor(m0))
-    rep.constants["omega0"] = _entry_real(omega0, sig)
+    rep.constants["omega0"] = _entry_real(lambda iv: _omega0(iv, delta, R), sig)
     rep.constants["C0"] = _entry_factored(_c0_of(n, delta, R, h_l), sig)
     return rep
 
@@ -429,62 +424,59 @@ def internal_t0_consistency(n: int, R, delta) -> bool:
     m0 = bound_constants("2.3", {"n": n, "delta": delta, "R": R, "H_L": 1})
     m0_int = int(m0.constants["m0"]["value"])
 
-    def lhs(iv):
-        core = iv.mpf(10) ** 6 * _two_pow_2n(iv, n) * iv.mpf(n) ** 10
-        core = core * _iv_fr(iv, delta) ** -3
-        core = core * iv.log(_iv_fr(iv, 3 * R / delta))
-        return core * iv.log(_iv_fr(iv, 1 / delta) * iv.log(_iv_fr(iv, 3 * R)))
+    def lhs_minus_rhs(iv):
+        rhs = 1 + 3 * _iv_fr(iv, 1 / delta) * m0_int * (1 + iv.log(_omega0(iv, delta, R)))
+        return _t0(iv, n, delta, R) - rhs
 
-    def rhs(iv):
-        omega0 = _iv_fr(iv, 1 / delta) * iv.log(_iv_fr(iv, 3 * R))
-        return 1 + 3 * _iv_fr(iv, 1 / delta) * m0_int * (1 + iv.log(omega0))
-
-    dps = 30
-    while dps <= 2000:
-        with _ivdps(dps) as iv:
-            llo, _ = _iv_endpoints(lhs(iv))
-            _, rhi = _iv_endpoints(rhs(iv))
-        if llo >= rhi:
-            return True
-        with _ivdps(dps) as iv:
-            _, lhi = _iv_endpoints(lhs(iv))
-            rlo, _ = _iv_endpoints(rhs(iv))
-        if lhi < rlo:
-            return False
-        dps *= 2
-    raise CertificationError("consistency comparison did not resolve at max precision")
+    lo, _ = enclose(lhs_minus_rhs, lambda lo, hi: lo >= 0 or hi < 0, 30)
+    return lo >= 0
 
 
 # -- interval covers ---------------------------------------------------------
 
 
-def interval_cover(omega, delta) -> int:
-    """Minimal s with (1+delta/2)^s >= omega, for omega > 1, exact.
+def _cover_count(base: Fraction, target) -> int:
+    """Minimal s >= 1 with base**s >= target, for a rational base > 1 and a target > 1.
 
-    s is the ceiling of ln(omega)/ln(1+delta/2), read off an interval
-    enclosure of that ratio; only an enclosure that holds an integer is
-    settled by exact powers.  ValidationError when s > COVER_COUNT_CAP,
-    or when those powers would have more than exact_reals.POWER_BITS bits.
+    target is a Fraction, or a builder iv -> enclosure of an irrational
+    target.  s is the ceiling of ln(target)/ln(base), read off an interval
+    enclosure of that ratio.  An irrational target is never a power of base,
+    so its enclosure is refined until it pins the ceiling; for a rational
+    one, only an enclosure that holds an integer is settled by exact powers.
+    ValidationError when s > COVER_COUNT_CAP, or when those powers would
+    have more than exact_reals.POWER_BITS bits.
     """
+    rational = isinstance(target, Fraction)
+    # ln(num) - ln(den) cancels about -log10(x - 1) digits when x = num/den is near 1
+    lost = max(
+        x.denominator.bit_length() - (x.numerator - x.denominator).bit_length()
+        for x in ((base, target) if rational else (base,))
+    )
+
+    def ratio(iv):
+        ln_target = _iv_ln(iv, target) if rational else iv.log(target(iv))
+        return ln_target / _iv_ln(iv, base)
+
+    lo, hi = enclose(ratio, lambda lo, hi: rational or math.ceil(lo) == math.ceil(hi), 30 + max(lost, 0) // 3)
+    s = max(1, math.ceil(lo))
+    if s <= COVER_COUNT_CAP and math.ceil(hi) > s:  # the enclosure holds an integer
+        _check_power_bits(base, math.ceil(hi))
+        while base**s < target:
+            s += 1
+    if s > COVER_COUNT_CAP:
+        raise ValidationError(f"the cover needs more than {COVER_COUNT_CAP} intervals")
+    return s
+
+
+def interval_cover(omega, delta) -> int:
+    """Minimal s with (1+delta/2)^s >= omega, for omega > 1, exact (_cover_count)."""
     omega = Fraction(omega)
     delta = Fraction(delta)
     if omega <= 1:
         raise ValueError("omega must be > 1")
     if not 0 < delta <= 1:
         raise ValueError("delta must be in (0, 1]")
-    base = 1 + delta / 2
-    # ln(num) - ln(den) cancels about -log10(x - 1) digits when x = num/den is near 1
-    lost = max(x.denominator.bit_length() - (x.numerator - x.denominator).bit_length() for x in (omega, base))
-    with _ivdps(30 + max(lost, 0) // 3) as iv:
-        lo, hi = _iv_endpoints(_iv_ln(iv, omega) / _iv_ln(iv, base))
-    s = max(1, math.ceil(lo))
-    if s <= COVER_COUNT_CAP and math.ceil(hi) > s:  # the enclosure holds an integer
-        _check_power_bits(base, math.ceil(hi))
-        while base**s < omega:
-            s += 1
-    if s > COVER_COUNT_CAP:
-        raise ValidationError(f"the cover needs more than {COVER_COUNT_CAP} intervals")
-    return s
+    return _cover_count(1 + delta / 2, omega)
 
 
 def _check_power_bits(base: Fraction, k: int) -> None:
@@ -512,81 +504,48 @@ def cover_list(q1, omega, delta) -> list[float]:
     return out
 
 
-def _min_power_at_least(base: Fraction, target_builder, dps: int = 30) -> int:
-    """Minimal s >= 1 with base**s >= target, target given as an interval.
-
-    base is an exact rational > 1; comparisons escalate precision when an
-    enclosure straddles the boundary (impossible for irrational targets).
-    """
-    s = 1
-    while True:
-        power = base ** s
-        cur = dps
-        while True:
-            with _ivdps(cur) as iv:
-                lo, hi = _iv_endpoints(target_builder(iv))
-            if power >= hi:
-                return s
-            if power < lo:
-                break
-            cur *= 2
-            if cur > 20_000:
-                raise CertificationError("power comparison straddles the boundary at max precision")
-        s += 1
-        if s > COVER_COUNT_CAP:
-            raise RuntimeError("cover count did not converge")
-
-
 def s1_count(n: int, delta, R, h_l) -> int:
     """Number of cover intervals for Q in [n^(1/delta), C0).
 
-    The count is the minimal s with (1+delta/2)^s >= delta ln C0 / ln n.
+    The count is the minimal s with (1+delta/2)^s >= delta ln C0 / ln n
+    (_cover_count); the target is the rational delta r when C0 = n^r.
     """
     delta = Fraction(delta)
     R = Fraction(R)
     c0 = _c0_of(n, delta, R, _as_height(h_l))
-    n_pow = FactoredReal.from_rational(n) ** (1 / delta)
-    if not c0 > n_pow:
+    n_fr = FactoredReal.from_rational(n)
+    if not c0 > n_fr ** (1 / delta):
         return 1  # the window [n^(1/delta), C0) is empty
-
-    def target(iv):
-        return _iv_fr(iv, delta) * _iv_ln(iv, c0) / iv.log(n)
-
-    return _min_power_at_least(1 + delta / 2, target)
+    p, e = next(iter(n_fr.factors.items()))
+    r = c0.factors.get(p, Fraction(0)) / e  # C0 = n^r needs this r
+    if c0 == n_fr**r:
+        return _cover_count(1 + delta / 2, delta * r)
+    return _cover_count(1 + delta / 2, lambda iv: _iv_fr(iv, delta) * _iv_ln(iv, c0) / iv.log(n))
 
 
 def s1_bound(n: int, delta, R, h_l) -> float:
     """The closed-form cap 2 + 3 delta^{-1} ln ln (3 H_L^{1/R})."""
     delta = Fraction(delta)
-    with _ivdps(40) as iv:
+
+    def val(iv):
         inner = iv.log(3) + _iv_ln(iv, _as_height(h_l)) / _iv_fr(iv, Fraction(R))
-        val = 2 + 3 * _iv_fr(iv, 1 / delta) * iv.log(inner)
-        lo, hi = _iv_endpoints(val)
+        return 2 + 3 * _iv_fr(iv, 1 / delta) * iv.log(inner)
+
+    lo, hi = enclose(val, lambda lo, hi: True, 40)
     return float((lo + hi) / 2)
 
 
 def s2_count(n: int, delta) -> int:
     """Number of dyadic cover intervals for Q in [1, n^(1/delta)).
 
-    Minimal s with (1+delta/2)^s >= log(2 sqrt(n))/log 2; exact rational
-    arithmetic when n is a power of two, certified intervals otherwise.
+    Minimal s with (1+delta/2)^s >= log(2 sqrt(n))/log 2 (_cover_count);
+    the target is the rational 1 + m/2 when n = 2^m.
     """
-    delta = Fraction(delta)
-    base = 1 + delta / 2
+    base = 1 + Fraction(delta) / 2
     m = n.bit_length() - 1
     if n == 1 << m:
-        target = 1 + Fraction(m, 2)
-        s = 1
-        power = base
-        while power < target:
-            power *= base
-            s += 1
-        return s
-
-    def target_iv(iv):
-        return iv.log(2 * iv.sqrt(n)) / iv.log(2)
-
-    return _min_power_at_least(base, target_iv)
+        return _cover_count(base, 1 + Fraction(m, 2))
+    return _cover_count(base, lambda iv: iv.log(2 * iv.sqrt(n)) / iv.log(2))
 
 
 def gamma_value(k: int, delta) -> Fraction:

@@ -26,6 +26,7 @@ from .filtration import (
     UnsupportedSystemError,
     exceptional_subspace,
     filtration,
+    slope,
     special_case_T,
     weight,
 )
@@ -67,8 +68,8 @@ EXIT_CODES = """exit codes:
   2  validation failure (bad input, flag out of range, box over budget)
   3  unsupported system
   4  I/O error
-  5  could not certify (a certified constant needs more precision than
-     allowed, or has too many digits to print, an integer cannot be
+  5  could not certify (a certified value needs more than MAX_DPS =
+     20,000 digits, or has too many digits to print, an integer cannot be
      factored into certified primes within the budget, or an exact
      comparison needs more than POWER_BITS = 2^18 bits)"""
 
@@ -96,10 +97,14 @@ def _emit(obj, out_path, as_csv: bool = False) -> None:
 
 
 def _factored_json(x: FactoredReal, precision: int) -> dict:
-    val, err = x.log10(precision)
+    val, _ = x.log10(precision)
+    try:
+        log10 = float(val)
+    except OverflowError:
+        raise CertificationError("a log10 of the report has too many digits to print") from None
     return {
         "factored": x.to_json(),
-        "log10": f"{float(val):.{precision}g}",
+        "log10": f"{log10:.{precision}g}",
     }
 
 
@@ -351,15 +356,10 @@ def _cmd_filtration(args) -> int:
 
 def _cmd_exceptional(args) -> int:
     pair = _load_pair(args.pair)
-    from .exterior_algebra import Subspace
-    from .filtration import WeightedSubspace, slope, weight as w_of
-
     t = exceptional_subspace(pair)
-    full = Subspace.full(pair.n)
-    ws = WeightedSubspace(t, w_of(pair, t), slope(pair, full, t))
-    out = _subspace_json(ws.space)
-    out["weight"] = frac_str(ws.weight)
-    out["slope_vs_full"] = frac_str(ws.slope_vs)
+    out = _subspace_json(t)
+    out["weight"] = frac_str(weight(pair, t))
+    out["slope_vs_full"] = frac_str(slope(pair, Subspace.full(pair.n), t))
     _emit(out, args.out)
     return 0
 

@@ -8,6 +8,12 @@ from trial division, Pollard-Brent rho and a Miller-Rabin test that is a
 proof in the range where it is used; an integer that cannot be factored
 into certified primes within a fixed budget raises CertificationError,
 and so does an exact comparison (cmp_power_product) past POWER_BITS bits.
+
+Every certified real of the package is evaluated by enclose: outward-rounded
+mpmath.iv interval arithmetic at doubling precision, until the exact
+endpoints decide what the caller needs.  A value that needs more than
+MAX_DPS decimal digits raises CertificationError.  This is the one module
+that imports mpmath.
 """
 
 from __future__ import annotations
@@ -21,14 +27,14 @@ import mpmath
 
 __all__ = [
     "FactoredReal", "ONE", "CertificationError", "is_prime", "factorint", "log10_rational",
-    "cmp_power_product", "POWER_BITS",
+    "cmp_power_product", "POWER_BITS", "enclose", "MAX_DPS", "decimal_str",
 ]
 
 _RatLike = (int, Fraction)
 
 
 class CertificationError(RuntimeError):
-    """A result could not be certified: a constant within the precision ceiling,
+    """A result could not be certified: a value within MAX_DPS digits,
     a number short enough to print, an integer factored into certified primes,
     or an exact comparison within POWER_BITS bits."""
 
@@ -160,6 +166,8 @@ def cmp_power_product(terms) -> int:
     Skips a == b and k == 0, divides the k by their gcd g (t -> t**(1/g) keeps
     the sign), and bounds both cross-multiplied sides from bit_length before
     any power: CertificationError above POWER_BITS bits, else one comparison.
+    Over the budget, terms on one base pair ((a, b, k) and (b, a, -k) alike)
+    are first merged into one, whose exponents may cancel.
     """
     g = bits_a = bits_b = 0  # bits: g times an upper bound of either side's bit length
     live = []
@@ -174,7 +182,14 @@ def cmp_power_product(terms) -> int:
     if not g:
         return 0
     if bits_a > POWER_BITS * g or bits_b > POWER_BITS * g:
-        raise CertificationError(f"an exact comparison needs more than {POWER_BITS} bits")
+        # merged only here: on every call it would slow the common small comparison
+        merged: dict[tuple[int, int], int] = {}
+        for a, b, k in live:
+            key, k = ((a, b), k) if a < b else ((b, a), -k)
+            merged[key] = merged.get(key, 0) + k
+        if len(merged) == len(live):
+            raise CertificationError(f"an exact comparison needs more than {POWER_BITS} bits")
+        return cmp_power_product([(a, b, k) for (a, b), k in merged.items()])
     lhs = rhs = 1
     for a, b, k in live:
         k //= g
@@ -214,6 +229,31 @@ def _iv_endpoints(x) -> tuple[Fraction, Fraction]:
         f = Fraction(int(man)) * Fraction(2) ** int(exp)
         out.append(-f if sign else f)
     return out[0], out[1]
+
+
+# Most decimal digits a certified value may be evaluated at.
+MAX_DPS = 20_000
+
+
+def enclose(build, done, dps: int) -> tuple[Fraction, Fraction]:
+    """Exact endpoints (lo, hi) of build(iv), an interval expression in mpmath.iv.
+
+    Evaluates at dps decimal digits and doubles dps until done(lo, hi)
+    holds; CertificationError past MAX_DPS digits.
+    """
+    while dps <= MAX_DPS:
+        with _ivdps(dps) as iv:
+            lo, hi = _iv_endpoints(build(iv))
+        if done(lo, hi):
+            return lo, hi
+        dps *= 2
+    raise CertificationError(f"a certified value needs more than {MAX_DPS} digits")
+
+
+def decimal_str(q: Fraction, sig: int) -> str:
+    """q rounded to sig significant decimal digits, written as mpmath.nstr writes it."""
+    with mpmath.workdps(sig + 10):
+        return mpmath.nstr(mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator), sig)
 
 
 def log10_rational(q) -> float:
@@ -385,7 +425,7 @@ class FactoredReal:
     def log10(self, digits: int = 12) -> tuple[Fraction, Fraction]:
         """(approximation, error bound) with error <= 10**-digits.
 
-        Directed rounding via interval arithmetic; the bound is certified.
+        Directed rounding via interval arithmetic (enclose); the bound is certified.
         """
         if digits < 1:
             raise ValueError("digits must be >= 1")
@@ -393,23 +433,18 @@ class FactoredReal:
         if exact is not None:
             return exact, Fraction(0)
         target = Fraction(1, 10 ** digits)
-        dps = digits + 15
-        while True:
-            with _ivdps(dps) as iv:
-                total = iv.mpf(0)
-                ln10 = iv.log(10)
-                for p, e in sorted(self._f.items()):
-                    term = iv.log(p) / ln10
-                    term = term * iv.mpf(e.numerator) / iv.mpf(e.denominator)
-                    total = total + term
-                lo, hi = _iv_endpoints(total)
-            mid = (lo + hi) / 2
-            err = (hi - lo) / 2
-            if err <= target:
-                return mid, err
-            dps *= 2
-            if dps > 10_000:
-                raise RuntimeError("log10 failed to converge")
+
+        def build(iv):
+            total = iv.mpf(0)
+            ln10 = iv.log(10)
+            for p, e in sorted(self._f.items()):
+                term = iv.log(p) / ln10
+                term = term * iv.mpf(e.numerator) / iv.mpf(e.denominator)
+                total = total + term
+            return total
+
+        lo, hi = enclose(build, lambda lo, hi: (hi - lo) / 2 <= target, digits + 15)
+        return (lo + hi) / 2, (hi - lo) / 2
 
     def log10_float(self) -> float:
         """Fast float approximation of log10 (about 1e-12 absolute error)."""

@@ -39,19 +39,17 @@ __all__ = [
     "quotient_projection",
     "quotient_preimage",
     "exterior_pair",
-    "WeightedSubspace",
 ]
+
+
+# Most subspaces the candidate pool may hold; a larger closure is a hard error.
+CANDIDATE_CAP = 100_000
+# Most meets of all generators whose joins are all built (see candidate_subspaces).
+MEET_BUDGET = 48
 
 
 class UnsupportedSystemError(Exception):
     """The operation's structural precondition on the system fails."""
-
-
-@dataclass(frozen=True)
-class WeightedSubspace:
-    space: Subspace
-    weight: Fraction
-    slope_vs: Fraction | None = None
 
 
 def _sorted_forms(pd: PlaceData):
@@ -177,7 +175,7 @@ def _partition_subspace(n: int, family) -> Subspace:
     return Subspace.kernel(n, rows)
 
 
-def _semilattice_closure(generators, op, cap: int) -> list[Subspace]:
+def _semilattice_closure(generators, op) -> list[Subspace]:
     """Closure of the generators under one associative idempotent op.
 
     Combining existing elements with generators only already yields every
@@ -192,17 +190,15 @@ def _semilattice_closure(generators, op, cap: int) -> list[Subspace]:
             for g in generators:
                 c = op(a, g)
                 if c not in pool:
-                    if len(pool) >= cap:
-                        raise RuntimeError(f"candidate closure exceeded cap {cap}")
+                    if len(pool) >= CANDIDATE_CAP:
+                        raise RuntimeError(f"candidate closure exceeded cap {CANDIDATE_CAP}")
                     pool[c] = None
                     fresh.append(c)
         work = fresh
     return list(pool)
 
 
-def candidate_subspaces(
-    pair: TwistedPair, cap: int = 100_000, meet_budget: int = 48
-) -> list[Subspace]:
+def candidate_subspaces(pair: TwistedPair) -> list[Subspace]:
     """Candidate pool for the exceptional subspace.
 
     Sums of intersections of the per-place kernels: generators are the
@@ -211,11 +207,11 @@ def candidate_subspaces(
     (A full alternating closure can generate an infinite modular lattice,
     while the slope optimizer has this join-of-meets shape on every
     system whose answer is known in closed form.)  When the meet set
-    exceeds `meet_budget` -- generic unrelated places, where the extra
+    exceeds MEET_BUDGET -- generic unrelated places, where the extra
     kernels only breed junk -- the joins are built over the flag meets
     only and the remaining meets enter as bare candidates.  For
     coordinate / all-ones systems the combinatorial candidates are added
-    too.  The pool size is capped with a hard error on overflow.
+    too.  The pool size is capped at CANDIDATE_CAP, with a hard error on overflow.
     """
     pair.ensure_core_valid()
     n = pair.n
@@ -232,23 +228,23 @@ def candidate_subspaces(
             flag_gens[Subspace.kernel(n, [f for f, _ in sorted_fc[:i]])] = None
 
     all_gens = list({**flag_gens, **single_gens})
-    meets = _semilattice_closure(all_gens, Subspace.intersect, cap)
-    if len(meets) <= meet_budget:
-        pool = dict.fromkeys(_semilattice_closure(meets, Subspace.add, cap))
+    meets = _semilattice_closure(all_gens, Subspace.intersect)
+    if len(meets) <= MEET_BUDGET:
+        pool = dict.fromkeys(_semilattice_closure(meets, Subspace.add))
     else:
-        flag_meets = _semilattice_closure(list(flag_gens), Subspace.intersect, cap)
-        pool = dict.fromkeys(_semilattice_closure(flag_meets, Subspace.add, cap))
+        flag_meets = _semilattice_closure(list(flag_gens), Subspace.intersect)
+        pool = dict.fromkeys(_semilattice_closure(flag_meets, Subspace.add))
         pool.update(dict.fromkeys(meets))
 
     if _is_special_shaped(pair):
         for family in _partition_families(n):
-            if len(pool) >= cap:
+            if len(pool) >= CANDIDATE_CAP:
                 break
             pool.setdefault(_partition_subspace(n, family))
     return list(pool)
 
 
-def exceptional_subspace(pair: TwistedPair, cap: int = 100_000) -> Subspace:
+def exceptional_subspace(pair: TwistedPair) -> Subspace:
     """The unique proper subspace minimizing mu(full, U), of minimal dim.
 
     Under the per-place zero-sum normalization this is the minimal
@@ -260,7 +256,7 @@ def exceptional_subspace(pair: TwistedPair, cap: int = 100_000) -> Subspace:
     n = pair.n
     w_full = weight(pair, Subspace.full(n))
     scored = []
-    for cand in candidate_subspaces(pair, cap):
+    for cand in candidate_subspaces(pair):
         if cand.dim == n:
             continue
         mu = Fraction(w_full - weight(pair, cand), n - cand.dim)

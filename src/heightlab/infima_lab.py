@@ -422,12 +422,12 @@ def check_box(n: int, box: int) -> None:
             )
 
 
-def default_box_policy(pair: TwistedPair, raw_cap: int = RAW_BOX_CAP):
-    """B(Q) = ceil(Q^c_max), capped so the raw box has <= raw_cap tuples."""
+def default_box_policy(pair: TwistedPair):
+    """B(Q) = ceil(Q^c_max), capped so the raw box has <= RAW_BOX_CAP tuples."""
     n = pair.n
     cmax = _check_float_exponents(pair)
     bcap = 1
-    while (2 * (bcap + 1) + 1) ** n <= raw_cap:
+    while (2 * (bcap + 1) + 1) ** n <= RAW_BOX_CAP:
         bcap += 1
 
     def policy(q) -> int:

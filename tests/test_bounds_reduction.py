@@ -267,6 +267,40 @@ def test_s1_exact_branch():
     assert s1_count(3, F(1, 2), 3, 1) == 1
 
 
+def test_s1_count_tie_is_settled_exactly():
+    # C0 = 512^(1/4) = 2^(9/4), so the target delta ln C0 / ln n is 9/4 = (3/2)^2
+    assert s1_count(2, 1, 4, 512) == 2
+
+
+def _s1_oracle(n, delta, R, h_l):
+    """Minimal s with (1+delta/2)^s >= delta ln C0 / ln n in 60-digit floats; a tie counts as reached."""
+    with mpmath.workdps(60):
+        mp = mpmath.mp
+        d = mp.mpf(delta.numerator) / delta.denominator
+        c0 = max(mp.mpf(int(h_l)) ** (1 / mp.mpf(R)), mp.mpf(n) ** (1 / d))
+        target = d * mp.log(c0) / mp.log(n)
+        s = 1
+        while (1 + d / 2) ** s < target - mp.mpf(10) ** -50:
+            s += 1
+        return s
+
+
+def test_s1_count_matches_oracle():
+    rng = random.Random(70)
+    cases = []
+    for _ in range(200):
+        n = rng.randint(2, 5)
+        cases.append((n, F(1, rng.randint(1, 4)), n + rng.randint(0, 4), F(rng.randint(1, 50))))
+    # ties: H_L = n^k with delta k / R = (1+delta/2)^s exactly, so C0 = n^(k/R)
+    for n in (2, 3, 6):
+        for delta in (F(1), F(1, 2), F(2, 3)):
+            for s in (1, 2, 4):
+                ratio = (1 + delta / 2) ** s / delta  # k / R
+                cases.append((n, delta, ratio.denominator, F(n) ** ratio.numerator))
+    for n, delta, R, h_l in cases:
+        assert s1_count(n, delta, R, h_l) == _s1_oracle(n, delta, R, h_l), (n, delta, R, h_l)
+
+
 def test_s2_count():
     # minimal s with (1+delta/2)^s >= log(2 sqrt n)/log 2
     assert s2_count(4, 1) == 2  # target 2, and 1.5 < 2 <= 2.25
@@ -274,6 +308,12 @@ def test_s2_count():
     val = s2_count(5, F(1, 2))
     target = _mp_oracle(lambda mp: mp.log(2 * mp.sqrt(5)) / mp.log(2))
     assert F(5, 4) ** (val - 1) < float(target) <= F(5, 4) ** val
+
+
+def test_s2_count_power_of_two_matches_exact_multiplication():
+    for m in range(1, 40):
+        for delta in (F(1), F(1, 2), F(1, 3), F(2, 3), F(1, 100)):
+            assert s2_count(2**m, delta) == _cover_by_multiplication(1 + F(m, 2), delta), (m, delta)
 
 
 def test_gamma_values():

@@ -513,15 +513,40 @@ def test_scan_with_400_digit_exponent_denominators_is_bounded(tmp_path, capsys):
     path = _system(tmp_path, [["2", "0"], ["0", "1"]], [F(-3, 2) + _TINY, F(-3, 2) - _TINY])
     start = time.perf_counter()
     assert cmd_dispatch(["scan", path, "--hmax", "10", "--box", "10", "--out", str(tmp_path / "o.json")]) in (0, 5)
-    # x = (1, 3) ties |3 x_1| <= 3^(1/2) 3^(1/2 + 10^-400) within the float tolerance
-    path = _system(tmp_path, [["3", "0"], ["0", "1"]], [F(-1, 2) + _TINY, F(-5, 2) - _TINY])
+    # x = (1, 4) ties |2 x_1| <= 2^(1/2) 4^(1/4 + 10^-400) within the float tolerance, on the
+    # two base pairs (2, 1) and (4, 1), which no merge of equal pairs cancels
+    path = _system(tmp_path, [["2", "0"], ["0", "1"]], [F(-3, 4) + _TINY, F(-9, 4) - _TINY])
     assert cmd_dispatch(["scan", path, "--hmax", "10", "--box", "5"]) == 5
     assert time.perf_counter() - start < 2
     assert "more than 262144 bits" in capsys.readouterr().err
 
 
+def test_scan_tie_on_one_base_pair_is_settled(tmp_path, capsys):
+    import time
+
+    # x = (1, 3) ties |3 x_1| <= 3^(1/2) 3^(1/2 + 10^-400) within the float tolerance; the
+    # terms all share the base pair (3, 1), and merged their exponents sum to -2
+    path = _system(tmp_path, [["3", "0"], ["0", "1"]], [F(-1, 2) + _TINY, F(-5, 2) - _TINY])
+    start = time.perf_counter()
+    assert cmd_dispatch(["scan", path, "--hmax", "10", "--box", "10", "--out", str(tmp_path / "o.json")]) == 0
+    assert time.perf_counter() - start < 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def _pair_with_exps(tmp_path, exps):
     return _write(tmp_path, "p.json", {"n": 2, "places": [dict(_GOOD_PLACE, exps=exps)]})
+
+
+def test_report_log10_past_float_range_exit_5(tmp_path, capsys):
+    import time
+
+    # the infima are Q^(+-10^306) at Q = 10^4000: their log10, 4 * 10^309, is past the float range
+    path = _pair_with_exps(tmp_path, ["1e306", "-1e306"])
+    start = time.perf_counter()
+    assert cmd_dispatch(["infima", path, "--q", "1e4000", "--box", "2"]) == 5
+    assert time.perf_counter() - start < 2
+    err = capsys.readouterr().err
+    assert "too many digits to print" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

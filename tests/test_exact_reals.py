@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heightlab.exact_reals import ONE, POWER_BITS, CertificationError, FactoredReal, cmp_power_product
+from heightlab.exact_reals import (
+    MAX_DPS,
+    ONE,
+    POWER_BITS,
+    CertificationError,
+    FactoredReal,
+    cmp_power_product,
+    enclose,
+)
 
 from conftest import random_positive_fraction
 
@@ -153,6 +161,18 @@ def test_cmp_power_product_equal_and_nearly_equal_products(terms, c, rnd):
     assert cmp_power_product(both + [(c + 1, c, -1)]) == -1
 
 
+@settings(max_examples=200, deadline=None)
+@given(power_terms, st.integers(POWER_BITS, 10**400), st.randoms(use_true_random=False))
+def test_cmp_power_product_repeated_base_pairs(terms, big, rnd):
+    # each (a/b)^k as (a/b)^(k + big) times (a/b)^-big, written as (a, b, -big) or (b, a, big):
+    # over the bit budget unless the terms on one base pair are merged first
+    split = []
+    for a, b, k in terms:
+        split += [(a, b, k + big), rnd.choice([(a, b, -big), (b, a, big)])]
+    rnd.shuffle(split)
+    assert cmp_power_product(split) == _sign_of_fraction_product(terms)
+
+
 def test_cmp_power_product_examples():
     assert cmp_power_product([]) == 0
     assert cmp_power_product([(1, 1, 5), (7, 7, -3), (2, 3, 0)]) == 0  # bases 1 and k = 0 are skipped
@@ -184,3 +204,31 @@ def test_cmp_power_product_budget():
     assert FR({2: F(1, 10**400)}).cmp(ONE) == 1  # a single exponent clears to 2^1
     assert cmp_power_product([(10**400, 10**400 + 1, 10**400 + 7)]) == -1  # so does a single term
     assert time.perf_counter() - start < 1
+
+
+# -- enclose ----------------------------------------------------------------
+
+
+def test_enclose_escalates_until_done():
+    seen = []
+
+    def build(iv):
+        seen.append(iv.dps)
+        return iv.log(2)
+
+    lo, hi = enclose(build, lambda lo, hi: hi - lo < F(1, 10**100), 30)
+    assert F(69314718055994530941, 10**20) < lo < hi < F(69314718055994530942, 10**20)  # ln 2
+    assert seen == [30, 60, 120]
+
+
+def test_enclose_refuses_past_max_dps():
+    seen = []
+
+    def build(iv):  # a width that never shrinks
+        assert iv.dps <= MAX_DPS
+        seen.append(iv.dps)
+        return iv.mpf([0, 1])
+
+    with pytest.raises(CertificationError, match=f"more than {MAX_DPS} digits"):
+        enclose(build, lambda lo, hi: hi - lo < 1, 30)
+    assert seen[-1] <= MAX_DPS < 2 * seen[-1]

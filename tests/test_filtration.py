@@ -249,8 +249,9 @@ def test_special_case_examples():
         special_case_T(TwistedPair(2, {INF: (((F(1), F(2)), (F(0), F(1))), (F(0), F(0)))}))
 
 
-def test_special_case_partition_subspace_outside_flag_lattice():
-    # exponents forcing the optimum onto {x1+x2 = 0, x3+x4 = 0}
+def test_special_case_partition_matches_exponent_flag():
+    # forms x1, x2, x3, x1+x2+x3+x4 with exponents 2, 2, -2, -2: the optimum is the flag of the
+    # two lowest exponents, {x3 = 0, x1 + x2 + x4 = 0}, the partition [(1, 2, 4), (3,)]
     n = 4
     ident = tuple(tuple(F(i == j) for j in range(n)) for i in range(n))
     ones = tuple(F(1) for _ in range(n))
@@ -258,6 +259,7 @@ def test_special_case_partition_subspace_outside_flag_lattice():
     pair = TwistedPair(4, {INF: (forms, (F(2), F(2), F(-2), F(-2)))})
     t = exceptional_subspace(pair)
     parts = special_case_T(pair)
+    assert parts == [(1, 2, 4), (3,)]
     rebuilt = Subspace.kernel(
         4, [[F(1 if j + 1 in block else 0) for j in range(4)] for block in parts]
     )
