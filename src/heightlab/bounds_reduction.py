@@ -12,11 +12,11 @@ formulas is the natural logarithm throughout (recorded in every report).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact_reals import POWER_BITS, CertificationError, FactoredReal, decimal_str, enclose, log10_rational
-from .twisted_system import PlaceData, TwistedPair, ValidationError, pair_invariants, twisted_height, validate
+from .twisted_system import PlaceData, TwistedPair, ValidationError, pair_invariants, parse_frac, twisted_height, validate
 
 __all__ = [
     "CertificationError",
@@ -88,7 +88,7 @@ class BoundReport:
 
     theorem: str
     inputs: dict
-    constants: dict = field(default_factory=dict)
+    constants: dict
     log_convention: str = "ln"
 
     def to_json(self) -> dict:
@@ -98,14 +98,6 @@ class BoundReport:
             "inputs": {k: _text(v) for k, v in self.inputs.items()},
             "constants": self.constants,
         }
-
-    def log10_float(self, name: str) -> float:
-        entry = self.constants[name]
-        if entry.get("log10") is not None:
-            return float(entry["log10"])
-        if entry.get("value") is not None:
-            return math.log10(float(Fraction(entry["value"])))
-        raise KeyError(name)
 
 
 def _as_height(x) -> FactoredReal:
@@ -145,105 +137,102 @@ def _entry_loglog(build_log10log10, sig: int) -> dict:
     return {"tier": "loglog10", "value": None, "log10": None, "loglog10": s}
 
 
-def _need(params, names):
+# Every parameter of a theorem: (integer?, range test on the value and the
+# parameters read before it, the range in words).  n comes first in every
+# theorem, so the test of R can see it.
+_PARAMS = {
+    "n": (True, lambda x, read: x >= 2, "an integer >= 2"),
+    "delta": (False, lambda x, read: 0 < x <= 1, "in (0, 1]"),
+    "eps": (False, lambda x, read: 0 < x <= 1, "in (0, 1]"),
+    "R": (False, lambda x, read: x >= read["n"], ">= n (R bounds the number r >= n of distinct forms)"),
+    "D": (False, lambda x, read: x >= 1, ">= 1"),
+    "d": (True, lambda x, read: x >= 1, "an integer >= 1"),
+    "s": (True, lambda x, read: x >= 1, "an integer >= 1"),
+    "H_L": (False, lambda x, read: x >= 1, ">= 1"),
+    "H_star": (False, lambda x, read: x >= 1, ">= 1"),
+}
+
+
+def _read_params(names, params) -> dict:
+    """The named parameters of params, parsed and range-checked; ValidationError otherwise.
+
+    A value is an int, a Fraction or a string parse_frac reads.
+    """
     missing = [k for k in names if params.get(k) is None]
     if missing:
         raise ValidationError(f"missing parameters: {', '.join(missing)}")
-
-
-def _check_common(n=None, delta=None, eps=None, R=None, D=None, d=None, s=None):
-    if n is not None and (not isinstance(n, int) or n < 2):
-        raise ValidationError("n must be an integer >= 2")
-    if delta is not None and not 0 < delta <= 1:
-        raise ValidationError("delta must satisfy 0 < delta <= 1")
-    if eps is not None and not 0 < eps <= 1:
-        raise ValidationError("epsilon must satisfy 0 < epsilon <= 1")
-    if R is not None and n is not None and R < n:
-        raise ValidationError("R must be >= r >= n")
-    if D is not None and D < 1:
-        raise ValidationError("D must be >= 1")
-    if d is not None and (not isinstance(d, int) or d < 1):
-        raise ValidationError("d must be an integer >= 1")
-    if s is not None and (not isinstance(s, int) or s < 1):
-        raise ValidationError("s must be an integer >= 1")
+    read = {}
+    for name in names:
+        integer, ok, need = _PARAMS[name]
+        raw = params[name]
+        try:
+            x = parse_frac(raw)
+        except (ValueError, TypeError, ZeroDivisionError):
+            raise ValidationError(f"{name} must be a rational, got {raw!r}") from None
+        if (integer and x.denominator != 1) or not ok(x, read):
+            raise ValidationError(f"{name} must be {need}")
+        read[name] = x.numerator if integer else x
+    return read
 
 
 def bound_constants(theorem: str, params: dict, precision: int = 12) -> BoundReport:
     """Evaluate every named constant of the given theorem.
 
-    Recognized ids: 1.1, 1.2, 1.3, 2.1, 2.2, 2.3, 3.1, 3.1b, 3.2, 8.1.
-    Parameters (n, delta/eps as Fractions, R, D, d, s, H_L, H_star) are
-    validated against the theorem's ranges.
+    Recognized ids: the keys of THEOREMS.  The theorem's parameters are
+    read from params by _read_params, checked against their _PARAMS ranges
+    and echoed in the report's inputs.
     """
     theorem = str(theorem)
     if theorem not in THEOREMS:
         raise ValidationError(f"unknown theorem id {theorem!r}")
-    return THEOREMS[theorem](params, precision)
+    names, evaluate = THEOREMS[theorem]
+    inputs = _read_params(names, params)
+    return BoundReport(theorem, inputs, evaluate(precision, **inputs))
 
 
 def _two_pow_2n(iv, n):
     return iv.mpf(2) ** (2 * n)
 
 
-def _thm_1_1(params, sig):
-    _need(params, ["n", "delta"])
-    n, delta = int(params["n"]), Fraction(params["delta"])
-    _check_common(n=n, delta=delta)
-
+def _thm_1_1(sig, n, delta):
     def t3(iv):
         core = iv.mpf(10) ** 6 * _two_pow_2n(iv, n) * iv.mpf(n) ** 10
         core = core * _iv_fr(iv, delta) ** -3
         return core * iv.log(_iv_fr(iv, Fraction(6 * n) / delta)) ** 2
 
-    q0 = FactoredReal.from_rational(n) ** (1 / delta)
-    rep = BoundReport("1.1", {"n": n, "delta": delta})
-    rep.constants["t3"] = _entry_real(t3, sig)
-    rep.constants["Q0"] = _entry_factored(q0, sig)
-    return rep
+    return {"t3": _entry_real(t3, sig), "Q0": _entry_factored(FactoredReal.from_rational(n) ** (1 / delta), sig)}
 
 
-def _thm_1_2(params, sig):
-    _need(params, ["n", "delta"])
-    n, delta = int(params["n"]), Fraction(params["delta"])
-    _check_common(n=n, delta=delta)
-
+def _thm_1_2(sig, n, delta):
     def m_val(iv):
         core = iv.mpf(10) ** 5 * _two_pow_2n(iv, n) * iv.mpf(n) ** 10
         core = core * _iv_fr(iv, delta) ** -2
         return core * iv.log(_iv_fr(iv, Fraction(6 * n) / delta))
 
-    m = _certified_floor(m_val)
-
     def omega(iv):
         return _iv_fr(iv, 1 / delta) * iv.log(6 * n)
 
-    rep = BoundReport("1.2", {"n": n, "delta": delta})
-    rep.constants["m"] = _entry_int(m)
-    rep.constants["omega"] = _entry_real(omega, sig)
-    rep.constants["Q0"] = _entry_factored(FactoredReal.from_rational(n) ** (1 / delta), sig)
-    return rep
+    return {
+        "m": _entry_int(_certified_floor(m_val)),
+        "omega": _entry_real(omega, sig),
+        "Q0": _entry_factored(FactoredReal.from_rational(n) ** (1 / delta), sig),
+    }
 
 
-def _cor_1_3(params, sig):
-    _need(params, ["n", "eps"])
-    n, eps = int(params["n"]), Fraction(params["eps"])
-    _check_common(n=n, eps=eps)
-
+def _cor_1_3(sig, n, eps):
     def m_val(iv):
         core = iv.mpf(10) ** 6 * _two_pow_2n(iv, n) * iv.mpf(n) ** 12
         core = core * _iv_fr(iv, eps) ** -2
         return core * iv.log(_iv_fr(iv, Fraction(6 * n) / eps))
 
-    m = _certified_floor(m_val)
-
     def omega(iv):
         return _iv_fr(iv, 2 * n / eps) * iv.log(6 * n)
 
-    rep = BoundReport("1.3", {"n": n, "eps": eps})
-    rep.constants["m_prime"] = _entry_int(m)
-    rep.constants["omega_prime"] = _entry_real(omega, sig)
-    rep.constants["H0"] = _entry_factored(FactoredReal.from_rational(n) ** (Fraction(n) / eps), sig)
-    return rep
+    return {
+        "m_prime": _entry_int(_certified_floor(m_val)),
+        "omega_prime": _entry_real(omega, sig),
+        "H0": _entry_factored(FactoredReal.from_rational(n) ** (Fraction(n) / eps), sig),
+    }
 
 
 def _c0_of(n, delta, R, h_l) -> FactoredReal:
@@ -265,51 +254,35 @@ def _omega0(iv, delta, R):
     return _iv_fr(iv, 1 / delta) * iv.log(_iv_fr(iv, 3 * R))
 
 
-def _thm_2_1(params, sig):
-    _need(params, ["n", "delta", "R", "H_L"])
-    n, delta, R = int(params["n"]), Fraction(params["delta"]), Fraction(params["R"])
-    _check_common(n=n, delta=delta, R=R)
-    h_l = _as_height(params["H_L"])
-
-    rep = BoundReport("2.1", {"n": n, "delta": delta, "R": R, "H_L": params["H_L"]})
-    rep.constants["t0"] = _entry_real(lambda iv: _t0(iv, n, delta, R), sig)
-    rep.constants["C0"] = _entry_factored(_c0_of(n, delta, R, h_l), sig)
-    return rep
+def _thm_2_1(sig, n, delta, R, H_L):
+    return {
+        "t0": _entry_real(lambda iv: _t0(iv, n, delta, R), sig),
+        "C0": _entry_factored(_c0_of(n, delta, R, H_L), sig),
+    }
 
 
-def _thm_2_2(params, sig):
-    _need(params, ["n", "delta", "R", "H_L", "d"])
-    n, delta, R, d = int(params["n"]), Fraction(params["delta"]), Fraction(params["R"]), int(params["d"])
-    _check_common(n=n, delta=delta, R=R, d=d)
-    h_l = _as_height(params["H_L"])
+def _thm_2_2(sig, n, delta, R, H_L, d):
+    h_l = _as_height(H_L)
 
     def t1(iv):
         big = iv.mpf(90 * n) ** (n * d)
         inner = iv.log(3) + _iv_ln(iv, h_l) / _iv_fr(iv, R)
         return _iv_fr(iv, 1 / delta) * (big + 3 * iv.log(inner))
 
-    rep = BoundReport("2.2", {"n": n, "delta": delta, "R": R, "d": d, "H_L": params["H_L"]})
-    rep.constants["t1"] = _entry_real(t1, sig)
-    rep.constants["C0"] = _entry_factored(_c0_of(n, delta, R, h_l), sig)
-    return rep
+    return {"t1": _entry_real(t1, sig), "C0": _entry_factored(_c0_of(n, delta, R, h_l), sig)}
 
 
-def _thm_2_3(params, sig):
-    _need(params, ["n", "delta", "R", "H_L"])
-    n, delta, R = int(params["n"]), Fraction(params["delta"]), Fraction(params["R"])
-    _check_common(n=n, delta=delta, R=R)
-    h_l = _as_height(params["H_L"])
-
+def _thm_2_3(sig, n, delta, R, H_L):
     def m0(iv):
         core = iv.mpf(10) ** 5 * _two_pow_2n(iv, n) * iv.mpf(n) ** 10
         core = core * _iv_fr(iv, delta) ** -2
         return core * iv.log(_iv_fr(iv, 3 * R / delta))
 
-    rep = BoundReport("2.3", {"n": n, "delta": delta, "R": R, "H_L": params["H_L"]})
-    rep.constants["m0"] = _entry_int(_certified_floor(m0))
-    rep.constants["omega0"] = _entry_real(lambda iv: _omega0(iv, delta, R), sig)
-    rep.constants["C0"] = _entry_factored(_c0_of(n, delta, R, h_l), sig)
-    return rep
+    return {
+        "m0": _entry_int(_certified_floor(m0)),
+        "omega0": _entry_real(lambda iv: _omega0(iv, delta, R), sig),
+        "C0": _entry_factored(_c0_of(n, delta, R, H_L), sig),
+    }
 
 
 def _c1_of(n, eps, R, D, h_star) -> FactoredReal:
@@ -318,29 +291,17 @@ def _c1_of(n, eps, R, D, h_star) -> FactoredReal:
     return a if a > b else b
 
 
-def _thm_3_1(params, sig):
-    _need(params, ["n", "eps", "R", "D", "H_star"])
-    n, eps, R, D = int(params["n"]), Fraction(params["eps"]), Fraction(params["R"]), Fraction(params["D"])
-    _check_common(n=n, eps=eps, D=D)
-    h_star = _as_height(params["H_star"])
-
+def _thm_3_1(sig, n, eps, R, D, H_star):
     def t(iv):
         core = iv.mpf(10) ** 9 * _two_pow_2n(iv, n) * iv.mpf(n) ** 14
         core = core * _iv_fr(iv, eps) ** -3
         core = core * iv.log(_iv_fr(iv, 3 * R * D / eps))
         return core * iv.log(_iv_fr(iv, 1 / eps) * iv.log(_iv_fr(iv, 3 * R * D)))
 
-    rep = BoundReport("3.1", {"n": n, "eps": eps, "R": R, "D": D, "H_star": params["H_star"]})
-    rep.constants["t"] = _entry_real(t, sig)
-    rep.constants["C1"] = _entry_factored(_c1_of(n, eps, R, D, h_star), sig)
-    return rep
+    return {"t": _entry_real(t, sig), "C1": _entry_factored(_c1_of(n, eps, R, D, H_star), sig)}
 
 
-def _cor_3_1b(params, sig):
-    _need(params, ["n", "eps", "D", "s"])
-    n, eps, D, s = int(params["n"]), Fraction(params["eps"]), Fraction(params["D"]), int(params["s"])
-    _check_common(n=n, eps=eps, D=D, s=s)
-
+def _cor_3_1b(sig, n, eps, D, s):
     def t(iv):
         head = (_iv_fr(iv, 9 * n * n / eps)) ** (n * s)
         core = iv.mpf(10) ** 10 * _two_pow_2n(iv, n) * iv.mpf(n) ** 15
@@ -348,17 +309,10 @@ def _cor_3_1b(params, sig):
         core = core * iv.log(_iv_fr(iv, 3 * D / eps))
         return head * core * iv.log(_iv_fr(iv, 1 / eps) * iv.log(_iv_fr(iv, 3 * D)))
 
-    rep = BoundReport("3.1b", {"n": n, "eps": eps, "D": D, "s": s})
-    rep.constants["t"] = _entry_real(t, sig)
-    return rep
+    return {"t": _entry_real(t, sig)}
 
 
-def _thm_3_2(params, sig):
-    _need(params, ["n", "eps", "R", "D", "H_star"])
-    n, eps, R, D = int(params["n"]), Fraction(params["eps"]), Fraction(params["R"]), Fraction(params["D"])
-    _check_common(n=n, eps=eps, D=D)
-    h_star = _as_height(params["H_star"])
-
+def _thm_3_2(sig, n, eps, R, D, H_star):
     def m1(iv):
         core = iv.mpf(10) ** 8 * _two_pow_2n(iv, n) * iv.mpf(n) ** 14
         core = core * _iv_fr(iv, eps) ** -2
@@ -367,20 +321,15 @@ def _thm_3_2(params, sig):
     def omega1(iv):
         return _iv_fr(iv, 3 * n / eps) * iv.log(_iv_fr(iv, 3 * R * D))
 
-    rep = BoundReport("3.2", {"n": n, "eps": eps, "R": R, "D": D, "H_star": params["H_star"]})
-    rep.constants["m1"] = _entry_int(_certified_floor(m1))
-    rep.constants["omega1"] = _entry_real(omega1, sig)
-    rep.constants["C1"] = _entry_factored(_c1_of(n, eps, R, D, h_star), sig)
-    return rep
+    return {
+        "m1": _entry_int(_certified_floor(m1)),
+        "omega1": _entry_real(omega1, sig),
+        "C1": _entry_factored(_c1_of(n, eps, R, D, H_star), sig),
+    }
 
 
-def _thm_8_1(params, sig):
-    _need(params, ["n", "delta", "R", "H_L"])
-    n, delta, R = int(params["n"]), Fraction(params["delta"]), Fraction(params["R"])
-    _check_common(n=n, delta=delta, R=R)
-    h_l = _as_height(params["H_L"])
-    if FactoredReal.from_rational(2) * h_l <= FactoredReal.one():
-        raise ValidationError("H_L must be >= 1")
+def _thm_8_1(sig, n, delta, R, H_L):
+    h_l = _as_height(H_L)
 
     def m2_val(iv):
         core = iv.mpf(61) * iv.mpf(n) ** 6 * _two_pow_2n(iv, n)
@@ -388,7 +337,6 @@ def _thm_8_1(params, sig):
         return core * iv.log(_iv_fr(iv, 22 * n * n * 2 ** n * R / delta))
 
     m2 = _certified_floor(m2_val)
-    omega2 = FactoredReal.from_rational(m2) ** Fraction(5, 2)
 
     def loglog_c2(iv):
         # log10 log10 C2 = 2 m2 log10 m2 + log10 log10 (2 H_L)
@@ -396,24 +344,25 @@ def _thm_8_1(params, sig):
         log10_2h = (iv.log(2) + _iv_ln(iv, h_l)) / l10
         return 2 * m2 * iv.log(m2) / l10 + iv.log(log10_2h) / l10
 
-    rep = BoundReport("8.1", {"n": n, "delta": delta, "R": R, "H_L": params["H_L"]})
-    rep.constants["m2"] = _entry_int(m2)
-    rep.constants["omega2"] = _entry_factored(omega2, sig)
-    rep.constants["C2"] = _entry_loglog(loglog_c2, sig)
-    return rep
+    return {
+        "m2": _entry_int(m2),
+        "omega2": _entry_factored(FactoredReal.from_rational(m2) ** Fraction(5, 2), sig),
+        "C2": _entry_loglog(loglog_c2, sig),
+    }
 
 
+# theorem id -> (its parameters, in reading order; its evaluator)
 THEOREMS = {
-    "1.1": _thm_1_1,
-    "1.2": _thm_1_2,
-    "1.3": _cor_1_3,
-    "2.1": _thm_2_1,
-    "2.2": _thm_2_2,
-    "2.3": _thm_2_3,
-    "3.1": _thm_3_1,
-    "3.1b": _cor_3_1b,
-    "3.2": _thm_3_2,
-    "8.1": _thm_8_1,
+    "1.1": (("n", "delta"), _thm_1_1),
+    "1.2": (("n", "delta"), _thm_1_2),
+    "1.3": (("n", "eps"), _cor_1_3),
+    "2.1": (("n", "delta", "R", "H_L"), _thm_2_1),
+    "2.2": (("n", "delta", "R", "H_L", "d"), _thm_2_2),
+    "2.3": (("n", "delta", "R", "H_L"), _thm_2_3),
+    "3.1": (("n", "eps", "R", "D", "H_star"), _thm_3_1),
+    "3.1b": (("n", "eps", "D", "s"), _cor_3_1b),
+    "3.2": (("n", "eps", "R", "D", "H_star"), _thm_3_2),
+    "8.1": (("n", "delta", "R", "H_L"), _thm_8_1),
 }
 
 

@@ -8,6 +8,7 @@ sorted keys so identical inputs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import decimal
 import functools
 import json
 import sys
@@ -62,6 +63,8 @@ MAX_PRECISION = 100
 QGRID_STEPS_CAP = 100
 # Largest --qgrid bound: the grid is spaced in floats, with headroom for their rounding.
 QGRID_MAX = sys.float_info.max / 2
+# Largest log10 a report prints.
+_FLOAT_MAX = Fraction(sys.float_info.max)
 
 EXIT_CODES = """exit codes:
   0  success
@@ -97,15 +100,26 @@ def _emit(obj, out_path, as_csv: bool = False) -> None:
 
 
 def _factored_json(x: FactoredReal, precision: int) -> dict:
+    # the log10 is certified to below its last printed place (FactoredReal.log10)
     val, _ = x.log10(precision)
-    try:
-        log10 = float(val)
-    except OverflowError:
-        raise CertificationError("a log10 of the report has too many digits to print") from None
-    return {
-        "factored": x.to_json(),
-        "log10": f"{log10:.{precision}g}",
-    }
+    if abs(val) > _FLOAT_MAX:
+        raise CertificationError("a log10 of the report has too many digits to print")
+    return {"factored": x.to_json(), "log10": _g_str(val, precision)}
+
+
+def _g_str(q: Fraction, sig: int) -> str:
+    """q rounded half-even to sig significant digits, laid out as f"{x:.{sig}g}" lays out a float x."""
+    d = decimal.Context(prec=sig).divide(q.numerator, q.denominator)
+    sign, digits, _ = d.as_tuple()
+    e = d.adjusted()
+    digits = "".join(map(str, digits)).rstrip("0") or "0"
+    if not -4 <= e < sig:
+        return "-" * sign + digits[0] + ("." + digits[1:] if digits[1:] else "") + f"e{e:+03d}"
+    if e >= 0:
+        whole, frac = digits[: e + 1].ljust(e + 1, "0"), digits[e + 1 :]
+    else:
+        whole, frac = "0", "0" * (-e - 1) + digits
+    return "-" * sign + whole + ("." + frac if frac else "")
 
 
 def _subspace_json(s: Subspace) -> dict:
@@ -295,15 +309,15 @@ def _build_parser() -> argparse.ArgumentParser:
         "bounds",
         _cmd_bounds,
         thm={"required": True},
-        n={"type": int},
+        n={},
         delta={},
         eps={},
         R={},
-        D={},
-        dd={"type": int},
-        s={"type": int},
-        hl={},
-        hstar={},
+        D={"default": "1"},
+        dd={"default": "1", "dest": "d"},
+        s={"default": "1"},
+        hl={"default": "1", "dest": "H_L"},
+        hstar={"default": "1", "dest": "H_star"},
     )
     add("reduce", _cmd_reduce, needs_system=True)
     add("cover", _cmd_cover, omega={"required": True}, delta={"required": True}, q1={"default": None})
@@ -475,19 +489,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    # degree-like inputs and heights default to 1 for plain rational data
-    params = {
-        "n": args.n,
-        "delta": _rational(args.delta, "delta") if args.delta else None,
-        "eps": _rational(args.eps, "eps") if args.eps else None,
-        "R": _rational(args.R, "R") if args.R else None,
-        "D": _rational(args.D, "D") if args.D else Fraction(1),
-        "d": args.dd if args.dd else 1,
-        "s": args.s if args.s else 1,
-        "H_L": _rational(args.hl, "hl") if args.hl else Fraction(1),
-        "H_star": _rational(args.hstar, "hstar") if args.hstar else Fraction(1),
-    }
-    rep = bound_constants(args.thm, params, precision=args.precision)
+    # the flags are stored under the theorem parameter names (--dd as d, --hl as H_L, ...)
+    rep = bound_constants(args.thm, vars(args), precision=args.precision)
     _emit(rep.to_json(), args.out)
     return 0
 

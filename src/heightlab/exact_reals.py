@@ -423,9 +423,11 @@ class FactoredReal:
         return None
 
     def log10(self, digits: int = 12) -> tuple[Fraction, Fraction]:
-        """(approximation, error bound) with error <= 10**-digits.
+        """(approximation, error bound) with error <= 10**-digits * min(1, |log10|).
 
-        Directed rounding via interval arithmetic (enclose); the bound is certified.
+        So the error lies below the digits-th significant digit when
+        |log10| < 1, and below the digits-th decimal otherwise.  Directed
+        rounding via interval arithmetic (enclose); the bound is certified.
         """
         if digits < 1:
             raise ValueError("digits must be >= 1")
@@ -443,7 +445,11 @@ class FactoredReal:
                 total = total + term
             return total
 
-        lo, hi = enclose(build, lambda lo, hi: (hi - lo) / 2 <= target, digits + 15)
+        def done(lo, hi):
+            least = min(abs(lo), abs(hi), 1) if lo * hi > 0 else 0  # <= min(1, |log10|)
+            return (hi - lo) / 2 <= target * least
+
+        lo, hi = enclose(build, done, digits + 15)
         return (lo + hi) / 2, (hi - lo) / 2
 
     def log10_float(self) -> float:

@@ -276,9 +276,15 @@ def _cmp_records(a: _Record, b: _Record, fh: _FastHeight) -> int:
 class _Greedy:
     """The streaming matroid greedy at one (Q, box).
 
-    `sel` is the best independent tuple so far in (value, seq) order;
-    `buffer` keeps, in feed order, every record not above the worst
-    selected one when it arrived (trimmed past 100k records).
+    `sel` is the greedy basis of the vectors fed so far, in (value, seq)
+    order: each vector is kept when independent of the kept ones before it.
+    The greedy on sel plus a new vector gives the greedy basis of all of
+    them (a matroid), and every vector fed lies in the span of the sel
+    records at or before it in that order.  So the span of the fed vectors
+    of value <= v is the span of the sel records of value <= v, and the
+    spans need no other record.  feed turns a vector away without a greedy
+    step when its value is above the worst selected one (which only falls),
+    or ties it while sel spans Q^n.
     """
 
     def __init__(self, forms: _IntegerForms, q, box: int):
@@ -286,7 +292,6 @@ class _Greedy:
         self.box = box
         self.n = forms.n
         self.sel: list[_Record] = []
-        self.buffer: list[_Record] = []
         self.seq = 0
 
     def feed(self, vec, terms):
@@ -298,18 +303,8 @@ class _Greedy:
         if full and self.fh.log(terms) > sel[-1].logf + _LOG_TOL:
             return
         rec = _Record(seq, vec, *self.fh.value(terms))
-        buffer = self.buffer
-        if full:
-            c = _cmp_records(rec, sel[-1], self.fh)
-            if c > 0:
-                return
-            buffer.append(rec)
-            if len(buffer) > 100_000:
-                buffer[:] = [r for r in buffer if _cmp_records(r, sel[-1], self.fh) <= 0]
-            if c == 0:
-                return
-        else:
-            buffer.append(rec)
+        if full and _cmp_records(rec, sel[-1], self.fh) >= 0:
+            return
         self._insert(rec)
 
     def _insert(self, rec: _Record):
@@ -332,17 +327,8 @@ class _Greedy:
         if len(sel) < n:
             raise RuntimeError("failed to find n independent vectors (internal)")
         lambdas = tuple(fh.to_factored(r.exact(fh)) for r in sel)
-        spans = []
-        for thr in sel:
-            tracker = RankTracker()
-            vecs = []
-            for rec in self.buffer:
-                if len(tracker) >= n:
-                    break
-                if _cmp_records(rec, thr, fh) <= 0 and tracker.try_add(rec.vec):
-                    vecs.append(rec.vec)
-            spans.append(Subspace.span(n, vecs))
-        return InfimaEstimate(fh.q, self.box, lambdas, tuple(r.vec for r in sel), tuple(spans))
+        spans = tuple(Subspace.span(n, [r.vec for r in sel if _cmp_records(r, thr, fh) <= 0]) for thr in sel)
+        return InfimaEstimate(fh.q, self.box, lambdas, tuple(r.vec for r in sel), spans)
 
 
 @dataclass
@@ -354,9 +340,6 @@ class InfimaEstimate:
     lambdas: tuple[FactoredReal, ...]
     achievers: tuple[tuple[int, ...], ...]
     spans: tuple[Subspace, ...]
-
-    def log10_lambdas(self) -> tuple[float, ...]:
-        return tuple(l.log10_float() for l in self.lambdas)
 
 
 def _infima_grid(pair: TwistedPair, grid, extra_vectors=()) -> list[InfimaEstimate]:

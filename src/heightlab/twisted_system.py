@@ -12,6 +12,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
 from .exact_reals import FactoredReal
 from .places_heights import INF, Place, abs_value, primitive_scale
@@ -224,26 +225,11 @@ def pair_invariants(pair: TwistedPair) -> tuple[FactoredReal, FactoredReal]:
 
     union = form_union(pair)
     r = len(union)
-    dets = []
-    from itertools import combinations
-
-    for rows in combinations(union, n):
-        d = det(rows)
-        if d != 0:
-            dets.append(d)
-    h = FactoredReal.one()
-    places = set(pair.active)
-    places.add(INF)
-    for d in dets:
-        for p, _ in FactoredReal.from_rational(abs(d)).factors.items():
-            places.add(Place.finite(p))
-    for v in places:
-        best = None
-        for d in dets:
-            av = abs_value(d, v)
-            if best is None or av > best:
-                best = av
-        h = h * best
+    dets = [abs(d) for d in map(det, combinations(union, n)) if d != 0]
+    # H_L = max |d| * prod_p max |d|_p, and |d|_p = p^(-v_p(d)) is largest where v_p(d) is least
+    vals = [FactoredReal.from_rational(d).factors for d in dets]
+    least = {p: min(v.get(p, 0) for v in vals) for p in set().union(*vals)}
+    h = FactoredReal.from_rational(max(dets)) * FactoredReal({p: -e for p, e in least.items()})
 
     binom = math.comb(r, n)
     if not (h ** (1 - binom) <= delta <= h):

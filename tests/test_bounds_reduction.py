@@ -142,6 +142,30 @@ def test_parameter_validation():
         bound_constants("2.3", {"n": 2, "delta": 1})  # missing R, H_L
 
 
+@pytest.mark.parametrize(
+    "thm, params",
+    [
+        ("3.1", {"n": 2, "eps": 1, "R": 1, "D": 1, "H_star": 1}),  # R < n
+        ("3.2", {"n": 3, "eps": 1, "R": F(5, 2), "D": 1, "H_star": 1}),
+        ("2.1", {"n": 2, "delta": 1, "R": 2, "H_L": F(3, 4)}),  # H_L < 1
+        ("3.2", {"n": 2, "eps": 1, "R": 2, "D": 1, "H_star": 0}),
+        ("2.2", {"n": 2, "delta": 1, "R": 2, "H_L": 1, "d": 0}),
+        ("3.1b", {"n": 2, "eps": 1, "D": 1, "s": F(3, 2)}),  # not an integer
+        ("1.1", {"n": F(5, 2), "delta": 1}),
+        ("1.3", {"n": 2, "eps": "x"}),
+    ],
+)
+def test_each_parameter_is_range_checked_before_evaluation(thm, params):
+    with pytest.raises(ValidationError):
+        bound_constants(thm, params)
+
+
+def test_inputs_are_echoed_as_read():
+    rep = bound_constants("2.2", {"n": "2", "delta": "1/2", "R": 3, "H_L": F(9, 2), "d": "2", "unused": "x"})
+    assert rep.to_json()["inputs"] == {"n": "2", "delta": "1/2", "R": "3", "H_L": "9/2", "d": "2"}
+    assert rep.inputs["n"] == 2 and isinstance(rep.inputs["n"], int)
+
+
 def test_monotonicity_in_parameters():
     def m0(n, delta, R):
         rep = bound_constants("2.3", {"n": n, "delta": delta, "R": R, "H_L": 1})

@@ -1,7 +1,10 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from heightlab.cli import cmd_dispatch
 from heightlab.suite import pair_e1, pair_e3
@@ -589,3 +592,65 @@ def test_pair_exponents_below_float_resolution(tmp_path, args):
         data = json.loads(text)
         for x, lam in zip(data["achievers"], data["lambdas"]):
             assert lam["factored"] == twisted_height(pair, 10, x).to_json()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # inputs that ended in a traceback: R and the heights were not range-checked
+        ["--thm", "3.1", "--n", "2", "--eps", "1/2", "--R", "0", "--D", "1"],
+        ["--thm", "3.1", "--n", "2", "--eps", "1/2", "--R", "-5", "--D", "1"],
+        ["--thm", "2.1", "--n", "2", "--delta", "1", "--R", "2", "--hl", "0"],
+        ["--thm", "2.1", "--n", "2", "--delta", "1", "--R", "2", "--hl", "-2"],
+        ["--thm", "3.1", "--n", "2", "--eps", "1", "--R", "2", "--hstar", "-3"],
+        # inputs that were replaced by 1 or accepted below their range
+        ["--thm", "2.2", "--n", "2", "--delta", "1", "--R", "2", "--dd", "0"],
+        ["--thm", "3.1b", "--n", "2", "--eps", "1", "--s", "0"],
+        ["--thm", "2.1", "--n", "2", "--delta", "1", "--R", "2", "--hl", "3/4"],
+        ["--thm", "2.2", "--n", "2", "--delta", "1", "--R", "2", "--hl", "3/4"],
+        ["--thm", "2.3", "--n", "2", "--delta", "1", "--R", "2", "--hl", "3/4"],
+        ["--thm", "8.1", "--n", "2", "--delta", "1", "--R", "2", "--hl", "3/4"],
+        ["--thm", "3.1", "--n", "2", "--eps", "1", "--R", "1"],
+        ["--thm", "3.2", "--n", "2", "--eps", "1", "--R", "1"],
+        # a non-integer n
+        ["--thm", "1.1", "--n", "5/2", "--delta", "1"],
+    ],
+)
+def test_bounds_parameter_out_of_range_exit_2(args, capsys):
+    assert cmd_dispatch(["bounds"] + args) == 2
+    err = capsys.readouterr().err
+    assert "validation failure" in err and "Traceback" not in err
+
+
+def test_bounds_flag_defaults_are_one(tmp_path):
+    code, text = _run(["bounds", "--thm", "3.1b", "--n", "2", "--eps", "1"], tmp_path / "b.json")
+    assert code == 0
+    assert json.loads(text)["inputs"] == {"n": "2", "eps": "1", "D": "1", "s": "1"}
+
+
+def test_report_log10_digits_are_exact_past_float_precision(tmp_path):
+    # log10 7 = 0.84509804001425683071221625859263...
+    path = _pair_with_exps(tmp_path, ["1", "-1"])
+    code, text = _run(["infima", path, "--q", "7", "--box", "1", "--precision", "30"], tmp_path / "i.json")
+    assert code == 0
+    logs = [lam["log10"] for lam in json.loads(text)["lambdas"]]
+    assert "0.845098040014256830712216258593" in logs
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False), st.integers(1, 25))
+def test_g_str_lays_out_as_percent_g(x, sig):
+    from heightlab.cli import _g_str
+
+    assume(x != 0 or math.copysign(1, x) > 0)  # a Fraction has no -0
+    assert _g_str(Fraction(x), sig) == f"{x:.{sig}g}"
+
+
+def test_factored_log10_asks_for_digits_below_the_last_place():
+    from heightlab.cli import _factored_json
+    from heightlab.exact_reals import FactoredReal
+
+    # log10 2^(10^-30) = 3.0102999566398119521373889...e-31
+    x = FactoredReal.prime_power(2, Fraction(1, 10**30))
+    assert _factored_json(x, 20)["log10"] == "3.0102999566398119521e-31"
+    assert _factored_json(FactoredReal.from_rational(Fraction(1, 100000)), 12)["log10"] == "-5"

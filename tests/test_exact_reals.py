@@ -73,6 +73,9 @@ def test_log10_examples():
 def test_log10_high_precision():
     val, err = FR({3: F(7, 3)}).log10(30)
     assert err <= F(1, 10**30)
+    # below 1 the bound is relative: log10 2^(10^-30) = 3.0103e-31
+    val, err = FR({2: F(1, 10**30)}).log10(12)
+    assert err <= F(1, 10**12) * F(3, 10**31) and abs(val - F(30103, 10**35)) < F(1, 10**35)
 
 
 def test_cmp_consistent_with_log10():

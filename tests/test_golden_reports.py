@@ -45,6 +45,33 @@ SYSTEMS = (
 )
 SCAN_BOX = {2: 12, 3: 3}
 
+# Three parameter sets per theorem; the second set of 2.x, 8.1, 3.1 and 3.2
+# takes the H_L (H_star) branch of C0 (C1).
+_DELTA = (["--n", "2", "--delta", "1"], ["--n", "2", "--delta", "1"], ["--n", "3", "--delta", "1/2"])
+_EPS = (["--n", "2", "--eps", "1"], ["--n", "2", "--eps", "1"], ["--n", "3", "--eps", "1/2"])
+_HL = (["--R", "2", "--hl", "1"], ["--R", "2", "--hl", "25"], ["--R", "5", "--hl", "9/2"])
+_HSTAR = (
+    ["--R", "2", "--D", "1", "--hstar", "1"],
+    ["--R", "2", "--D", "1", "--hstar", "5000"],
+    ["--R", "4", "--D", "2", "--hstar", "7/2"],
+)
+BOUNDS = {
+    "1.1": (["--n", "2", "--delta", "1"], ["--n", "3", "--delta", "1/2"], ["--n", "4", "--delta", "1/3"]),
+    "1.2": (["--n", "2", "--delta", "1"], ["--n", "3", "--delta", "1/2"], ["--n", "4", "--delta", "1/3"]),
+    "1.3": (["--n", "2", "--eps", "1"], ["--n", "3", "--eps", "1/2"], ["--n", "4", "--eps", "2/3"]),
+    "2.1": tuple(a + b for a, b in zip(_DELTA, _HL)),
+    "2.2": tuple(a + b + ["--dd", str(k + 1)] for k, (a, b) in enumerate(zip(_DELTA, _HL))),
+    "2.3": tuple(a + b for a, b in zip(_DELTA, _HL)),
+    "3.1": tuple(a + b for a, b in zip(_EPS, _HSTAR)),
+    "3.1b": (
+        ["--n", "2", "--eps", "1", "--D", "1", "--s", "1"],
+        ["--n", "3", "--eps", "1/2", "--D", "2", "--s", "2"],
+        ["--n", "2", "--eps", "1/3", "--D", "3/2", "--s", "3"],
+    ),
+    "3.2": tuple(a + b for a, b in zip(_EPS, _HSTAR)),
+    "8.1": tuple(a + b for a, b in zip(_DELTA, _HL)),
+}
+
 
 def _pairs():
     """The 20 falsification pairs plus two-place n=3 and n=4 random pairs."""
@@ -96,6 +123,10 @@ def _cases(command, tmp_path):
             else:
                 box = str(SCAN_BOX[system["n"]])
                 yield k, [command, path, "--hmax", box, "--box", box]
+    elif command == "bounds":
+        for thm, sets in BOUNDS.items():
+            for k, flags in enumerate(sets):
+                yield f"{thm}-{k}", [command, "--thm", thm] + flags + ["--precision", str(12 + 4 * k)]
     else:
         raise ValueError(command)
 
@@ -120,6 +151,7 @@ GOLDEN = {
     "slopes": "53d668133eaab6eafd0f3ba439b931e8f346001fa6bde262d512f4b59e6c34fa",
     "scan": "1e31724168419f13a9f652f75ba4ceed50353165bfdf734cd8230ab90a72f1a1",
     "reduce": "74da5ec1ced65f2ff6c57348a2f9a1ca691116657e8fc7cffbd42ca50b68d364",
+    "bounds": "57d3d7a12836824744a1173df731e268c657b661b9e439a31038a8bb9bda011b",
 }
 
 
@@ -132,6 +164,6 @@ if __name__ == "__main__":
     import tempfile
     from pathlib import Path
 
-    for command in ("filtration", "exceptional", "special-t", "weight", "slopes", "scan", "reduce"):
+    for command in ("filtration", "exceptional", "special-t", "weight", "slopes", "scan", "reduce", "bounds"):
         with tempfile.TemporaryDirectory() as d:
             print(f'    "{command}": "{report_digest(command, Path(d))}",')
