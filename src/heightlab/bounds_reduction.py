@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact_reals import POWER_BITS, CertificationError, FactoredReal, decimal_str, enclose, log10_rational
+from .places_heights import height
 from .twisted_system import PlaceData, TwistedPair, ValidationError, pair_invariants, parse_frac, twisted_height, validate
 
 __all__ = [
@@ -599,8 +600,6 @@ def reduce_system(sys) -> tuple[TwistedPair, Fraction, Fraction]:
 
 def reduction_inequality_holds(pair: TwistedPair, delta, q_exponent, x) -> bool:
     """H_{L,c,Q}(x) <= Delta^{1/n} Q^{-delta} with Q = H(x)^{q_exponent}."""
-    from .places_heights import height
-
     h = height(x)
     q = h ** Fraction(q_exponent)  # H(x) >= 1, so Q >= 1
     lhs = twisted_height(pair, q, x)

@@ -33,6 +33,7 @@ from .filtration import (
 )
 from .infima_lab import (
     SystemInstance,
+    default_box_policy,
     gap_experiment,
     minkowski_check,
     scan_system,
@@ -72,9 +73,11 @@ EXIT_CODES = """exit codes:
   3  unsupported system
   4  I/O error
   5  could not certify (a certified value needs more than MAX_DPS =
-     20,000 digits, or has too many digits to print, an integer cannot be
-     factored into certified primes within the budget, or an exact
-     comparison needs more than POWER_BITS = 2^18 bits)"""
+     20,000 digits, an interval endpoint has a binary exponent past
+     POWER_BITS = 2^18, a value has too many digits to print, an
+     integer cannot be factored into certified primes within the
+     budget, or an exact comparison needs more than POWER_BITS = 2^18
+     bits)"""
 
 
 def _fail(code: int, msg: str) -> int:
@@ -385,14 +388,15 @@ def _cmd_special_t(args) -> int:
     return 0
 
 
+def _q_and_box(args, pair: TwistedPair) -> tuple[Fraction, int]:
+    """--q, and --box or else the default box policy's box at that q."""
+    q = _rational(args.q, "q", _at_least_one, ">= 1")
+    return q, args.box if args.box is not None else default_box_policy(pair)(q)
+
+
 def _cmd_infima(args) -> int:
     pair = _load_pair(args.pair)
-    q = _rational(args.q, "q", _at_least_one, ">= 1")
-    box = args.box
-    if box is None:
-        from .infima_lab import default_box_policy
-
-        box = default_box_policy(pair)(q)
+    q, box = _q_and_box(args, pair)
     est = successive_infima(pair, q, box)
     _emit(_infima_json(est, args.precision), args.out)
     return 0
@@ -425,12 +429,7 @@ def _cmd_slopes(args) -> int:
 
 def _cmd_minkowski(args) -> int:
     pair = _load_pair(args.pair)
-    q = _rational(args.q, "q", _at_least_one, ">= 1")
-    box = args.box
-    if box is None:
-        from .infima_lab import default_box_policy
-
-        box = default_box_policy(pair)(q)
+    q, box = _q_and_box(args, pair)
     rep = minkowski_check(pair, q, box)
     _emit(
         {

@@ -222,10 +222,13 @@ def _as_fraction(x) -> Fraction:
 
 
 def _iv_endpoints(x) -> tuple[Fraction, Fraction]:
-    """Exact Fraction endpoints of an mpmath.iv value."""
+    """Exact Fraction endpoints of an mpmath.iv value; CertificationError
+    for an endpoint whose binary exponent lies past POWER_BITS, before it is built."""
     lo, hi = x._mpi_
     out = []
     for sign, man, exp, _ in (lo, hi):
+        if abs(exp) > POWER_BITS:
+            raise CertificationError(f"an interval endpoint needs more than {POWER_BITS} bits")
         f = Fraction(int(man)) * Fraction(2) ** int(exp)
         out.append(-f if sign else f)
     return out[0], out[1]

@@ -209,9 +209,10 @@ def candidate_subspaces(pair: TwistedPair) -> list[Subspace]:
     system whose answer is known in closed form.)  When the meet set
     exceeds MEET_BUDGET -- generic unrelated places, where the extra
     kernels only breed junk -- the joins are built over the flag meets
-    only and the remaining meets enter as bare candidates.  For
-    coordinate / all-ones systems the combinatorial candidates are added
-    too.  The pool size is capped at CANDIDATE_CAP, with a hard error on overflow.
+    only and the remaining meets enter as bare candidates.  The pool size
+    is capped at CANDIDATE_CAP, with a hard error on overflow.  Nothing
+    here depends on the forms being coordinate or all-ones forms, so
+    special_case_T's partition search checks this pool independently.
     """
     pair.ensure_core_valid()
     n = pair.n
@@ -230,18 +231,20 @@ def candidate_subspaces(pair: TwistedPair) -> list[Subspace]:
     all_gens = list({**flag_gens, **single_gens})
     meets = _semilattice_closure(all_gens, Subspace.intersect)
     if len(meets) <= MEET_BUDGET:
-        pool = dict.fromkeys(_semilattice_closure(meets, Subspace.add))
-    else:
-        flag_meets = _semilattice_closure(list(flag_gens), Subspace.intersect)
-        pool = dict.fromkeys(_semilattice_closure(flag_meets, Subspace.add))
-        pool.update(dict.fromkeys(meets))
+        return _semilattice_closure(meets, Subspace.add)
+    flag_meets = _semilattice_closure(list(flag_gens), Subspace.intersect)
+    return list(dict.fromkeys(_semilattice_closure(flag_meets, Subspace.add) + meets))
 
-    if _is_special_shaped(pair):
-        for family in _partition_families(n):
-            if len(pool) >= CANDIDATE_CAP:
-                break
-            pool.setdefault(_partition_subspace(n, family))
-    return list(pool)
+
+def _least_slope(pair: TwistedPair, candidates) -> list[Subspace]:
+    """The proper candidates U of least (mu(Q^n, U), dim U), in candidate order."""
+    n = pair.n
+    w_full = weight(pair, Subspace.full(n))
+    scored = [
+        ((Fraction(w_full - weight(pair, u), n - u.dim), u.dim), u) for u in candidates if u.dim < n
+    ]
+    best_key = min(key for key, _ in scored)
+    return [u for key, u in scored if key == best_key]
 
 
 def exceptional_subspace(pair: TwistedPair) -> Subspace:
@@ -253,16 +256,7 @@ def exceptional_subspace(pair: TwistedPair) -> Subspace:
     meet, which the pool missed: U -> w(U) - mu* dim U is supermodular, so
     the subspaces of least slope mu* form a sublattice.
     """
-    n = pair.n
-    w_full = weight(pair, Subspace.full(n))
-    scored = []
-    for cand in candidate_subspaces(pair):
-        if cand.dim == n:
-            continue
-        mu = Fraction(w_full - weight(pair, cand), n - cand.dim)
-        scored.append(((mu, cand.dim), cand))
-    best_key = min(key for key, _ in scored)
-    return functools.reduce(Subspace.intersect, (cand for key, cand in scored if key == best_key))
+    return functools.reduce(Subspace.intersect, _least_slope(pair, candidate_subspaces(pair)))
 
 
 @dataclass(frozen=True)
@@ -321,8 +315,10 @@ def special_case_T(pair: TwistedPair):
     """Index sets I_1,...,I_p with T = {x : sum_{j in I_i} x_j = 0}.
 
     Only valid when every active form is a coordinate form or the
-    all-ones form.  The partition search is independent of the generic
-    candidate-lattice algorithm and the two must agree.
+    all-ones form.  The least slope is searched over the kernels of all
+    families of disjoint index sets, independently of candidate_subspaces;
+    the one winner must equal exceptional_subspace, and a tie among the
+    families is an error.
     """
     pair.ensure_core_valid()
     if not _is_special_shaped(pair):
@@ -330,24 +326,16 @@ def special_case_T(pair: TwistedPair):
             "forms are not all coordinate forms or the all-ones form"
         )
     n = pair.n
-    w_full = weight(pair, Subspace.full(n))
-    scored = []
-    for family in _partition_families(n):
-        cand = _partition_subspace(n, family)
-        if cand.dim == n:
-            continue
-        mu = Fraction(w_full - weight(pair, cand), n - cand.dim)
-        scored.append(((mu, cand.dim), family, cand))
-    best_key = min(key for key, _, _ in scored)
-    winners = {c.rows: (fam, c) for key, fam, c in scored if key == best_key}
+    families = list(_partition_families(n))
+    cands = [_partition_subspace(n, family) for family in families]
+    winners = _least_slope(pair, cands)
     if len(winners) != 1:
         raise RuntimeError("partition optimum not unique")
-    family, cand = next(iter(winners.values()))
-    generic = exceptional_subspace(pair)
-    if cand != generic:
+    if winners[0] != exceptional_subspace(pair):
         raise RuntimeError(
             "combinatorial subspace disagrees with the generic algorithm"
         )
+    family = families[cands.index(winners[0])]
     return [tuple(sorted(j + 1 for j in block)) for block in family]
 
 
@@ -362,19 +350,13 @@ def restrict_pair(pair: TwistedPair, t: Subspace) -> TwistedPair:
     n, k = pair.n, t.dim
     if not 0 < k < n:
         raise ValueError("T must be proper and nonzero")
-    basis = t.rows
     active = {}
     for v, pd in pair.active.items():
-        chosen_forms = []
-        chosen_exps = []
-        tracker = RankTracker()
-        for form, c in _sorted_forms(pd):
-            if tracker.try_add(_int_restriction(form, t)):
-                chosen_forms.append(_restriction(form, basis))
-                chosen_exps.append(c)
-                if len(chosen_forms) == k:
-                    break
-        active[v] = PlaceData(tuple(chosen_forms), tuple(chosen_exps))
+        sorted_fc = _sorted_forms(pd)
+        chosen = [sorted_fc[pos - 1] for pos in _greedy_selection(pd, t)[1]]
+        active[v] = PlaceData(
+            tuple(_restriction(f, t.rows) for f, _ in chosen), tuple(c for _, c in chosen)
+        )
     return TwistedPair(k, active).without_neutral_places()
 
 
@@ -440,14 +422,9 @@ def quotient_pair(pair: TwistedPair, t: Subspace, normalized: bool = True) -> Tw
     active = {}
     for v, pd in pair.active.items():
         sorted_fc = _sorted_forms(pd)
-        tracker = RankTracker()
-        sel: list[tuple] = []  # greedy forms, in sorted order
-        comp: list[tuple[tuple, Fraction]] = []
-        for form, c in sorted_fc:
-            if len(sel) < k and tracker.try_add(_int_restriction(form, t)):
-                sel.append(form)
-            else:
-                comp.append((form, c))
+        chosen = set(_greedy_selection(pd, t)[1])
+        sel = [f for pos, (f, _) in enumerate(sorted_fc, start=1) if pos in chosen]
+        comp = [fc for pos, fc in enumerate(sorted_fc, start=1) if pos not in chosen]
         new_forms = []
         new_exps = []
         for form, c in comp:

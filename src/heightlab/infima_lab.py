@@ -23,9 +23,10 @@ from fractions import Fraction
 from itertools import combinations, product
 from operator import mul
 
+from .bounds_reduction import reduce_system
 from .exact_reals import FactoredReal, cmp_power_product, log10_rational
 from .exterior_algebra import Subspace, wedge
-from .filtration import FiltrationChain, exterior_pair, filtration
+from .filtration import FiltrationChain, exceptional_subspace, exterior_pair, filtration
 from .places_heights import INF, Place, _valuation, primitive_scale
 from .rational_linalg import RankTracker, det, qvec, rank
 from .twisted_system import (
@@ -718,9 +719,6 @@ def scan_system(sys: SystemInstance, h_max, box: int) -> ScanReport:
     their heights, membership in the exceptional subspace of the reduced
     twisted pair, and a multiplicative height histogram.
     """
-    from .bounds_reduction import reduce_system
-    from .filtration import exceptional_subspace
-
     h_max = Fraction(h_max)
     bmax = min(box, int(h_max))
     check_box(sys.n, bmax)

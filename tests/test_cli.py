@@ -415,6 +415,25 @@ def test_uncertifiable_bounds_exit_5(args, capsys):
     assert "could not certify" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--thm", "1.2", "--n", "1000000000", "--delta", "1"],
+        ["--thm", "1.3", "--n", "1000000000", "--eps", "1"],
+        ["--thm", "2.3", "--n", "1000000000", "--delta", "1", "--R", "1000000000", "--hl", "1"],
+    ],
+)
+def test_huge_floor_bracket_is_refused_before_building_endpoints(args, capsys):
+    import time
+
+    # the floored constants grow like 2^(cn): at n = 10^9 the binary exponents of
+    # their interval endpoints are in the billions, so building them exactly has no bound
+    start = time.perf_counter()
+    assert cmd_dispatch(["bounds"] + args) == 5
+    assert time.perf_counter() - start < 2
+    assert "an interval endpoint needs more than 262144 bits" in capsys.readouterr().err
+
+
 def test_help_lists_exit_codes(capsys):
     with pytest.raises(SystemExit):
         cmd_dispatch(["--help"])

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import math
 import random
@@ -8,6 +9,7 @@ import pytest
 
 from heightlab.exterior_algebra import Subspace, subspace_height_sq
 from heightlab.filtration import (
+    MEET_BUDGET,
     UnsupportedSystemError,
     candidate_subspaces,
     embed_through,
@@ -40,6 +42,8 @@ from heightlab.suite import (
 from heightlab.twisted_system import TwistedPair, validate
 
 F = Fraction
+# the module itself: the package binds the name `filtration` to the function
+filtration_module = importlib.import_module("heightlab.filtration")
 
 
 def _rand_subspace(rng, n, dim=None):
@@ -182,13 +186,39 @@ def test_exceptional_subspace_is_the_meet_of_tied_winners():
         assert _key(pair, chain.subspaces[1]) == (F(-1), 2)
 
 
-@pytest.mark.parametrize("seed", [0, 3])
-def test_meet_of_tied_winners_against_brute_force(seed):
-    pair = _tie_pair(seed)
+# (n, places, seed): the tie recipe (places None, id the seed), then seeded
+# general random pairs.
+_BRUTE_FORCE_CASES = [pytest.param(4, None, seed, id=str(seed)) for seed in (0, 3)] + [
+    pytest.param(n, places, seed, id=f"n{n}-places{places}-seed{seed}")
+    for n, places in ((3, 1), (3, 2), (3, 3), (4, 1), (4, 2))
+    for seed in range(3)
+]
+
+
+@pytest.mark.parametrize("n, places, seed", _BRUTE_FORCE_CASES)
+def test_meet_of_tied_winners_against_brute_force(n, places, seed, monkeypatch):
+    """No proper subspace spanned by vectors in [-1, 1]^n beats the answer.
+
+    The n = 4 two-place pairs also take the MEET_BUDGET fallback: their meet
+    closure is larger than the budget.
+    """
+    meet_sizes = []
+    closure = filtration_module._semilattice_closure
+
+    def spy(generators, op):
+        out = closure(generators, op)
+        if op is Subspace.intersect:
+            meet_sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(filtration_module, "_semilattice_closure", spy)
+    pair = _tie_pair(seed) if places is None else random_pair(random.Random(seed), n, places=places)
     best = _key(pair, exceptional_subspace(pair))
-    vecs = [v for v in itertools.product((-1, 0, 1), repeat=4) if v > (0,) * 4]
-    spans = {Subspace.span(4, list(vs)) for k in (1, 2, 3) for vs in combinations(vecs, k)}
-    assert all(_key(pair, u) >= best for u in spans if u.dim < 4)
+    if (n, places) == (4, 2):
+        assert meet_sizes[0] > MEET_BUDGET
+    vecs = [v for v in itertools.product((-1, 0, 1), repeat=n) if v > (0,) * n]
+    spans = {Subspace.span(n, list(vs)) for k in range(1, n) for vs in combinations(vecs, k)}
+    assert all(_key(pair, u) >= best for u in spans if u.dim < n)
 
 
 def test_filtration_examples():
