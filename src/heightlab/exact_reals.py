@@ -221,12 +221,16 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-def _iv_endpoints(x) -> tuple[Fraction, Fraction]:
-    """Exact Fraction endpoints of an mpmath.iv value; CertificationError
-    for an endpoint whose binary exponent lies past POWER_BITS, before it is built."""
+def _iv_endpoints(x) -> tuple[Fraction, Fraction] | None:
+    """Exact Fraction endpoints of an mpmath.iv value; None when an endpoint
+    is infinite or nan (mpmath writes those with mantissa 0 and a nonzero
+    exponent), CertificationError for an endpoint whose binary exponent
+    lies past POWER_BITS, before it is built."""
     lo, hi = x._mpi_
     out = []
     for sign, man, exp, _ in (lo, hi):
+        if man == 0 and exp != 0:
+            return None
         if abs(exp) > POWER_BITS:
             raise CertificationError(f"an interval endpoint needs more than {POWER_BITS} bits")
         f = Fraction(int(man)) * Fraction(2) ** int(exp)
@@ -241,14 +245,14 @@ MAX_DPS = 20_000
 def enclose(build, done, dps: int) -> tuple[Fraction, Fraction]:
     """Exact endpoints (lo, hi) of build(iv), an interval expression in mpmath.iv.
 
-    Evaluates at dps decimal digits and doubles dps until done(lo, hi)
-    holds; CertificationError past MAX_DPS digits.
+    Evaluates at dps decimal digits and doubles dps until both endpoints
+    are finite and done(lo, hi) holds; CertificationError past MAX_DPS digits.
     """
     while dps <= MAX_DPS:
         with _ivdps(dps) as iv:
-            lo, hi = _iv_endpoints(build(iv))
-        if done(lo, hi):
-            return lo, hi
+            ends = _iv_endpoints(build(iv))
+        if ends is not None and done(*ends):
+            return ends
         dps *= 2
     raise CertificationError(f"a certified value needs more than {MAX_DPS} digits")
 

@@ -1,17 +1,23 @@
 """Brute-force estimation of successive infima and related experiments.
 
-Primitive integer vectors up to a box bound are enumerated in product
-order.  The height kernel splits each twisted height at Q: the part that
-does not depend on Q (integer form values, their logs, p-adic
-valuations) is computed once per vector, and each Q adds only a float
-shift per form, so a vector carries ints and floats only.  Its exact
-value mantissa * Q^exponent is built when a float comparison is too close
-to call or the value is reported, and two such values are compared by
+One kernel, enumerate_primitive, serves every search (infima, slopes,
+minkowski, the exterior check, gap and scan): it enumerates the primitive
+integer vectors up to a box bound in product order, row by row.  A row
+fixes every coordinate but the last; rows with a negative lead are
+skipped whole, the prefix gcd is taken once per row, and the values of
+the integer forms (each place's forms cleared of denominators) are set
+once per row and stepped along it, so no vector costs a dot product.  The
+height kernel splits each twisted height at Q: the part that does not
+depend on Q (the integer form values, their logs, p-adic valuations) is
+computed once per vector, and each Q adds only a float shift per form, so
+a vector carries ints and floats only.  Its exact value
+mantissa * Q^exponent is built when a float comparison is too close to
+call or the value is reported, and two such values are compared by
 exact_reals.cmp_power_product.  A streaming matroid greedy per Q keeps
 the current best independent n-tuple, and one enumeration feeds the
 greedies of a whole grid of Q values.  The reported lambda-bar values are
 upper estimates of the true infima: lambda_i <= lambda_bar_i always.
-The Diophantine scan decides each vector on the same integer forms: a
+The Diophantine scan decides each vector on the same form values: a
 float log comparison, and cmp_power_product on ties.
 """
 
@@ -21,9 +27,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from operator import mul
+from operator import add, mul
 
-from .bounds_reduction import reduce_system
+from .bounds_reduction import _certified_floor, _iv_ln, reduce_system
 from .exact_reals import FactoredReal, cmp_power_product, log10_rational
 from .exterior_algebra import Subspace, wedge
 from .filtration import FiltrationChain, exceptional_subspace, exterior_pair, filtration
@@ -67,28 +73,48 @@ _LOG_TOL = 1e-9
 RAW_BOX_CAP = 2_000_000
 
 
-def enumerate_primitive(n: int, box: int):
-    """Primitive integer vectors with sup norm <= box, one per line.
+def enumerate_primitive(n: int, box: int, forms=()):
+    """Primitive integer vectors x with sup norm <= box, one per line, with
+    the values of the integer forms `forms` at x.
 
     gcd 1, first nonzero coordinate positive: every rational line through
-    the box is hit exactly once.
+    the box is hit exactly once, in product order.  Yields (x, values) with
+    values[i] = forms[i](x).  The vectors come row by row: a row is a
+    prefix x_1..x_{n-1} whose last coordinate t runs over [-box, box].  A
+    prefix whose first nonzero entry is negative holds no vector and the
+    zero prefix holds only t = 1.  Otherwise the prefix gcd g is taken once
+    per row and t is kept when gcd(g, t) == 1 (tested once per g and t).
+    Each form value is b_i + F_i[n-1] t, with b_i = F_i(prefix) taken once
+    per row and F_i[n-1] t once per t, so no vector needs a dot product.
     """
     if box < 1:
         raise ValueError("box must be >= 1")
     rng = range(-box, box + 1)
-    for tup in product(rng, repeat=n):
-        lead = 0
-        for c in tup:
-            if c != 0:
-                lead = c
+    heads = [f[:-1] for f in forms]
+    last = tuple(f[-1] for f in forms)
+    steps = [(t, tuple(c * t for c in last)) for t in rng]
+    coprime = {}  # g -> the steps (t, F[n-1] t) with gcd(g, t) == 1
+    for prefix in product(rng, repeat=n - 1):
+        for lead in prefix:
+            if lead:
                 break
-        if lead <= 0:
+        else:
+            yield prefix + (1,), last
             continue
-        g = 0
-        for c in tup:
-            g = math.gcd(g, c)
-        if g == 1:
-            yield tup
+        if lead < 0:
+            continue
+        g = math.gcd(*prefix)
+        row = coprime.get(g)
+        if row is None:
+            row = coprime[g] = [st for st in steps if math.gcd(g, st[0]) == 1]
+        base = tuple(sum(map(mul, head, prefix)) for head in heads)
+        for t, ct in row:
+            yield prefix + (t,), tuple(map(add, base, ct))
+
+
+def _form_values(forms, x) -> tuple[int, ...]:
+    """The values of integer forms at one given vector x (the seed and extra vectors of a search)."""
+    return tuple(sum(map(mul, f, x)) for f in forms)
 
 
 def _check_float_exponents(pair: TwistedPair) -> float:
@@ -113,7 +139,9 @@ class _IntegerForms:
     integers e_i over one common denominator `exp_den`, so that
     |L_i(x)|_v Q^(-c_iv) = corr_v |F_i(x)|_v Q^(e_i/exp_den).  The constant
     corr = prod corr_v is left out of every comparison and enters only
-    the float logs and the reported values.
+    the float logs and the reported values.  `flat` lists the integer
+    forms of all places in place order, n per place, as enumerate_primitive
+    takes them.
     """
 
     def __init__(self, pair: TwistedPair):
@@ -134,33 +162,39 @@ class _IntegerForms:
                     self.corr *= v.p
             exps = tuple(int(-c * self.exp_den) for c in pd.exps)
             self.places.append((v, int_forms, exps))
+        self.flat = tuple(f for _, int_forms, _ in self.places for f in int_forms)
+        # per place: p (None at infinity), log10 p, and the slice of `flat` it owns
+        self.parts = [
+            (v.p, math.log10(v.p) if v.p else 0.0, slice(k * self.n, (k + 1) * self.n))
+            for k, (v, _, _) in enumerate(self.places)
+        ]
         self.logcorr = log10_rational(self.corr)
 
-    def terms(self, x):
+    def terms(self, values):
         """Per place, (log10 |F_i(x)|_v, i, m) for every form F_i not vanishing at x.
 
-        m is |F_i(x)| at the infinite place and the p-adic valuation of
-        F_i(x) at a prime p, where |F_i(x)|_p = p^(-m).
+        `values` are the values F_i(x) of the forms in `flat`, as
+        enumerate_primitive yields them.  m is |F_i(x)| at the infinite
+        place and the p-adic valuation of F_i(x) at a prime p, where
+        |F_i(x)|_p = p^(-m).  The forms at each place have rank n, so
+        some form at each place is nonzero at x != 0.
         """
         out = []
-        for v, int_forms, _ in self.places:
-            p = v.p
+        log10 = math.log10
+        for p, logp, part in self.parts:
             place_terms = []
-            for i, form in enumerate(int_forms):
-                s = sum(map(mul, form, x))
+            for i, s in enumerate(values[part]):
                 if s == 0:
                     continue
                 if p is None:
                     m = abs(s)
-                    place_terms.append((math.log10(m), i, m))
+                    place_terms.append((log10(m), i, m))
                 else:
                     m = 0
                     while s % p == 0:
                         s //= p
                         m += 1
-                    place_terms.append((-m * math.log10(p), i, m))
-            if not place_terms:
-                raise ValidationError(f"all forms at {v.label()} vanish on {x}")
+                    place_terms.append((-m * logp, i, m))
             out.append(place_terms)
         return out
 
@@ -250,10 +284,9 @@ def _term_exact(v: Place, exps, term) -> tuple[int, int, int]:
 class _Record:
     """An enumerated vector with its float log height and lazily built exact value."""
 
-    __slots__ = ("seq", "vec", "logf", "picks", "_exact")
+    __slots__ = ("vec", "logf", "picks", "_exact")
 
-    def __init__(self, seq, vec, logf, picks):
-        self.seq = seq
+    def __init__(self, vec, logf, picks):
         self.vec = vec
         self.logf = logf
         self.picks = picks
@@ -277,8 +310,9 @@ def _cmp_records(a: _Record, b: _Record, fh: _FastHeight) -> int:
 class _Greedy:
     """The streaming matroid greedy at one (Q, box).
 
-    `sel` is the greedy basis of the vectors fed so far, in (value, seq)
-    order: each vector is kept when independent of the kept ones before it.
+    `sel` is the greedy basis of the vectors fed so far, ordered by value
+    and then by feed order: each vector is kept when independent of the
+    kept ones before it.
     The greedy on sel plus a new vector gives the greedy basis of all of
     them (a matroid), and every vector fed lies in the span of the sel
     records at or before it in that order.  So the span of the fed vectors
@@ -293,23 +327,20 @@ class _Greedy:
         self.box = box
         self.n = forms.n
         self.sel: list[_Record] = []
-        self.seq = 0
 
     def feed(self, vec, terms):
-        seq = self.seq
-        self.seq = seq + 1
         sel = self.sel
         full = len(sel) == self.n
         # reject on the float alone before building a record
         if full and self.fh.log(terms) > sel[-1].logf + _LOG_TOL:
             return
-        rec = _Record(seq, vec, *self.fh.value(terms))
+        rec = _Record(vec, *self.fh.value(terms))
         if full and _cmp_records(rec, sel[-1], self.fh) >= 0:
             return
         self._insert(rec)
 
     def _insert(self, rec: _Record):
-        """Greedy over sel plus rec, in (value, seq) order; rec has the largest seq."""
+        """Greedy over sel plus rec, ordered by value and then by feed order; rec was fed last."""
         sel = self.sel
         pos = len(sel)
         while pos and _cmp_records(rec, sel[pos - 1], self.fh) < 0:
@@ -347,10 +378,11 @@ def _infima_grid(pair: TwistedPair, grid, extra_vectors=()) -> list[InfimaEstima
     """successive_infima at every (Q, box) of `grid`, from one enumeration.
 
     The largest box is enumerated once and the Q-free terms of each
-    vector are computed once; each (Q, box) then feeds its own greedy the
-    vectors of its own box.  Product order restricted to a smaller box is
-    that box's product order, so every greedy sees exactly the sequence a
-    search of its own box alone would.
+    vector are computed once, from the form values the kernel yields;
+    each (Q, box) then feeds its own greedy the vectors of its own box.
+    Product order restricted to a smaller box is that box's product order,
+    so every greedy sees exactly the sequence a search of its own box
+    alone would.
     """
     n = pair.n
     for _, box in grid:
@@ -361,16 +393,16 @@ def _infima_grid(pair: TwistedPair, grid, extra_vectors=()) -> list[InfimaEstima
     seeds = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     extras = [primitive_scale(v) for v in extra_vectors]
     for vec in seeds + extras:
-        terms = forms.terms(vec)
+        terms = forms.terms(_form_values(forms.flat, vec))
         for st in states:
             st.feed(vec, terms)
     seen = set(seeds) | set(extras)
     bmax = max(box for _, box in grid)
     nested = any(st.box < bmax for st in states)
-    for vec in enumerate_primitive(n, bmax):
+    for vec, values in enumerate_primitive(n, bmax, forms.flat):
         if vec in seen:
             continue
-        terms = forms.terms(vec)
+        terms = forms.terms(values)
         if nested:
             h = max(map(abs, vec))
             for st in states:
@@ -591,10 +623,11 @@ def gap_experiment(pair: TwistedPair, delta, a, box: int) -> GapReport:
     threshold = dl ** Fraction(1, n) * FactoredReal.from_rational(a) ** (-delta / 2)
     thr_log = threshold.log10_float()
     check_box(n, box)
-    fh = _FastHeight(_IntegerForms(pair), a)
+    forms = _IntegerForms(pair)
+    fh = _FastHeight(forms, a)
     sols = []
-    for vec in enumerate_primitive(n, box):
-        logf, picks = fh.value(fh.forms.terms(vec))
+    for vec, values in enumerate_primitive(n, box, forms.flat):
+        logf, picks = fh.value(forms.terms(values))
         if logf > thr_log + _LOG_TOL:
             continue
         if logf < thr_log - _LOG_TOL or fh.to_factored(fh.exact(picks)) < threshold:
@@ -660,12 +693,15 @@ class _SolutionTest:
     log comparison decides it unless the two logs lie within _LOG_TOL;
     then cmp_power_product decides |F_i(x)|_v^N C_v^(-N/n) h^(-e_iv N) <= 1
     with N = lcm(n, den e_iv).  A form vanishing at x imposes nothing.
+    `flat` lists the integer forms of all places, one test each in
+    `tests`, as enumerate_primitive takes them.
     """
 
     def __init__(self, sys: SystemInstance, h_max: int):
         n = sys.n
         logh = [math.log10(h) for h in range(1, h_max + 1)]
-        self.places = []
+        flat = []
+        self.tests = []
         for v, pd in sys.places.items():
             den, int_forms = _clear_forms(pd.forms)
             dt = det(pd.forms)
@@ -674,39 +710,40 @@ class _SolutionTest:
             else:
                 c, shift = Fraction(v.p) ** -(n * _valuation(den, v.p) + _valuation(dt, v.p)), 0
             logc = (math.log10(c.numerator) - math.log10(c.denominator)) / n  # c may lie outside the float range
-            tests = []
+            logp = math.log10(v.p) if v.p else 0.0
             for form, d in zip(int_forms, pd.exps):
                 e = d + shift
                 big_n = math.lcm(n, e.denominator)
                 # log10 of the right-hand side at heights 1..h_max
                 rhs = [logc + float(e) * lh for lh in logh]
-                tests.append((form, rhs, big_n, -(big_n // n), -e.numerator * (big_n // e.denominator)))
-            self.places.append((v.p, math.log10(v.p) if v.p else 0.0, c.numerator, c.denominator, tests))
+                hk = -e.numerator * (big_n // e.denominator)
+                flat.append(form)
+                self.tests.append((v.p, logp, c.numerator, c.denominator, rhs, big_n, -(big_n // n), hk))
+        self.flat = tuple(flat)
 
-    def holds(self, x, h: int) -> bool:
-        for p, logp, cn, cd, tests in self.places:
-            for form, rhs, big_n, ck, hk in tests:
-                s = sum(map(mul, form, x))
-                if s == 0:
-                    continue
-                if p is None:
-                    fn, fd = abs(s), 1
-                    lhs = math.log10(fn)
-                else:
-                    m = 0
-                    while s % p == 0:
-                        s //= p
-                        m += 1
-                    fn, fd = 1, p**m
-                    lhs = -m * logp
-                r = rhs[h - 1]
-                if lhs < r - _LOG_TOL:
-                    continue
-                if lhs > r + _LOG_TOL:
-                    return False
-                # a tie within the float tolerance, decided exactly
-                if cmp_power_product(((fn, fd, big_n), (cn, cd, ck), (h, 1, hk))) > 0:
-                    return False
+    def holds(self, values, h: int) -> bool:
+        """Whether a primitive vector of height h solves the system, from its values at the forms of `flat`."""
+        for s, (p, logp, cn, cd, rhs, big_n, ck, hk) in zip(values, self.tests):
+            if s == 0:
+                continue
+            if p is None:
+                fn, fd = abs(s), 1
+                lhs = math.log10(fn)
+            else:
+                m = 0
+                while s % p == 0:
+                    s //= p
+                    m += 1
+                fn, fd = 1, p**m
+                lhs = -m * logp
+            r = rhs[h - 1]
+            if lhs < r - _LOG_TOL:
+                continue
+            if lhs > r + _LOG_TOL:
+                return False
+            # a tie within the float tolerance, decided exactly
+            if cmp_power_product(((fn, fd, big_n), (cn, cd, ck), (h, 1, hk))) > 0:
+                return False
         return True
 
 
@@ -729,9 +766,9 @@ def scan_system(sys: SystemInstance, h_max, box: int) -> ScanReport:
     test = _SolutionTest(sys, bmax)
     solutions = []
     hist: dict[int, int] = {}
-    for vec in enumerate_primitive(sys.n, bmax):
+    for vec, values in enumerate_primitive(sys.n, bmax, test.flat):
         h = max(map(abs, vec))
-        if test.holds(vec, h):
+        if test.holds(values, h):
             k = _mult_bin(h, ratio)
             hist[k] = hist.get(k, 0) + 1
             solutions.append(
@@ -741,15 +778,20 @@ def scan_system(sys: SystemInstance, h_max, box: int) -> ScanReport:
 
 
 def _mult_bin(h: int, ratio: Fraction) -> int:
-    """k with ratio^k <= h < ratio^(k+1), exact."""
+    """k with ratio^k <= h < ratio^(k+1), for a ratio in (1, 7/6].
+
+    ratio = 1 + delta/2 with delta = eps/(n+eps) <= 1/3, as eps is in
+    (0, 1] and n >= 2.  k = floor(ln h / ln ratio), read off one certified
+    enclosure.  A ratio in (1, 7/6] is not an integer, so none of its powers
+    is an integer h >= 2: the quotient of logs is never an integer, and
+    refining the enclosure always pins its floor (CertificationError past
+    MAX_DPS digits).
+    """
     if h < 1:
         raise ValueError("height must be >= 1")
-    k = 0
-    power = Fraction(1)
-    while power * ratio <= h:
-        power *= ratio
-        k += 1
-    return k
+    if h == 1:
+        return 0
+    return _certified_floor(lambda iv: _iv_ln(iv, h) / _iv_ln(iv, ratio))
 
 
 def height_floor(pair: TwistedPair, q) -> FactoredReal:

@@ -224,6 +224,29 @@ def test_enclose_escalates_until_done():
     assert seen == [30, 60, 120]
 
 
+def test_enclose_refines_past_infinite_endpoints():
+    # 1 / (ln(x + 10^-40) - ln x) at 30 digits divides by an interval spanning 0,
+    # which mpmath encloses as [-inf, inf]; no endpoint may be read as 0
+    seen = []
+    x = F(10**40 + 1, 10**40)
+
+    def build(iv):
+        seen.append(iv.dps)
+        return 1 / (iv.log(iv.mpf(x.numerator)) - iv.log(iv.mpf(x.denominator)))
+
+    lo, hi = enclose(build, lambda lo, hi: math.floor(lo) == math.floor(hi), 30)
+    assert seen[0] == 30 and len(seen) > 1
+    assert math.floor(lo) == 10**40  # 1/ln(1 + u) = 1/u + 1/2 - u/12 + ...
+
+
+def test_enclose_refuses_an_interval_that_stays_infinite():
+    def build(iv):
+        return 1 / iv.mpf([-1, 1])
+
+    with pytest.raises(CertificationError, match=f"more than {MAX_DPS} digits"):
+        enclose(build, lambda lo, hi: True, 30)
+
+
 def test_enclose_refuses_past_max_dps():
     seen = []
 

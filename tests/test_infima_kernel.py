@@ -1,10 +1,15 @@
-"""Property tests: the integer height kernel and the shared Q-grid search
-against the exact routes they replace."""
+"""Property tests: the enumeration kernel, the integer height kernel and
+the shared Q-grid search against the per-vector and exact routes they
+replace."""
 
+import math
 from fractions import Fraction
+from itertools import product
+from operator import mul
+from unittest.mock import patch
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from heightlab import infima_lab
@@ -13,6 +18,8 @@ from heightlab.infima_lab import (
     _FastHeight,
     _infima_grid,
     _IntegerForms,
+    default_box_policy,
+    enumerate_primitive,
     slope_profile,
     successive_infima,
 )
@@ -33,8 +40,48 @@ exponents = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
 qs = st.builds(F, st.integers(1, 60), st.integers(1, 4)).filter(lambda q: q >= 1)
 
 
+def primitive_vectors(n, box):
+    """The per-vector route: every tuple of the box in product order, kept
+    when its first nonzero coordinate is positive and its gcd is 1."""
+    for tup in product(range(-box, box + 1), repeat=n):
+        lead = next((c for c in tup if c != 0), 0)
+        if lead > 0 and math.gcd(*tup) == 1:
+            yield tup
+
+
+def dot_values(forms, x):
+    return tuple(sum(map(mul, f, x)) for f in forms)
+
+
+def per_vector_route(n, box, forms=()):
+    """enumerate_primitive with a dot product per vector and form."""
+    for x in primitive_vectors(n, box):
+        yield x, dot_values(forms, x)
+
+
+def old_terms(int_forms, x):
+    """_IntegerForms.terms on one vector, by a dot product per form."""
+    out = []
+    for v, place_forms, _ in int_forms.places:
+        place_terms = []
+        for i, form in enumerate(place_forms):
+            s = sum(map(mul, form, x))
+            if s == 0:
+                continue
+            if v.p is None:
+                place_terms.append((math.log10(abs(s)), i, abs(s)))
+            else:
+                m = 0
+                while s % v.p == 0:
+                    s //= v.p
+                    m += 1
+                place_terms.append((-m * math.log10(v.p), i, m))
+        out.append(place_terms)
+    return out
+
+
 @st.composite
-def pairs(draw, n_max=3):
+def pairs(draw, n_max=3, exponents=exponents):
     """Core-valid pairs with 1-3 active places, p-adic places included."""
     n = draw(st.integers(2, n_max))
     labels = draw(st.lists(st.sampled_from(["inf", 2, 3, 5]), min_size=1, max_size=3, unique=True))
@@ -61,7 +108,7 @@ def test_kernel_matches_twisted_height(px, q):
     pair, x = px
     forms = _IntegerForms(pair)
     fh = _FastHeight(forms, q)
-    terms = forms.terms(x)
+    terms = forms.terms(dot_values(forms.flat, x))
     logf, picks = fh.value(terms)
     exact = fh.to_factored(fh.exact(picks))
     assert exact == twisted_height(pair, q, x)
@@ -141,7 +188,7 @@ def test_exact_ties_use_the_exact_branch_and_seq(monkeypatch):
     pair = diag_pair([1, -1])
     forms = _IntegerForms(pair)
     fh = _FastHeight(forms, 2)
-    logf, picks = fh.value(forms.terms((4, 1)))
+    logf, picks = fh.value(forms.terms(dot_values(forms.flat, (4, 1))))
     assert 0 in calls
     assert fh.to_factored(fh.exact(picks)) == twisted_height(pair, 2, (4, 1)) == FR.from_rational(2)
 
@@ -172,3 +219,55 @@ def test_rank_tracker_matches_rank(rows, as_fractions):
         added = tracker.try_add(row)
         assert len(tracker) == rank(rows[:k])
         assert added == (len(tracker) > before)
+
+
+# -- the enumeration kernel against the per-vector route ----------------------
+
+# integer forms, a third of them with a zero last coefficient
+int_forms = st.integers(2, 4).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.tuples(st.lists(st.integers(-9, 9), min_size=n - 1, max_size=n - 1), st.sampled_from([0, 0, 1, -3, 7])),
+            max_size=4,
+        ),
+    )
+)
+
+
+@SETTINGS
+@given(int_forms, st.integers(1, 6))
+def test_kernel_matches_per_vector_route(n_forms, box):
+    n, rows = n_forms
+    forms = [tuple(head) + (c,) for head, c in rows]
+    assert list(enumerate_primitive(n, box, forms)) == list(per_vector_route(n, box, forms))
+
+
+@SETTINGS
+@given(pairs(n_max=4), st.integers(1, 3))
+def test_kernel_terms_match_per_vector_terms(pair, box):
+    # forms with denominators, cleared per place; p-adic places included
+    forms = _IntegerForms(pair)
+    got = list(enumerate_primitive(pair.n, box, forms.flat))
+    assert [x for x, _ in got] == list(primitive_vectors(pair.n, box))
+    for x, values in got:
+        assert values == dot_values(forms.flat, x)
+        assert forms.terms(values) == old_terms(forms, x)
+
+
+small_exponents = st.builds(F, st.integers(-1, 1), st.integers(1, 2))  # boxes up to Q
+
+
+@settings(SETTINGS, max_examples=25)
+@given(pairs(n_max=3, exponents=small_exponents), st.lists(st.integers(2, 7), min_size=2, max_size=4, unique=True))
+@example(diag_pair([1, 0, -1]), [2, 5, 7])  # boxes 2, 5 and 7
+def test_nested_grid_matches_per_vector_route(pair, q_ints):
+    # the grid of `slopes` without --box: one box per Q from the default policy
+    policy = default_box_policy(pair)
+    grid = [(F(q), policy(q)) for q in sorted(q_ints)]
+    kernel = _infima_grid(pair, grid)
+    with patch.object(infima_lab, "enumerate_primitive", per_vector_route):
+        oracle = _infima_grid(pair, grid)
+    for a, b in zip(kernel, oracle):
+        _same_estimates(a, b)
+

@@ -22,6 +22,7 @@ from heightlab.places_heights import INF, Place
 from heightlab.rational_linalg import rank
 from heightlab.suite import diag_pair, pair_e1, pair_e3, random_pair
 from heightlab.twisted_system import ValidationError, shift_exponents, twisted_height
+from test_infima_kernel import primitive_vectors
 
 F = Fraction
 FR = FactoredReal
@@ -33,7 +34,7 @@ def _brute_force_infima(pair, q, box):
 
     n = pair.n
     recs = []
-    for seq, vec in enumerate(enumerate_primitive(n, box)):
+    for seq, vec in enumerate(primitive_vectors(n, box)):
         recs.append((twisted_height(pair, q, vec), seq, vec))
 
     def cmp(a, b):
@@ -51,7 +52,7 @@ def _brute_force_infima(pair, q, box):
 
 
 def test_enumerate_primitive():
-    vecs = list(enumerate_primitive(2, 2))
+    vecs = [x for x, _ in enumerate_primitive(2, 2)]
     assert (1, 0) in vecs and (0, 1) in vecs and (1, -2) in vecs
     assert (2, 0) not in vecs  # not primitive
     assert (-1, 0) not in vecs  # sign-normalized

@@ -1,22 +1,41 @@
 """Property tests: the integer solution test of `scan_system` against the
-per-vector FactoredReal route it replaces."""
+per-vector FactoredReal route it replaces, and its histogram bin against
+the loop of exact powers it replaces."""
 
+import json
+import time
 from fractions import Fraction
 
+import mpmath
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from heightlab.bounds_reduction import reduce_system
+from heightlab.cli import cmd_dispatch
 from heightlab.filtration import exceptional_subspace
-from heightlab.infima_lab import SystemInstance, _mult_bin, enumerate_primitive, scan_system
+from heightlab.infima_lab import SystemInstance, _mult_bin, scan_system
 from heightlab.places_heights import Place, abs_value
 from heightlab.rational_linalg import det, rank
+from test_infima_kernel import primitive_vectors
 
 F = Fraction
 
 SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow]
 )
+
+
+def power_loop_bin(h, ratio):
+    """_mult_bin as it was: multiply powers of ratio = a/b until they pass h
+    (on integer numerators and denominators, which need no gcd per step)."""
+    a, b = ratio.numerator, ratio.denominator
+    k = 0
+    num = den = 1
+    while num * a <= h * den * b:
+        num, den = num * a, den * b
+        k += 1
+    return k
 
 
 def oracle_scan(sys, h_max, box):
@@ -29,7 +48,7 @@ def oracle_scan(sys, h_max, box):
     a_vals = {v: abs_value(det(pd.forms), v) ** F(1, sys.n) for v, pd in sys.places.items()}
     solutions = []
     hist = {}
-    for vec in enumerate_primitive(sys.n, bmax):
+    for vec in primitive_vectors(sys.n, bmax):
         h = max(abs(c) for c in vec)
         hfr = abs_value(h, Place.infinite())
         ok = True
@@ -43,7 +62,7 @@ def oracle_scan(sys, h_max, box):
             if not ok:
                 break
         if ok:
-            k = _mult_bin(h, ratio)
+            k = power_loop_bin(h, ratio)
             hist[k] = hist.get(k, 0) + 1
             solutions.append({"x": vec, "height": h, "in_T_prime": t_prime.contains_vector(vec)})
     return solutions, t_prime, hist
@@ -149,3 +168,58 @@ def test_tie_systems_reach_fractional_powers():
     )
     rep = assert_same_scan(sys, 9, 9)
     assert (8, 1) in [s["x"] for s in rep.solutions]
+
+
+# -- the histogram bin -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("delta", [F(1, 4), F(1, 3), F(1, 1000)])
+def test_mult_bin_matches_power_loop(delta):
+    ratio = 1 + delta / 2
+    for h in range(1, 31):
+        assert _mult_bin(h, ratio) == power_loop_bin(h, ratio)
+
+
+def _scan_bin_system(tmp_path, capsys, eps):
+    """scan --hmax 5 --box 5 on the n = 3 system at infinity whose h = 2
+    solution falls in a bin of about ln(2) (6/eps) for small eps."""
+    forms = [["-1", "0", "-2"], ["-2", "-1", "1"], ["-1", "0", "1"]]
+    exps = [str(-(3 + eps) / 2), str(-(3 + eps) / 4), str(-(3 + eps) / 4)]
+    path = tmp_path / "sys.json"
+    place = {"place": "inf", "forms": forms, "exps": exps}
+    path.write_text(json.dumps({"n": 3, "epsilon": str(eps), "places": [place]}))
+    start = time.perf_counter()
+    assert cmd_dispatch(["scan", str(path), "--hmax", "5", "--box", "5"]) == 0
+    assert time.perf_counter() - start < 2
+    rep = json.loads(capsys.readouterr().out)
+    assert [s["height"] for s in rep["solutions"]] == [1, 2, 1]
+    return rep
+
+
+def test_bin_of_a_ratio_near_one_is_bounded(tmp_path, capsys):
+    # epsilon = 10^-5 at n = 3: delta = eps/(n + eps) = 1/300001, ratio = 600003/600002,
+    # and the power loop took about 4 ln(2) 10^5 exact multiplications for h = 2
+    rep = _scan_bin_system(tmp_path, capsys, F(1, 10**5))
+    assert rep["bin_ratio"] == "600003/600002"
+    k = 415_890
+    assert rep["histogram"] == {"0": 2, str(k): 1}
+    # ratio^k <= 2 < ratio^(k+1), checked on exact integer powers
+    a, b = 600_003, 600_002
+    ak, bk = a**k, b**k
+    assert ak <= 2 * bk and 2 * bk * b < ak * a
+
+
+def test_bin_of_a_ratio_closer_to_one_than_the_first_enclosure(tmp_path, capsys):
+    # epsilon = 10^-30: ln(ratio) is about 1.7e-31, below the error of the logs at
+    # the enclosure's first 30 digits, so the first denominator interval spans 0
+    # and has infinite endpoints; the enclosure must refine, not read them as 0
+    rep = _scan_bin_system(tmp_path, capsys, F(1, 10**30))
+    ratio = F(6 * 10**30 + 3, 6 * 10**30 + 2)
+    assert rep["bin_ratio"] == str(ratio)
+    with mpmath.workdps(120):
+        q = mpmath.log(2) / mpmath.log(mpmath.mpf(ratio.numerator) / ratio.denominator)
+        k = int(mpmath.floor(q))
+        assert 10**-20 < q - k < 1 - 10**-20  # far from an integer at 120 digits
+    assert k > 10**30
+    assert rep["histogram"] == {"0": 2, str(k): 1}
+    assert _mult_bin(2, ratio) == k
