@@ -15,7 +15,11 @@ mantissa * Q^exponent is built when a float comparison is too close to
 call or the value is reported, and two such values are compared by
 exact_reals.cmp_power_product.  A streaming matroid greedy per Q keeps
 the current best independent n-tuple, and one enumeration feeds the
-greedies of a whole grid of Q values.  The reported lambda-bar values are
+greedies of a whole grid of Q values.  For a pair whose only active place
+is infinite, a vector is skipped before its logs are taken when one of its
+integer form values exceeds a float bound under which every greedy's own
+float test would reject it (_reject_bounds), so each greedy still sees the
+same vectors in the same order.  The reported lambda-bar values are
 upper estimates of the true infima: lambda_i <= lambda_bar_i always.
 The Diophantine scan decides each vector on the same form values: a
 float log comparison, and cmp_power_product on ties.
@@ -27,7 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from operator import add, mul
+from operator import add, gt, mul
 
 from .bounds_reduction import _certified_floor, _iv_ln, reduce_system
 from .exact_reals import FactoredReal, cmp_power_product, log10_rational
@@ -328,16 +332,18 @@ class _Greedy:
         self.n = forms.n
         self.sel: list[_Record] = []
 
-    def feed(self, vec, terms):
+    def feed(self, vec, terms) -> bool:
+        """Offer one vector; True when it entered the greedy step (sel may have changed)."""
         sel = self.sel
         full = len(sel) == self.n
         # reject on the float alone before building a record
         if full and self.fh.log(terms) > sel[-1].logf + _LOG_TOL:
-            return
+            return False
         rec = _Record(vec, *self.fh.value(terms))
         if full and _cmp_records(rec, sel[-1], self.fh) >= 0:
-            return
+            return False
         self._insert(rec)
+        return True
 
     def _insert(self, rec: _Record):
         """Greedy over sel plus rec, ordered by value and then by feed order; rec was fed last."""
@@ -374,6 +380,32 @@ class InfimaEstimate:
     spans: tuple[Subspace, ...]
 
 
+def _reject_bounds(forms: _IntegerForms, states) -> tuple[float, ...]:
+    """Per form F_i, a float U_i such that every greedy of `states` rejects,
+    on its float test alone, a vector x with |F_i(x)| > U_i.
+
+    Only for a pair whose only active place is infinite, and only once
+    every greedy holds n records; otherwise the result is (), which bounds
+    nothing (nothing bounds a p-adic factor from below).  There the height is
+    corr * max_i |F_i(x)| Q^(e_i/exp_den), so a greedy whose worst selected
+    record has float log w rejects x once log10 |F_i(x)| exceeds
+    w + _LOG_TOL - logcorr - shift_i.  The exponent is widened by 1e-9
+    relative to the logs it is made of, far above their float error, so
+    the skip never drops a vector the float test would keep; U_i is the
+    largest over the greedies, and infinite past the float range.
+    """
+    if len(forms.places) > 1 or any(len(st.sel) < forms.n for st in states):
+        return ()
+    bound = [0.0] * forms.n
+    for st in states:
+        w = st.sel[-1].logf
+        for i, shift in enumerate(st.fh.shifts[0]):
+            e = w + _LOG_TOL - forms.logcorr - shift
+            e += 1e-9 * (1 + abs(w) + abs(forms.logcorr) + abs(shift))
+            bound[i] = max(bound[i], 10.0**e if e < 308 else math.inf)  # also inf for a nan e
+    return tuple(bound)
+
+
 def _infima_grid(pair: TwistedPair, grid, extra_vectors=()) -> list[InfimaEstimate]:
     """successive_infima at every (Q, box) of `grid`, from one enumeration.
 
@@ -382,7 +414,10 @@ def _infima_grid(pair: TwistedPair, grid, extra_vectors=()) -> list[InfimaEstima
     each (Q, box) then feeds its own greedy the vectors of its own box.
     Product order restricted to a smaller box is that box's product order,
     so every greedy sees exactly the sequence a search of its own box
-    alone would.
+    alone would.  A vector whose integer form values exceed the
+    _reject_bounds of the greedies is skipped before its terms are built:
+    every greedy would reject it, so no answer changes.  The bounds are
+    taken again whenever some greedy's selection may have changed.
     """
     n = pair.n
     for _, box in grid:
@@ -396,21 +431,22 @@ def _infima_grid(pair: TwistedPair, grid, extra_vectors=()) -> list[InfimaEstima
         terms = forms.terms(_form_values(forms.flat, vec))
         for st in states:
             st.feed(vec, terms)
+    bound = _reject_bounds(forms, states)
     seen = set(seeds) | set(extras)
     bmax = max(box for _, box in grid)
     nested = any(st.box < bmax for st in states)
     for vec, values in enumerate_primitive(n, bmax, forms.flat):
-        if vec in seen:
+        # map stops at the shorter input, so an empty bound skips nothing
+        if any(map(gt, map(abs, values), bound)) or vec in seen:
             continue
         terms = forms.terms(values)
-        if nested:
-            h = max(map(abs, vec))
-            for st in states:
-                if h <= st.box:
-                    st.feed(vec, terms)
-        else:
-            for st in states:
-                st.feed(vec, terms)
+        h = max(map(abs, vec)) if nested else 0
+        changed = False
+        for st in states:
+            if h <= st.box and st.feed(vec, terms):
+                changed = True
+        if changed:
+            bound = _reject_bounds(forms, states)
     return [st.estimate() for st in states]
 
 

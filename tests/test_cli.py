@@ -673,3 +673,54 @@ def test_factored_log10_asks_for_digits_below_the_last_place():
     x = FactoredReal.prime_power(2, Fraction(1, 10**30))
     assert _factored_json(x, 20)["log10"] == "3.0102999566398119521e-31"
     assert _factored_json(FactoredReal.from_rational(Fraction(1, 100000)), 12)["log10"] == "-5"
+
+
+# -- mpmath is loaded on first use -------------------------------------------
+
+
+def _fresh_interpreter(runs, tmp_path) -> tuple[list[int], bool]:
+    """(exit codes, whether mpmath was imported) of `runs` through cli.main in a new interpreter."""
+    import os
+    import subprocess
+    import sys
+
+    import heightlab
+
+    script = (
+        "import json, sys\n"
+        "from heightlab.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, 'mpmath' in sys.modules]))\n"
+    )
+    runs = [argv + ["--out", str(tmp_path / f"out{k}.txt")] for k, argv in enumerate(runs)]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(heightlab.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(runs)], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    return codes, loaded
+
+
+def test_searches_and_invariants_never_import_mpmath(e1_path, tmp_path):
+    import random
+
+    from heightlab.suite import multi_place_pair, random_pair
+
+    paths = {}
+    for name, pair in (("r3", random_pair(random.Random(3), 3)), ("mp", multi_place_pair())):
+        paths[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(pair_to_json(pair)))
+    runs = [
+        ["infima", paths["r3"], "--q", "7", "--box", "4"],
+        ["infima", paths["mp"], "--q", "7", "--box", "3"],
+        ["infima", e1_path, "--q", "1e400", "--box", "3"],
+        ["slopes", paths["r3"], "--qgrid", "10:1000:3", "--box", "3"],
+        ["minkowski", paths["r3"], "--q", "100", "--box", "4"],
+        ["invariants", paths["r3"]],
+    ]
+    assert _fresh_interpreter(runs, tmp_path) == ([0] * len(runs), False)
+
+
+def test_bounds_imports_mpmath(tmp_path):
+    assert _fresh_interpreter([["bounds", "--thm", "1.1", "--n", "6", "--delta", "1/2"]], tmp_path) == ([0], True)

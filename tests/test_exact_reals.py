@@ -4,10 +4,12 @@ import random
 import time
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heightlab import exact_reals
 from heightlab.exact_reals import (
     MAX_DPS,
     ONE,
@@ -76,6 +78,70 @@ def test_log10_high_precision():
     # below 1 the bound is relative: log10 2^(10^-30) = 3.0103e-31
     val, err = FR({2: F(1, 10**30)}).log10(12)
     assert err <= F(1, 10**12) * F(3, 10**31) and abs(val - F(30103, 10**35)) < F(1, 10**35)
+
+
+_PRIMES_BELOW_100 = [p for p in range(2, 100) if all(p % d for d in range(2, p))]
+
+
+def _oracle_log10(x: FR, dps: int):
+    with mpmath.workdps(dps):
+        return mpmath.fsum(mpmath.mpf(e.numerator) / e.denominator * mpmath.log10(p) for p, e in x.factors.items())
+
+
+def _assert_log10_certified(x: FR, digits: int):
+    """(approximation, error) encloses the oracle at three times the digits, and
+    error <= 10^-digits min(1, |log10|), with |val| - error <= |log10|."""
+    val, err = x.log10(digits)
+    oracle = _oracle_log10(x, 3 * digits + 30)
+    assert err <= F(1, 10**digits) * min(1, abs(val) - err)
+    with mpmath.workdps(3 * digits + 30):
+        mid, rad = mpmath.mpf(val.numerator) / val.denominator, mpmath.mpf(err.numerator) / err.denominator
+        assert mid - rad <= oracle <= mid + rad
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(
+        st.sampled_from(_PRIMES_BELOW_100),
+        st.builds(F, st.integers(-60, 60), st.integers(1, 30)).filter(bool),
+        min_size=1,
+        max_size=6,
+    ),
+    st.integers(1, 100),
+)
+def test_log10_encloses_the_mpmath_oracle(factors, digits):
+    _assert_log10_certified(FR(factors), digits)
+
+
+def test_near_cancelling_log10_falls_back_to_enclose(monkeypatch):
+    # a/b a convergent of log 3/log 2: 2^a 3^-b has |log10| below 1/b, far
+    # below its terms, so the decimal stage misses the relative bound
+    with mpmath.workdps(60):
+        theta = mpmath.log(3) / mpmath.log(2)
+        convergents, (h0, h1), (k0, k1) = [], (0, 1), (1, 0)
+        for _ in range(25):
+            a = int(mpmath.floor(theta))
+            h0, h1, k0, k1 = h1, a * h1 + h0, k1, a * k1 + k0
+            convergents.append((h1, k1))
+            theta = 1 / (theta - a)
+    a, b = next((h, k) for h, k in convergents if k > 10**8)
+    calls = []
+    real = exact_reals.enclose
+
+    def spy(build, done, dps):
+        calls.append(dps)
+        return real(build, done, dps)
+
+    monkeypatch.setattr(exact_reals, "enclose", spy)
+    x = FR({2: a, 3: -b})
+    for digits in (1, 12, 40):
+        calls.clear()
+        _assert_log10_certified(x, digits)
+        assert calls and calls[0] == 2 * (digits + 15)
+    # a value far from 0 takes the decimal stage alone
+    calls.clear()
+    _assert_log10_certified(FR({2: 1, 3: F(-1, 7)}), 12)
+    assert calls == []
 
 
 def test_cmp_consistent_with_log10():

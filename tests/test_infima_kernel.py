@@ -3,6 +3,7 @@ the shared Q-grid search against the per-vector and exact routes they
 replace."""
 
 import math
+import random
 from fractions import Fraction
 from itertools import product
 from operator import mul
@@ -25,7 +26,7 @@ from heightlab.infima_lab import (
 )
 from heightlab.places_heights import INF, Place, primitive_scale
 from heightlab.rational_linalg import RankTracker, rank
-from heightlab.suite import diag_pair
+from heightlab.suite import diag_pair, random_pair
 from heightlab.twisted_system import TwistedPair, twisted_height
 
 F = Fraction
@@ -81,10 +82,10 @@ def old_terms(int_forms, x):
 
 
 @st.composite
-def pairs(draw, n_max=3, exponents=exponents):
-    """Core-valid pairs with 1-3 active places, p-adic places included."""
+def pairs(draw, n_max=3, exponents=exponents, labels=("inf", 2, 3, 5)):
+    """Core-valid pairs with 1-3 active places among `labels`, p-adic places included."""
     n = draw(st.integers(2, n_max))
-    labels = draw(st.lists(st.sampled_from(["inf", 2, 3, 5]), min_size=1, max_size=3, unique=True))
+    labels = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=3, unique=True))
     active = {}
     for label in labels:
         square = st.lists(st.lists(coeffs, min_size=n, max_size=n), min_size=n, max_size=n)
@@ -271,3 +272,89 @@ def test_nested_grid_matches_per_vector_route(pair, q_ints):
     for a, b in zip(kernel, oracle):
         _same_estimates(a, b)
 
+
+# -- integer reject bounds against the unbounded per-vector route -------------
+
+
+def unbounded_grid(pair, grid):
+    """_infima_grid on the per-vector route with no reject bound: every vector reaches every greedy."""
+    with patch.object(infima_lab, "enumerate_primitive", per_vector_route), patch.object(
+        infima_lab, "_reject_bounds", lambda forms, states: ()
+    ):
+        return _infima_grid(pair, grid)
+
+
+# Q from 1 up to 10^400: the bounds of the large Q lie past the float range
+big_qs = st.one_of(
+    qs,
+    st.builds(lambda k, d: F(10**k, d), st.integers(0, 400), st.sampled_from([1, 3, 7])).filter(lambda q: q >= 1),
+)
+
+
+@st.composite
+def bound_grids(draw):
+    """(pair, grid): a one-place infinite pair, or now and then one with a p-adic
+    place, and one Q or a grid of Qs whose boxes are nested or all equal."""
+    pair = draw(st.one_of(pairs(n_max=4, labels=["inf"]), pairs(n_max=3)))
+    q_list = sorted(draw(st.lists(big_qs, min_size=1, max_size=3, unique=True)))
+    if draw(st.booleans()):
+        boxes = draw(st.lists(st.integers(1, 6), min_size=len(q_list), max_size=len(q_list)))
+    else:
+        boxes = [draw(st.integers(1, 6))] * len(q_list)
+    return pair, list(zip(q_list, boxes))
+
+
+# exponents (1, 1, -2) tie at the first two forms; (3, 0, -3) makes the middle form Q-free
+_tied = TwistedPair(3, {INF: (((1, 2, 0), (0, 1, -1), (3, 0, 1)), (1, 1, -2))})
+# a grid whose two greedies need different bounds: the smaller one drops a vector the other keeps
+_two_bounds = TwistedPair(3, {INF: (((0, -1, 3), (1, 2, 2), (3, -1, -1)), (0, F(1, 3), F(-1, 3)))})
+# a p-adic factor below 1 puts a vector past the infinite place's bound among the least
+_p_adic = TwistedPair(
+    3,
+    {
+        INF: (((1, 1, 3), (3, 2, -1), (2, -3, -2)), (F(-2, 3), 1, F(-1, 3))),
+        Place.finite(5): (((2, -2, -2), (3, 2, -2), (2, 2, -3)), (3, -2, -1)),
+    },
+)
+
+
+@settings(SETTINGS, max_examples=100)
+@given(bound_grids())
+@example((_two_bounds, [(F(10), 3), (F(100), 3)]))
+@example((_p_adic, [(F(2), 3)]))
+@example((_tied, [(F(10), 4)]))
+@example((_tied, [(F(2), 2), (F(50), 4), (F(10**400), 4)]))
+@example((diag_pair([1, -1]), [(F(1), 6)]))
+@example((diag_pair([3, 0, -3]), [(F(10**300), 1), (F(10**301), 4)]))
+def test_reject_bounds_match_unbounded_route(pair_grid):
+    pair, grid = pair_grid
+    for a, b in zip(_infima_grid(pair, grid), unbounded_grid(pair, grid)):
+        _same_estimates(a, b)
+
+
+@pytest.mark.parametrize("n, box", [(2, 30), (3, 6), (4, 3)])
+def test_reject_bounds_skip_most_vectors(n, box):
+    # the infima_sweep shapes: fewer than a quarter of the enumerated vectors get terms
+    rng = random.Random(n)
+    enumerated = built = 0
+    real_enum, real_terms = infima_lab.enumerate_primitive, _IntegerForms.terms
+
+    def counting_enum(*args):
+        nonlocal enumerated
+        for item in real_enum(*args):
+            enumerated += 1
+            yield item
+
+    def counting_terms(self, values):
+        nonlocal built
+        built += 1
+        return real_terms(self, values)
+
+    with patch.object(infima_lab, "enumerate_primitive", counting_enum), patch.object(
+        _IntegerForms, "terms", counting_terms
+    ):
+        for _ in range(4):
+            pair = random_pair(rng, n)
+            for q in (10, 100, 1000):
+                successive_infima(pair, q, box)
+    assert built < enumerated / 4
