@@ -1,7 +1,8 @@
 """Explicit theorem constants, interval covers, and the system reduction.
 
 All closed-form constants are evaluated by exact_reals.enclose, with
-outward-rounded interval arithmetic at escalating precision: floor
+outward-rounded interval arithmetic at escalating precision, on the
+interval helpers of exact_reals (iv_fr, iv_ln, certified_floor): floor
 brackets are only taken once the enclosure pins the integer, and reported
 decimals carry certified significant digits.  A constant that needs more
 than exact_reals.MAX_DPS digits raises CertificationError.  Every cover
@@ -15,7 +16,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_reals import POWER_BITS, CertificationError, FactoredReal, decimal_str, enclose, log10_rational
+from .exact_reals import (
+    POWER_BITS, CertificationError, FactoredReal, certified_floor, decimal_str, enclose, iv_fr, iv_ln, log10_rational,
+)
 from .places_heights import height
 from .twisted_system import PlaceData, TwistedPair, ValidationError, pair_invariants, parse_frac, twisted_height, validate
 
@@ -42,28 +45,6 @@ COVER_COUNT_CAP = 10_000
 
 
 # -- interval plumbing ------------------------------------------------------
-
-
-def _iv_fr(iv, x: Fraction):
-    return iv.mpf(x.numerator) / iv.mpf(x.denominator)
-
-
-def _iv_ln(iv, x):
-    """Natural log of a positive Fraction or FactoredReal, as an interval."""
-    if isinstance(x, FactoredReal):
-        total = iv.mpf(0)
-        for p, e in sorted(x.factors.items()):
-            total = total + iv.log(p) * _iv_fr(iv, e)
-        return total
-    x = Fraction(x)
-    if x <= 0:
-        raise ValueError("log of non-positive value")
-    return iv.log(iv.mpf(x.numerator)) - iv.log(iv.mpf(x.denominator))
-
-
-def _certified_floor(build) -> int:
-    lo, _ = enclose(build, lambda lo, hi: math.floor(lo) == math.floor(hi), 30)
-    return math.floor(lo)
 
 
 def _certified_decimal(build, sig: int) -> str:
@@ -124,7 +105,7 @@ def _entry_factored(x: FactoredReal, sig: int) -> dict:
     for _, num, den in factored:  # the report prints these integers
         _text(num)
         _text(den)
-    log10 = _certified_decimal(lambda iv: _iv_ln(iv, x) / iv.log(10), sig) if not x.is_one() else "0"
+    log10 = _certified_decimal(lambda iv: iv_ln(iv, x) / iv.log(10), sig) if not x.is_one() else "0"
     return {"tier": "exact", "value": None, "factored": factored, "log10": log10, "loglog10": None}
 
 
@@ -198,8 +179,8 @@ def _two_pow_2n(iv, n):
 def _thm_1_1(sig, n, delta):
     def t3(iv):
         core = iv.mpf(10) ** 6 * _two_pow_2n(iv, n) * iv.mpf(n) ** 10
-        core = core * _iv_fr(iv, delta) ** -3
-        return core * iv.log(_iv_fr(iv, Fraction(6 * n) / delta)) ** 2
+        core = core * iv_fr(iv, delta) ** -3
+        return core * iv.log(iv_fr(iv, Fraction(6 * n) / delta)) ** 2
 
     return {"t3": _entry_real(t3, sig), "Q0": _entry_factored(FactoredReal.from_rational(n) ** (1 / delta), sig)}
 
@@ -207,14 +188,14 @@ def _thm_1_1(sig, n, delta):
 def _thm_1_2(sig, n, delta):
     def m_val(iv):
         core = iv.mpf(10) ** 5 * _two_pow_2n(iv, n) * iv.mpf(n) ** 10
-        core = core * _iv_fr(iv, delta) ** -2
-        return core * iv.log(_iv_fr(iv, Fraction(6 * n) / delta))
+        core = core * iv_fr(iv, delta) ** -2
+        return core * iv.log(iv_fr(iv, Fraction(6 * n) / delta))
 
     def omega(iv):
-        return _iv_fr(iv, 1 / delta) * iv.log(6 * n)
+        return iv_fr(iv, 1 / delta) * iv.log(6 * n)
 
     return {
-        "m": _entry_int(_certified_floor(m_val)),
+        "m": _entry_int(certified_floor(m_val)),
         "omega": _entry_real(omega, sig),
         "Q0": _entry_factored(FactoredReal.from_rational(n) ** (1 / delta), sig),
     }
@@ -223,14 +204,14 @@ def _thm_1_2(sig, n, delta):
 def _cor_1_3(sig, n, eps):
     def m_val(iv):
         core = iv.mpf(10) ** 6 * _two_pow_2n(iv, n) * iv.mpf(n) ** 12
-        core = core * _iv_fr(iv, eps) ** -2
-        return core * iv.log(_iv_fr(iv, Fraction(6 * n) / eps))
+        core = core * iv_fr(iv, eps) ** -2
+        return core * iv.log(iv_fr(iv, Fraction(6 * n) / eps))
 
     def omega(iv):
-        return _iv_fr(iv, 2 * n / eps) * iv.log(6 * n)
+        return iv_fr(iv, 2 * n / eps) * iv.log(6 * n)
 
     return {
-        "m_prime": _entry_int(_certified_floor(m_val)),
+        "m_prime": _entry_int(certified_floor(m_val)),
         "omega_prime": _entry_real(omega, sig),
         "H0": _entry_factored(FactoredReal.from_rational(n) ** (Fraction(n) / eps), sig),
     }
@@ -245,14 +226,14 @@ def _c0_of(n, delta, R, h_l) -> FactoredReal:
 def _t0(iv, n, delta, R):
     """t0 of theorem 2.1."""
     core = iv.mpf(10) ** 6 * _two_pow_2n(iv, n) * iv.mpf(n) ** 10
-    core = core * _iv_fr(iv, delta) ** -3
-    core = core * iv.log(_iv_fr(iv, 3 * R / delta))
+    core = core * iv_fr(iv, delta) ** -3
+    core = core * iv.log(iv_fr(iv, 3 * R / delta))
     return core * iv.log(_omega0(iv, delta, R))
 
 
 def _omega0(iv, delta, R):
     """omega0 of theorem 2.3."""
-    return _iv_fr(iv, 1 / delta) * iv.log(_iv_fr(iv, 3 * R))
+    return iv_fr(iv, 1 / delta) * iv.log(iv_fr(iv, 3 * R))
 
 
 def _thm_2_1(sig, n, delta, R, H_L):
@@ -267,8 +248,8 @@ def _thm_2_2(sig, n, delta, R, H_L, d):
 
     def t1(iv):
         big = iv.mpf(90 * n) ** (n * d)
-        inner = iv.log(3) + _iv_ln(iv, h_l) / _iv_fr(iv, R)
-        return _iv_fr(iv, 1 / delta) * (big + 3 * iv.log(inner))
+        inner = iv.log(3) + iv_ln(iv, h_l) / iv_fr(iv, R)
+        return iv_fr(iv, 1 / delta) * (big + 3 * iv.log(inner))
 
     return {"t1": _entry_real(t1, sig), "C0": _entry_factored(_c0_of(n, delta, R, h_l), sig)}
 
@@ -276,11 +257,11 @@ def _thm_2_2(sig, n, delta, R, H_L, d):
 def _thm_2_3(sig, n, delta, R, H_L):
     def m0(iv):
         core = iv.mpf(10) ** 5 * _two_pow_2n(iv, n) * iv.mpf(n) ** 10
-        core = core * _iv_fr(iv, delta) ** -2
-        return core * iv.log(_iv_fr(iv, 3 * R / delta))
+        core = core * iv_fr(iv, delta) ** -2
+        return core * iv.log(iv_fr(iv, 3 * R / delta))
 
     return {
-        "m0": _entry_int(_certified_floor(m0)),
+        "m0": _entry_int(certified_floor(m0)),
         "omega0": _entry_real(lambda iv: _omega0(iv, delta, R), sig),
         "C0": _entry_factored(_c0_of(n, delta, R, H_L), sig),
     }
@@ -295,20 +276,20 @@ def _c1_of(n, eps, R, D, h_star) -> FactoredReal:
 def _thm_3_1(sig, n, eps, R, D, H_star):
     def t(iv):
         core = iv.mpf(10) ** 9 * _two_pow_2n(iv, n) * iv.mpf(n) ** 14
-        core = core * _iv_fr(iv, eps) ** -3
-        core = core * iv.log(_iv_fr(iv, 3 * R * D / eps))
-        return core * iv.log(_iv_fr(iv, 1 / eps) * iv.log(_iv_fr(iv, 3 * R * D)))
+        core = core * iv_fr(iv, eps) ** -3
+        core = core * iv.log(iv_fr(iv, 3 * R * D / eps))
+        return core * iv.log(iv_fr(iv, 1 / eps) * iv.log(iv_fr(iv, 3 * R * D)))
 
     return {"t": _entry_real(t, sig), "C1": _entry_factored(_c1_of(n, eps, R, D, H_star), sig)}
 
 
 def _cor_3_1b(sig, n, eps, D, s):
     def t(iv):
-        head = (_iv_fr(iv, 9 * n * n / eps)) ** (n * s)
+        head = (iv_fr(iv, 9 * n * n / eps)) ** (n * s)
         core = iv.mpf(10) ** 10 * _two_pow_2n(iv, n) * iv.mpf(n) ** 15
-        core = core * _iv_fr(iv, eps) ** -3
-        core = core * iv.log(_iv_fr(iv, 3 * D / eps))
-        return head * core * iv.log(_iv_fr(iv, 1 / eps) * iv.log(_iv_fr(iv, 3 * D)))
+        core = core * iv_fr(iv, eps) ** -3
+        core = core * iv.log(iv_fr(iv, 3 * D / eps))
+        return head * core * iv.log(iv_fr(iv, 1 / eps) * iv.log(iv_fr(iv, 3 * D)))
 
     return {"t": _entry_real(t, sig)}
 
@@ -316,14 +297,14 @@ def _cor_3_1b(sig, n, eps, D, s):
 def _thm_3_2(sig, n, eps, R, D, H_star):
     def m1(iv):
         core = iv.mpf(10) ** 8 * _two_pow_2n(iv, n) * iv.mpf(n) ** 14
-        core = core * _iv_fr(iv, eps) ** -2
-        return core * iv.log(_iv_fr(iv, 3 * R * D / eps))
+        core = core * iv_fr(iv, eps) ** -2
+        return core * iv.log(iv_fr(iv, 3 * R * D / eps))
 
     def omega1(iv):
-        return _iv_fr(iv, 3 * n / eps) * iv.log(_iv_fr(iv, 3 * R * D))
+        return iv_fr(iv, 3 * n / eps) * iv.log(iv_fr(iv, 3 * R * D))
 
     return {
-        "m1": _entry_int(_certified_floor(m1)),
+        "m1": _entry_int(certified_floor(m1)),
         "omega1": _entry_real(omega1, sig),
         "C1": _entry_factored(_c1_of(n, eps, R, D, H_star), sig),
     }
@@ -334,15 +315,15 @@ def _thm_8_1(sig, n, delta, R, H_L):
 
     def m2_val(iv):
         core = iv.mpf(61) * iv.mpf(n) ** 6 * _two_pow_2n(iv, n)
-        core = core * _iv_fr(iv, delta) ** -2
-        return core * iv.log(_iv_fr(iv, 22 * n * n * 2 ** n * R / delta))
+        core = core * iv_fr(iv, delta) ** -2
+        return core * iv.log(iv_fr(iv, 22 * n * n * 2 ** n * R / delta))
 
-    m2 = _certified_floor(m2_val)
+    m2 = certified_floor(m2_val)
 
     def loglog_c2(iv):
         # log10 log10 C2 = 2 m2 log10 m2 + log10 log10 (2 H_L)
         l10 = iv.log(10)
-        log10_2h = (iv.log(2) + _iv_ln(iv, h_l)) / l10
+        log10_2h = (iv.log(2) + iv_ln(iv, h_l)) / l10
         return 2 * m2 * iv.log(m2) / l10 + iv.log(log10_2h) / l10
 
     return {
@@ -375,7 +356,7 @@ def internal_t0_consistency(n: int, R, delta) -> bool:
     m0_int = int(m0.constants["m0"]["value"])
 
     def lhs_minus_rhs(iv):
-        rhs = 1 + 3 * _iv_fr(iv, 1 / delta) * m0_int * (1 + iv.log(_omega0(iv, delta, R)))
+        rhs = 1 + 3 * iv_fr(iv, 1 / delta) * m0_int * (1 + iv.log(_omega0(iv, delta, R)))
         return _t0(iv, n, delta, R) - rhs
 
     lo, _ = enclose(lhs_minus_rhs, lambda lo, hi: lo >= 0 or hi < 0, 30)
@@ -404,8 +385,8 @@ def _cover_count(base: Fraction, target) -> int:
     )
 
     def ratio(iv):
-        ln_target = _iv_ln(iv, target) if rational else iv.log(target(iv))
-        return ln_target / _iv_ln(iv, base)
+        ln_target = iv_ln(iv, target) if rational else iv.log(target(iv))
+        return ln_target / iv_ln(iv, base)
 
     lo, hi = enclose(ratio, lambda lo, hi: rational or math.ceil(lo) == math.ceil(hi), 30 + max(lost, 0) // 3)
     s = max(1, math.ceil(lo))
@@ -470,7 +451,7 @@ def s1_count(n: int, delta, R, h_l) -> int:
     r = c0.factors.get(p, Fraction(0)) / e  # C0 = n^r needs this r
     if c0 == n_fr**r:
         return _cover_count(1 + delta / 2, delta * r)
-    return _cover_count(1 + delta / 2, lambda iv: _iv_fr(iv, delta) * _iv_ln(iv, c0) / iv.log(n))
+    return _cover_count(1 + delta / 2, lambda iv: iv_fr(iv, delta) * iv_ln(iv, c0) / iv.log(n))
 
 
 def s1_bound(n: int, delta, R, h_l) -> float:
@@ -478,8 +459,8 @@ def s1_bound(n: int, delta, R, h_l) -> float:
     delta = Fraction(delta)
 
     def val(iv):
-        inner = iv.log(3) + _iv_ln(iv, _as_height(h_l)) / _iv_fr(iv, Fraction(R))
-        return 2 + 3 * _iv_fr(iv, 1 / delta) * iv.log(inner)
+        inner = iv.log(3) + iv_ln(iv, _as_height(h_l)) / iv_fr(iv, Fraction(R))
+        return 2 + 3 * iv_fr(iv, 1 / delta) * iv.log(inner)
 
     lo, hi = enclose(val, lambda lo, hi: True, 40)
     return float((lo + hi) / 2)

@@ -44,12 +44,12 @@ from .infima_lab import (
 from .twisted_system import (
     TwistedPair,
     ValidationError,
-    _rationals,
     frac_str,
     pair_from_json,
     pair_invariants,
     pair_to_json,
     parse_frac,
+    parse_rationals,
     places_from_json,
     theta_of,
     alpha_of,
@@ -157,7 +157,7 @@ def _subspace_from_json(data, n: int) -> Subspace:
         raise ValidationError("a subspace file needs a 'basis' list")
     if data.get("ambient") not in (n, str(n)):
         raise ValidationError(f"subspace ambient dimension must be the pair's n = {n}")
-    return Subspace(n, [_rationals(row, n, "a basis row") for row in data["basis"]])
+    return Subspace(n, [parse_rationals(row, n, "a basis row") for row in data["basis"]])
 
 
 def _load_pair(path: str) -> TwistedPair:
@@ -229,7 +229,7 @@ def cmd_dispatch(argv) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if not 1 <= args.precision <= MAX_PRECISION:
+        if "precision" in args and not 1 <= args.precision <= MAX_PRECISION:
             raise ValidationError(f"--precision must be in [1, {MAX_PRECISION}], got {args.precision}")
         return args.func(args)
     except ValidationError as exc:
@@ -252,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, needs_pair=False, needs_system=False, **flags):
+    def add(name, fn, needs_pair=False, needs_system=False, precision=False, **flags):
         p = sub.add_parser(name)
         if needs_pair:
             p.add_argument("pair", help="path to a pair JSON file")
@@ -261,12 +261,13 @@ def _build_parser() -> argparse.ArgumentParser:
         for flag, kw in flags.items():
             p.add_argument(f"--{flag}", **kw)
         p.add_argument("--out", default=None)
-        p.add_argument("--precision", type=int, default=12)
+        if precision:  # the subcommands that print certified log10s or decimals
+            p.add_argument("--precision", type=int, default=12)
         p.set_defaults(func=fn)
         return p
 
     add("validate", _cmd_validate, needs_pair=True)
-    add("invariants", _cmd_invariants, needs_pair=True)
+    add("invariants", _cmd_invariants, needs_pair=True, precision=True)
     p = add("weight", _cmd_weight, needs_pair=True)
     p.add_argument("subspace", help="path to a subspace JSON file")
     add("filtration", _cmd_filtration, needs_pair=True)
@@ -276,6 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "infima",
         _cmd_infima,
         needs_pair=True,
+        precision=True,
         q={"required": True},
         box={"type": int, "default": None},
     )
@@ -290,6 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "minkowski",
         _cmd_minkowski,
         needs_pair=True,
+        precision=True,
         q={"required": True},
         box={"type": int, "default": None},
     )
@@ -297,6 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "gap",
         _cmd_gap,
         needs_pair=True,
+        precision=True,
         delta={"required": True},
         a={"required": True},
         box={"type": int, "default": 10},
@@ -311,6 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add(
         "bounds",
         _cmd_bounds,
+        precision=True,
         thm={"required": True},
         n={},
         delta={},

@@ -11,11 +11,14 @@ and so does an exact comparison (cmp_power_product) past POWER_BITS bits.
 
 Every certified real of the package is evaluated by enclose: outward-rounded
 mpmath.iv interval arithmetic at doubling precision, until the exact
-endpoints decide what the caller needs.  A value that needs more than
-MAX_DPS decimal digits raises CertificationError.  The one exception is
-the first stage of a report log10 (FactoredReal.log10): one outward-rounded
-evaluation on the standard library's decimal, with enclose behind it when
-that stage misses the error bound.  This is the one module that imports
+endpoints decide what the caller needs.  The interval helpers beside it
+(iv_fr, iv_ln and certified_floor) build what it evaluates for the
+theorem constants, the scan's histogram bins and report log10s.  A value
+that needs more than MAX_DPS decimal digits raises CertificationError.
+The one exception is the first stage of a report log10
+(FactoredReal.log10): one outward-rounded evaluation on the standard
+library's decimal, with enclose behind it when that stage misses the
+error bound.  This is the one module that imports
 mpmath, and it does so on first use (enclose, decimal_str), so a request
 whose log10s all pass the decimal stage never loads it.
 """
@@ -31,7 +34,7 @@ from fractions import Fraction
 
 __all__ = [
     "FactoredReal", "ONE", "CertificationError", "is_prime", "factorint", "log10_rational",
-    "cmp_power_product", "POWER_BITS", "enclose", "MAX_DPS", "decimal_str",
+    "cmp_power_product", "POWER_BITS", "enclose", "iv_fr", "iv_ln", "certified_floor", "MAX_DPS", "decimal_str",
 ]
 
 _RatLike = (int, Fraction)
@@ -263,6 +266,30 @@ def enclose(build, done, dps: int) -> tuple[Fraction, Fraction]:
     raise CertificationError(f"a certified value needs more than {MAX_DPS} digits")
 
 
+def iv_fr(iv, x: Fraction):
+    """A Fraction as an mpmath.iv interval."""
+    return iv.mpf(x.numerator) / iv.mpf(x.denominator)
+
+
+def iv_ln(iv, x):
+    """Natural log of a positive Fraction or FactoredReal, as an mpmath.iv interval."""
+    if isinstance(x, FactoredReal):
+        total = iv.mpf(0)
+        for p, e in sorted(x.factors.items()):
+            total = total + iv.log(p) * iv_fr(iv, e)
+        return total
+    x = Fraction(x)
+    if x <= 0:
+        raise ValueError("log of non-positive value")
+    return iv.log(iv.mpf(x.numerator)) - iv.log(iv.mpf(x.denominator))
+
+
+def certified_floor(build) -> int:
+    """floor of build(iv), from an enclosure refined until both endpoints have the same floor."""
+    lo, _ = enclose(build, lambda lo, hi: math.floor(lo) == math.floor(hi), 30)
+    return math.floor(lo)
+
+
 def decimal_str(q: Fraction, sig: int) -> str:
     """q rounded to sig significant decimal digits, written as mpmath.nstr writes it."""
     import mpmath
@@ -489,22 +516,13 @@ class FactoredReal:
             return exact, Fraction(0)
         target = Fraction(1, 10 ** digits)
 
-        def build(iv):
-            total = iv.mpf(0)
-            ln10 = iv.log(10)
-            for p, e in sorted(self._f.items()):
-                term = iv.log(p) / ln10
-                term = term * iv.mpf(e.numerator) / iv.mpf(e.denominator)
-                total = total + term
-            return total
-
         def done(lo, hi):
             least = min(abs(lo), abs(hi), 1) if lo * hi > 0 else 0  # <= min(1, |log10|)
             return (hi - lo) / 2 <= target * least
 
         lo, hi = _decimal_log10(self._f, digits + 15)
         if not done(lo, hi):
-            lo, hi = enclose(build, done, 2 * (digits + 15))
+            lo, hi = enclose(lambda iv: iv_ln(iv, self) / iv.log(10), done, 2 * (digits + 15))
         return (lo + hi) / 2, (hi - lo) / 2
 
     def log10_float(self) -> float:

@@ -21,8 +21,10 @@ integer form values exceeds a float bound under which every greedy's own
 float test would reject it (_reject_bounds), so each greedy still sees the
 same vectors in the same order.  The reported lambda-bar values are
 upper estimates of the true infima: lambda_i <= lambda_bar_i always.
-The Diophantine scan decides each vector on the same form values: a
-float log comparison, and cmp_power_product on ties.
+A Diophantine system is the twisted pair of its forms and exponents plus
+eps (SystemInstance).  The scan reads each vector's terms from the same
+integer-forms kernel, over the system's listed places, and decides them
+by a float log comparison, and cmp_power_product on ties.
 """
 
 from __future__ import annotations
@@ -33,14 +35,13 @@ from fractions import Fraction
 from itertools import combinations, product
 from operator import add, gt, mul
 
-from .bounds_reduction import _certified_floor, _iv_ln, reduce_system
-from .exact_reals import FactoredReal, cmp_power_product, log10_rational
+from .bounds_reduction import reduce_system
+from .exact_reals import FactoredReal, certified_floor, cmp_power_product, iv_ln, log10_rational
 from .exterior_algebra import Subspace, wedge
 from .filtration import FiltrationChain, exceptional_subspace, exterior_pair, filtration
-from .places_heights import INF, Place, _valuation, primitive_scale
-from .rational_linalg import RankTracker, det, qvec, rank
+from .places_heights import INF, Place, primitive_scale, valuation
+from .rational_linalg import RankTracker, det
 from .twisted_system import (
-    PlaceData,
     TwistedPair,
     ValidationError,
     alpha_of,
@@ -138,9 +139,10 @@ def _clear_forms(forms) -> tuple[int, tuple[tuple[int, ...], ...]]:
 class _IntegerForms:
     """The part of a pair's twisted heights that does not depend on Q.
 
-    Per place (the infinite place first, then the active primes) the forms
-    are cleared to integer forms F_i, and the exponents are written as
-    integers e_i over one common denominator `exp_den`, so that
+    Per place (the given places in order, by default the infinite place
+    and then the active primes) the forms are cleared to integer forms F_i,
+    and the exponents are written as integers e_i over one common
+    denominator `exp_den`, so that
     |L_i(x)|_v Q^(-c_iv) = corr_v |F_i(x)|_v Q^(e_i/exp_den).  The constant
     corr = prod corr_v is left out of every comparison and enters only
     the float logs and the reported values.  `flat` lists the integer
@@ -148,14 +150,14 @@ class _IntegerForms:
     takes them.
     """
 
-    def __init__(self, pair: TwistedPair):
+    def __init__(self, pair: TwistedPair, places=None):
         pair.ensure_core_valid()
         _check_float_exponents(pair)
         self.n = pair.n
         self.exp_den = math.lcm(*(c.denominator for pd in pair.active.values() for c in pd.exps))
         self.places = []
         self.corr = Fraction(1)
-        for v in sorted(set(pair.active) | {INF}):
+        for v in sorted(set(pair.active) | {INF}) if places is None else places:
             pd = pair.place_data(v)
             den, int_forms = _clear_forms(pd.forms)
             if v.is_infinite:
@@ -600,7 +602,6 @@ def exterior_infima_check(pair: TwistedPair, p: int, q, box: int) -> ExteriorRep
         raise ValueError("need 1 <= p < n")
     est = successive_infima(pair, q, box)
     hat = exterior_pair(pair, p)
-    qfr = FactoredReal.from_rational(Fraction(q))
     const = FactoredReal.from_rational(p) ** Fraction(p, 2)
 
     hadamard_ok = True
@@ -672,41 +673,34 @@ def gap_experiment(pair: TwistedPair, delta, a, box: int) -> GapReport:
     return GapReport(a, delta, box, threshold, tuple(sols), span, span.dim < n)
 
 
-class SystemInstance:
-    """A Diophantine system: forms and exponents d_iv <= 0 with sum -n-eps."""
+class SystemInstance(TwistedPair):
+    """A Diophantine system (L, d, eps): the twisted pair (L, d) plus eps.
+
+    TwistedPair parses the places and checks their arity, ensure_core_valid
+    their rank; the system adds n >= 2, eps in (0, 1], every d_iv <= 0 and
+    sum d_iv = -n - eps.  `places` is the pair's `active` mapping.
+    """
+
+    __slots__ = ("epsilon",)
 
     def __init__(self, n: int, epsilon, places):
         if n < 2:
             raise ValidationError("system dimension must be >= 2")
-        self.n = n
+        super().__init__(n, places)
         self.epsilon = Fraction(epsilon)
-        data = {}
-        for place, pd in places.items():
-            if not isinstance(place, Place):
-                place = Place.parse(place)
-            if not isinstance(pd, PlaceData):
-                forms, exps = pd
-                pd = PlaceData(tuple(qvec(f) for f in forms), qvec(exps))
-            data[place] = pd
-        self.places = dict(sorted(data.items()))
-        self._validate()
-
-    def _validate(self):
         if not 0 < self.epsilon <= 1:
             raise ValidationError("epsilon must be in (0, 1]")
-        total = Fraction(0)
-        for v, pd in self.places.items():
-            if len(pd.forms) != self.n or len(pd.exps) != self.n:
-                raise ValidationError(f"place {v.label()}: wrong arity")
-            if rank(pd.forms) != self.n:
-                raise ValidationError(f"forms at {v.label()} are dependent")
+        self.ensure_core_valid()
+        for v, pd in self.active.items():
             if any(d > 0 for d in pd.exps):
                 raise ValidationError(f"exponents at {v.label()} must be <= 0")
-            total += sum(pd.exps)
-        if total != -self.n - self.epsilon:
-            raise ValidationError(
-                f"exponent sum is {total}, expected {-self.n - self.epsilon}"
-            )
+        total = alpha_of(self)
+        if total != -n - self.epsilon:
+            raise ValidationError(f"exponent sum is {total}, expected {-n - self.epsilon}")
+
+    @property
+    def places(self) -> dict:
+        return self.active
 
 
 @dataclass
@@ -722,64 +716,53 @@ class _SolutionTest:
     """The solution test of a system on its integer forms, for primitive vectors.
 
     A primitive x has |x|_inf = H(x) = h and |x|_p = 1 at every prime.
-    With the forms at v cleared to F_i = den_v L_i, the condition
+    With the forms at each listed place v cleared to F_i = den_v L_i
+    (_IntegerForms over the system's places), the condition
     |L_i(x)|_v <= |det L_v|_v^(1/n) h^(d_iv) |x|_v reads
-    |F_i(x)|_v <= C_v^(1/n) h^(e_iv), with C_v = |den_v|_v^n |det L_v|_v
-    and e_iv = d_iv + 1 at the infinite place, d_iv at a prime.  A float
-    log comparison decides it unless the two logs lie within _LOG_TOL;
-    then cmp_power_product decides |F_i(x)|_v^N C_v^(-N/n) h^(-e_iv N) <= 1
-    with N = lcm(n, den e_iv).  A form vanishing at x imposes nothing.
-    `flat` lists the integer forms of all places, one test each in
-    `tests`, as enumerate_primitive takes them.
+    |F_i(x)|_v <= C_v^(1/n) h^(e_iv), with C_v = |det F_v|_v and e_iv =
+    d_iv + 1 at the infinite place, d_iv at a prime.  Each term of
+    _IntegerForms.terms is checked by a float log comparison unless the two
+    logs lie within _LOG_TOL; then cmp_power_product decides
+    |F_i(x)|_v^N C_v^(-N/n) h^(-e_iv N) <= 1 with N = lcm(n, den e_iv).  A
+    form vanishing at x has no term and imposes nothing.
     """
 
     def __init__(self, sys: SystemInstance, h_max: int):
         n = sys.n
+        self.forms = _IntegerForms(sys, sys.places)
         logh = [math.log10(h) for h in range(1, h_max + 1)]
-        flat = []
-        self.tests = []
-        for v, pd in sys.places.items():
-            den, int_forms = _clear_forms(pd.forms)
-            dt = det(pd.forms)
+        # per place, per form: (log10 of the right-hand side at heights 1..h_max, C_v as num, den, N, -N/n, -e N)
+        self.rhs = []
+        for v, int_forms, _ in self.forms.places:
+            dt = det(int_forms)
             if v.is_infinite:
-                c, shift = den**n * abs(dt), 1
+                c, shift = abs(dt), 1
             else:
-                c, shift = Fraction(v.p) ** -(n * _valuation(den, v.p) + _valuation(dt, v.p)), 0
+                c, shift = Fraction(v.p) ** -valuation(dt, v.p), 0
             logc = (math.log10(c.numerator) - math.log10(c.denominator)) / n  # c may lie outside the float range
-            logp = math.log10(v.p) if v.p else 0.0
-            for form, d in zip(int_forms, pd.exps):
+            place_rhs = []
+            for d in sys.places[v].exps:
                 e = d + shift
                 big_n = math.lcm(n, e.denominator)
-                # log10 of the right-hand side at heights 1..h_max
                 rhs = [logc + float(e) * lh for lh in logh]
                 hk = -e.numerator * (big_n // e.denominator)
-                flat.append(form)
-                self.tests.append((v.p, logp, c.numerator, c.denominator, rhs, big_n, -(big_n // n), hk))
-        self.flat = tuple(flat)
+                place_rhs.append((rhs, c.numerator, c.denominator, big_n, -(big_n // n), hk))
+            self.rhs.append(place_rhs)
 
     def holds(self, values, h: int) -> bool:
-        """Whether a primitive vector of height h solves the system, from its values at the forms of `flat`."""
-        for s, (p, logp, cn, cd, rhs, big_n, ck, hk) in zip(values, self.tests):
-            if s == 0:
-                continue
-            if p is None:
-                fn, fd = abs(s), 1
-                lhs = math.log10(fn)
-            else:
-                m = 0
-                while s % p == 0:
-                    s //= p
-                    m += 1
-                fn, fd = 1, p**m
-                lhs = -m * logp
-            r = rhs[h - 1]
-            if lhs < r - _LOG_TOL:
-                continue
-            if lhs > r + _LOG_TOL:
-                return False
-            # a tie within the float tolerance, decided exactly
-            if cmp_power_product(((fn, fd, big_n), (cn, cd, ck), (h, 1, hk))) > 0:
-                return False
+        """Whether a primitive vector of height h solves the system, from its values at the forms of `forms.flat`."""
+        for (v, _, exps), place_terms, place_rhs in zip(self.forms.places, self.forms.terms(values), self.rhs):
+            for t in place_terms:
+                rhs, cn, cd, big_n, ck, hk = place_rhs[t[1]]
+                r = rhs[h - 1]
+                if t[0] < r - _LOG_TOL:
+                    continue
+                if t[0] > r + _LOG_TOL:
+                    return False
+                # a tie within the float tolerance, decided exactly
+                fn, fd, _ = _term_exact(v, exps, t)
+                if cmp_power_product(((fn, fd, big_n), (cn, cd, ck), (h, 1, hk))) > 0:
+                    return False
         return True
 
 
@@ -802,7 +785,7 @@ def scan_system(sys: SystemInstance, h_max, box: int) -> ScanReport:
     test = _SolutionTest(sys, bmax)
     solutions = []
     hist: dict[int, int] = {}
-    for vec, values in enumerate_primitive(sys.n, bmax, test.flat):
+    for vec, values in enumerate_primitive(sys.n, bmax, test.forms.flat):
         h = max(map(abs, vec))
         if test.holds(values, h):
             k = _mult_bin(h, ratio)
@@ -827,7 +810,7 @@ def _mult_bin(h: int, ratio: Fraction) -> int:
         raise ValueError("height must be >= 1")
     if h == 1:
         return 0
-    return _certified_floor(lambda iv: _iv_ln(iv, h) / _iv_ln(iv, ratio))
+    return certified_floor(lambda iv: iv_ln(iv, h) / iv_ln(iv, ratio))
 
 
 def height_floor(pair: TwistedPair, q) -> FactoredReal:

@@ -19,6 +19,7 @@ __all__ = [
     "Place",
     "INF",
     "abs_value",
+    "valuation",
     "vec_norm",
     "height",
     "height_one",
@@ -77,10 +78,11 @@ def abs_value(x, v: Place) -> FactoredReal | None:
         return None
     if v.is_infinite:
         return FactoredReal.from_rational(abs(x))
-    return FactoredReal.prime_power(v.p, -_valuation(x, v.p))
+    return FactoredReal.prime_power(v.p, -valuation(x, v.p))
 
 
-def _valuation(x: Fraction, p: int) -> int:
+def valuation(x: Fraction, p: int) -> int:
+    """v_p(x), the exponent of p in a nonzero rational x."""
     n, d = x.numerator, x.denominator
     k = 0
     while n % p == 0:
@@ -132,7 +134,7 @@ def vec_norm(x, v: Place, kind: str = "sup"):
         if kind == "one":
             return FactoredReal.from_rational(sum(abs(c) for c in nonzero))
         return FactoredReal.from_rational(max(abs(c) for c in x))
-    val = min(_valuation(c, v.p) for c in nonzero)
+    val = min(valuation(c, v.p) for c in nonzero)
     if kind == "two_squared":
         return Fraction(v.p) ** (-2 * val)
     return FactoredReal.prime_power(v.p, -val)

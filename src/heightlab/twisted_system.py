@@ -35,6 +35,7 @@ __all__ = [
     "pair_from_json",
     "frac_str",
     "parse_frac",
+    "parse_rationals",
     "places_from_json",
 ]
 
@@ -101,9 +102,9 @@ class TwistedPair:
     def ensure_core_valid(self):
         if self._core_checked:
             return
-        report = validate(self)
-        if not report.core_ok:
-            raise ValidationError("; ".join(report.messages) or "pair is not core-valid")
+        dependent = _dependent_forms(self)
+        if dependent:
+            raise ValidationError("; ".join(dependent))
         self._core_checked = True
 
     def __eq__(self, other):
@@ -142,14 +143,17 @@ def form_union(pair: TwistedPair) -> list[tuple[Fraction, ...]]:
     return seen
 
 
+def _dependent_forms(pair: TwistedPair) -> list[str]:
+    """The core condition: one message per active place whose forms are linearly dependent."""
+    return [
+        f"forms at {v.label()} are linearly dependent" for v, pd in pair.active.items() if rank(pd.forms) != pair.n
+    ]
+
+
 def validate(pair: TwistedPair) -> ValidationReport:
     """Check the core conditions and the two normalizations separately."""
-    msgs: list[str] = []
-    core_ok = True
-    for v, pd in pair.active.items():
-        if rank(pd.forms) != pair.n:
-            core_ok = False
-            msgs.append(f"forms at {v.label()} are linearly dependent")
+    msgs = _dependent_forms(pair)
+    core_ok = not msgs
     sums_ok = True
     for v, pd in pair.active.items():
         if sum(pd.exps) != 0:
@@ -381,12 +385,13 @@ def places_from_json(data, n_min: int = 1) -> tuple[int, dict]:
         where = f"at place {place.label()}"
         if not isinstance(entry["forms"], list) or len(entry["forms"]) != n:
             raise ValidationError(f"need {n} forms {where}")
-        forms = tuple(_rationals(f, n, f"a form {where}") for f in entry["forms"])
-        places[place] = (forms, _rationals(entry["exps"], n, f"the exponents {where}"))
+        forms = tuple(parse_rationals(f, n, f"a form {where}") for f in entry["forms"])
+        places[place] = (forms, parse_rationals(entry["exps"], n, f"the exponents {where}"))
     return n, places
 
 
-def _rationals(values, n: int, what: str) -> tuple[Fraction, ...]:
+def parse_rationals(values, n: int, what: str) -> tuple[Fraction, ...]:
+    """A list of n rationals read by parse_frac; ValidationError naming `what` otherwise."""
     if not isinstance(values, list) or len(values) != n:
         raise ValidationError(f"{what} must be a list of {n} rationals")
     try:

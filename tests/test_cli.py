@@ -218,6 +218,25 @@ def test_seed_flag_is_refused(e1_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["filtration", "{e1}"],
+        ["validate", "{e1}"],
+        ["scan", "{sys}", "--hmax", "3"],
+        ["reduce", "{sys}"],
+        ["cover", "--omega", "2", "--delta", "1"],
+    ],
+)
+def test_precision_flag_only_where_read(e1_path, sys_path, args):
+    # only invariants, infima, minkowski, gap and bounds print digits that --precision sets
+    argv = [a.format(e1=e1_path, sys=sys_path) for a in args]
+    assert cmd_dispatch(argv) == 0
+    with pytest.raises(SystemExit) as exc:
+        cmd_dispatch(argv + ["--precision", "5"])
+    assert exc.value.code == 2
+
+
 def test_pair_round_trip_through_cli(e3_path, tmp_path):
     original = json.loads(open(e3_path).read())
     assert pair_to_json(pair_from_json(original)) == original
@@ -259,12 +278,22 @@ def test_malformed_pair_exit_2(tmp_path, data):
         {"n": 2, "epsilon": "1", "places": [{"place": "6", "forms": [["1", "0"], ["0", "1"]], "exps": ["-3", "0"]}]},
         {"n": 2, "epsilon": "1", "places": [{"place": "inf", "forms": [["1", "y"], ["0", "1"]], "exps": ["-3", "0"]}]},
         ["not", "a", "system"],
+        # the checks of a system beyond its places: rank, sign and sum of the exponents, epsilon
+        {"n": 2, "epsilon": "1", "places": [{"place": "inf", "forms": [["1", "2"], ["2", "4"]], "exps": ["-3", "0"]}]},
+        {"n": 2, "epsilon": "1", "places": [{"place": "3", "forms": [["1", "2"], ["3", "6"]], "exps": ["-3", "0"]}]},
+        {"n": 2, "epsilon": "1", "places": [{"place": "inf", "forms": [["1", "0"], ["0", "1"]], "exps": ["-4", "1"]}]},
+        {"n": 2, "epsilon": "1", "places": [{"place": "inf", "forms": [["1", "0"], ["0", "1"]], "exps": ["-2", "0"]}]},
+        {"n": 2, "epsilon": "0", "places": [{"place": "inf", "forms": [["1", "0"], ["0", "1"]], "exps": ["-2", "0"]}]},
+        {"n": 2, "epsilon": "2", "places": [{"place": "inf", "forms": [["1", "0"], ["0", "1"]], "exps": ["-4", "0"]}]},
     ],
 )
-def test_malformed_system_exit_2(tmp_path, data):
+def test_malformed_system_exit_2(tmp_path, data, capsys):
     path = _write(tmp_path, "bad.json", data)
     assert cmd_dispatch(["reduce", path]) == 2
     assert cmd_dispatch(["scan", path, "--hmax", "3", "--box", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("validation failure") == 2 and "Traceback" not in err
+    assert "exponent sum at" not in err  # a normalization of pairs, which a system need not meet
 
 
 def test_empty_box_exit_2(e1_path, sys_path):
