@@ -1,12 +1,14 @@
 """Explicit theorem constants, interval covers, and the system reduction.
 
 All closed-form constants are evaluated by exact_reals.enclose, with
-outward-rounded interval arithmetic at escalating precision, on the
-interval helpers of exact_reals (iv_fr, iv_ln, certified_floor): floor
-brackets are only taken once the enclosure pins the integer, and reported
-decimals carry certified significant digits.  A constant that needs more
-than exact_reals.MAX_DPS digits raises CertificationError.  Every cover
-count is one routine, _cover_count, on the same enclosures.  "log" in the
+outward-rounded interval arithmetic, on the interval helpers of
+exact_reals (iv_fr, iv_ln, certified_floor): floor brackets are only taken
+once the enclosure pins the integer, and reported decimals carry certified
+significant digits.  Each builder is written once against mpmath.iv's
+interface and runs first on enclose's decimal stage; mpmath takes over
+only what that stage leaves unbounded or undecided.  A constant that needs more than
+exact_reals.MAX_DPS digits raises CertificationError.  Every cover count
+is one routine, _cover_count, on the same enclosures.  "log" in the
 formulas is the natural logarithm throughout (recorded in every report).
 """
 
@@ -476,7 +478,8 @@ def s2_count(n: int, delta) -> int:
     m = n.bit_length() - 1
     if n == 1 << m:
         return _cover_count(base, 1 + Fraction(m, 2))
-    return _cover_count(base, lambda iv: iv.log(2 * iv.sqrt(n)) / iv.log(2))
+    # ln(2 sqrt(n)) / ln 2, written without sqrt
+    return _cover_count(base, lambda iv: (iv.log(2) + iv.log(n) / 2) / iv.log(2))
 
 
 def gamma_value(k: int, delta) -> Fraction:

@@ -10,17 +10,18 @@ into certified primes within a fixed budget raises CertificationError,
 and so does an exact comparison (cmp_power_product) past POWER_BITS bits.
 
 Every certified real of the package is evaluated by enclose: outward-rounded
-mpmath.iv interval arithmetic at doubling precision, until the exact
-endpoints decide what the caller needs.  The interval helpers beside it
-(iv_fr, iv_ln and certified_floor) build what it evaluates for the
-theorem constants, the scan's histogram bins and report log10s.  A value
+interval arithmetic, until the exact endpoints decide what the caller
+needs.  Its builders are written once against mpmath.iv's interface, and
+the interval helpers beside it (iv_fr, iv_ln and certified_floor) build
+what it evaluates for the theorem constants and floors, cover counts, the
+scan's histogram bins and report log10s.  A starting precision of at most
+DECIMAL_DPS digits is first evaluated once on the standard library's
+decimal (_DecimalIV: exact rationals until a size cap, directed rounding
+past it, one correctly rounded ln per log); only what that stage leaves
+unbounded or undecided goes on to mpmath.iv at doubling precision.  A value
 that needs more than MAX_DPS decimal digits raises CertificationError.
-The one exception is the first stage of a report log10
-(FactoredReal.log10): one outward-rounded evaluation on the standard
-library's decimal, with enclose behind it when that stage misses the
-error bound.  This is the one module that imports
-mpmath, and it does so on first use (enclose, decimal_str), so a request
-whose log10s all pass the decimal stage never loads it.
+This is the one module that imports mpmath, and only for that escalation,
+so a request whose values all pass the first stage never loads it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from fractions import Fraction
 
 __all__ = [
     "FactoredReal", "ONE", "CertificationError", "is_prime", "factorint", "log10_rational",
-    "cmp_power_product", "POWER_BITS", "enclose", "iv_fr", "iv_ln", "certified_floor", "MAX_DPS", "decimal_str",
+    "cmp_power_product", "POWER_BITS", "enclose", "iv_fr", "iv_ln", "certified_floor", "MAX_DPS", "DECIMAL_DPS",
+    "decimal_str",
 ]
 
 _RatLike = (int, Fraction)
@@ -207,6 +209,19 @@ def cmp_power_product(terms) -> int:
 
 # -- interval plumbing ----------------------------------------------------------
 
+# Most decimal digits the first stage of enclose starts at: every report log10
+# at --precision <= 100 (100 + 15 digits) stays on it.  Past it the stage's one
+# uncached ln per log of a computed interval outweighs the rest: theorem 3.1's
+# builder takes 0.46 ms against mpmath's 0.34 ms at 120 digits, 1.3 against 0.46
+# at 240 and 6.6 against 1.0 at 480 (Python 3.11 on a 2-vCPU VM), so a later
+# start goes to mpmath directly.
+DECIMAL_DPS = 120
+# Bits past which an exact numerator or denominator of the first stage becomes
+# an outward-rounded interval, so that exact powers such as 2**(2 * 10**9) are never built.
+_EXACT_BITS = 4096
+# Integers whose ln the first stage caches, per (integer, digits).
+_SMALL_INT = 1 << 64
+
 
 @contextmanager
 def _ivdps(dps: int):
@@ -247,16 +262,250 @@ def _iv_endpoints(x) -> tuple[Fraction, Fraction] | None:
     return out[0], out[1]
 
 
+def _power(x: decimal.Decimal, k: int, ctx: decimal.Context) -> decimal.Decimal:
+    """x**k for x >= 0 and k >= 1 by squaring, every product rounded by ctx."""
+    out = None
+    while True:
+        if k & 1:
+            out = x if out is None else ctx.multiply(out, x)
+        k >>= 1
+        if not k:
+            return out
+        x = ctx.multiply(x, x)
+
+
+class _DecimalIV:
+    """The first stage of enclose: what builders use of mpmath.iv (mpf,
+    log, dps, and + - * / and integer ** on its values), on the standard
+    library's decimal at dps digits, every result rounded outward."""
+
+    def __init__(self, dps: int):
+        self.dps = dps
+        self.down, self.up = _decimal_contexts(dps)
+        self.unbounded = _Ival(self, None)
+
+    def mpf(self, x) -> "_Ival":
+        """An int or Fraction, kept exact, or the interval [lo, hi] of x = [lo, hi]."""
+        if isinstance(x, _Ival):
+            return x
+        if isinstance(x, (list, tuple)):
+            lo, hi = (Fraction(e) for e in x)
+            lo, hi = self.down.divide(lo.numerator, lo.denominator), self.up.divide(hi.numerator, hi.denominator)
+            return _Ival(self, None, lo, hi)
+        return _Ival(self, x if isinstance(x, _RatLike) else Fraction(x))
+
+    def log(self, x) -> "_Ival":
+        """ln x.  A positive rational of small integers is ln num - ln den,
+        from _decimal_ln; anything else is ln of its interval [lo, hi], lo > 0:
+        ln lo correctly rounded and widened one unit either side, plus
+        (hi - lo)/lo above it, as ln is concave.  Unbounded for an x that
+        may be <= 0."""
+        x = self.mpf(x)
+        q = x.q
+        if q is not None:
+            if q <= 0:
+                return self.unbounded
+            num, den = q.numerator, q.denominator
+            if num < _SMALL_INT and den < _SMALL_INT:
+                lo, hi = _decimal_ln(num, self.dps)
+                if den == 1:
+                    return _Ival(self, None, lo, hi)
+                den_lo, den_hi = _decimal_ln(den, self.dps)
+                return _Ival(self, None, self.down.subtract(lo, den_hi), self.up.subtract(hi, den_lo))
+        elif x is self.unbounded:
+            return x
+        lo, hi = x.ends()
+        if lo <= 0:
+            return self.unbounded
+        ln = self.down.ln(lo)  # rounded to nearest regardless of the context's rounding
+        if ln:  # only ln 1 = 0 is exact
+            ln_lo, ln_hi = ln.next_minus(self.down), ln.next_plus(self.up)
+        else:
+            ln_lo = ln_hi = ln
+        return _Ival(self, None, ln_lo, self.up.add(ln_hi, self.up.divide(self.up.subtract(hi, lo), lo)))
+
+
+class _Ival:
+    """A value of the first stage: the exact rational q (an int or a
+    Fraction) or, when q is None, the interval [lo, hi] of Decimals.  Its
+    namespace's `unbounded` (lo = hi = None) stands for what no finite
+    interval encloses here: a quotient by an interval that holds 0, or a
+    log of one that reaches 0."""
+
+    __slots__ = ("ns", "q", "lo", "hi")
+
+    def __init__(self, ns: _DecimalIV, q, lo=None, hi=None):
+        if q is not None and max(q.numerator.bit_length(), q.denominator.bit_length()) > _EXACT_BITS:
+            lo, hi, q = *_round_long(ns, q), None
+        self.ns, self.q, self.lo, self.hi = ns, q, lo, hi
+
+    def ends(self) -> tuple[decimal.Decimal, decimal.Decimal]:
+        q = self.q
+        if q is None:
+            return self.lo, self.hi
+        return self.ns.down.divide(q.numerator, q.denominator), self.ns.up.divide(q.numerator, q.denominator)
+
+    def _other(self, x):
+        if isinstance(x, _Ival):
+            return x
+        if isinstance(x, _RatLike):
+            return _Ival(self.ns, x)
+        return None
+
+    def __add__(self, other):
+        b = self._other(other)
+        if b is None:
+            return NotImplemented
+        ns = self.ns
+        if self.q is not None and b.q is not None:
+            return _Ival(ns, self.q + b.q)
+        if self is ns.unbounded or b is ns.unbounded:
+            return ns.unbounded
+        (alo, ahi), (blo, bhi) = self.ends(), b.ends()
+        return _Ival(ns, None, ns.down.add(alo, blo), ns.up.add(ahi, bhi))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        if self.q is not None:
+            return _Ival(self.ns, -self.q)
+        if self is self.ns.unbounded:
+            return self
+        # copy_negate is exact; unary minus would round to the thread's context
+        return _Ival(self.ns, None, self.hi.copy_negate(), self.lo.copy_negate())
+
+    def __sub__(self, other):
+        b = self._other(other)
+        return NotImplemented if b is None else self + -b
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        b = self._other(other)
+        if b is None:
+            return NotImplemented
+        ns = self.ns
+        if self.q is not None and b.q is not None:
+            return _Ival(ns, self.q * b.q)
+        if self is ns.unbounded or b is ns.unbounded:
+            return ns.unbounded
+        (alo, ahi), (blo, bhi) = self.ends(), b.ends()
+        down, up = ns.down, ns.up
+        if alo >= 0 and blo >= 0:
+            return _Ival(ns, None, down.multiply(alo, blo), up.multiply(ahi, bhi))
+        pairs = [(x, y) for x in (alo, ahi) for y in (blo, bhi)]
+        return _Ival(ns, None, min(down.multiply(x, y) for x, y in pairs), max(up.multiply(x, y) for x, y in pairs))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        b = self._other(other)
+        return NotImplemented if b is None else _divide(self, b)
+
+    def __rtruediv__(self, other):
+        a = self._other(other)
+        return NotImplemented if a is None else _divide(a, self)
+
+    def __pow__(self, k):
+        if not isinstance(k, int):
+            return NotImplemented
+        ns, q = self.ns, self.q
+        if q is not None:
+            if k < 0 and q == 0:
+                return ns.unbounded
+            if abs(k) * max(q.numerator.bit_length(), q.denominator.bit_length()) <= _EXACT_BITS:
+                return _Ival(ns, q**k if k >= 0 else Fraction(q) ** k)
+        elif self is ns.unbounded:
+            return self
+        if k <= 0:
+            return 1 / self**-k if k else _Ival(ns, 1)
+        lo, hi = self.ends()
+        if lo >= 0:
+            return _Ival(ns, None, _power(lo, k, ns.down), _power(hi, k, ns.up))
+        if hi <= 0:
+            p = (-self) ** k
+            return p if k % 2 == 0 else -p
+        if k % 2:
+            return _Ival(ns, None, _power(lo.copy_negate(), k, ns.up).copy_negate(), _power(hi, k, ns.up))
+        return _Ival(ns, None, decimal.Decimal(0), _power(max(lo.copy_negate(), hi), k, ns.up))
+
+
+def _divide(a: _Ival, b: _Ival) -> _Ival:
+    ns = a.ns
+    if b.q is not None and b.q == 0:
+        return ns.unbounded
+    if a.q is not None and b.q is not None:
+        return _Ival(ns, Fraction(a.q, b.q))
+    if a is ns.unbounded or b is ns.unbounded:
+        return ns.unbounded
+    (alo, ahi), (blo, bhi) = a.ends(), b.ends()
+    if blo <= 0 <= bhi:
+        return ns.unbounded
+    down, up = ns.down, ns.up
+    if alo >= 0 and blo > 0:
+        return _Ival(ns, None, down.divide(alo, bhi), up.divide(ahi, blo))
+    pairs = [(x, y) for x in (alo, ahi) for y in (blo, bhi)]
+    return _Ival(ns, None, min(down.divide(x, y) for x, y in pairs), max(up.divide(x, y) for x, y in pairs))
+
+
+def _round_long(ns: _DecimalIV, q: Fraction) -> tuple[decimal.Decimal, decimal.Decimal]:
+    """Outward-rounded endpoints of a rational too long to convert directly
+    (decimal converts an integer in quadratic time): q lies in [m, m + 1] 2**t
+    with m = floor(q / 2**t) of about 4 dps + 64 bits, and 2**t is a power by squaring."""
+    a, b = q.numerator, q.denominator
+    t = a.bit_length() - b.bit_length() - 4 * ns.dps - 64
+    m = (a >> t) // b if t >= 0 else (a << -t) // b
+    two = decimal.Decimal(2)
+    if t > 0:
+        small, large = _power(two, t, ns.down), _power(two, t, ns.up)
+    elif t < 0:
+        small, large = ns.down.divide(1, _power(two, -t, ns.up)), ns.up.divide(1, _power(two, -t, ns.down))
+    else:
+        small = large = decimal.Decimal(1)
+    lo = ns.down.multiply(m, small if m >= 0 else large)
+    hi = ns.up.multiply(m + 1, large if m + 1 >= 0 else small)
+    return lo, hi
+
+
 # Most decimal digits a certified value may be evaluated at.
 MAX_DPS = 20_000
+# Most digits of a Decimal exponent an endpoint may have before it is built
+# as a Fraction: POWER_BITS in decimal digits.
+_POWER_DIGITS = int(POWER_BITS * math.log10(2))
+
+
+def _decimal_endpoints(x: _Ival) -> tuple[Fraction, Fraction] | None:
+    """Exact Fraction endpoints of a first-stage value; None when it is
+    unbounded, CertificationError for an endpoint whose decimal exponent
+    lies past POWER_BITS, before it is built."""
+    if x.q is not None:
+        return Fraction(x.q), Fraction(x.q)
+    if x is x.ns.unbounded:
+        return None
+    for d in (x.lo, x.hi):
+        if abs(d.as_tuple().exponent) > _POWER_DIGITS:
+            raise CertificationError(f"an interval endpoint needs more than {POWER_BITS} bits")
+    return Fraction(x.lo), Fraction(x.hi)
 
 
 def enclose(build, done, dps: int) -> tuple[Fraction, Fraction]:
     """Exact endpoints (lo, hi) of build(iv), an interval expression in mpmath.iv.
 
-    Evaluates at dps decimal digits and doubles dps until both endpoints
-    are finite and done(lo, hi) holds; CertificationError past MAX_DPS digits.
+    A starting dps of at most DECIMAL_DPS is first evaluated once on the
+    decimal stage (_DecimalIV).  Unless that gives finite endpoints for
+    which done(lo, hi) holds, build runs on mpmath.iv at twice the digits,
+    and the digits double until both endpoints are finite and done holds;
+    CertificationError past MAX_DPS digits.  mpmath is imported only then.
     """
+    if dps <= DECIMAL_DPS:
+        try:
+            ends = _decimal_endpoints(build(_DecimalIV(dps)))
+        except decimal.Overflow:  # past decimal's exponent range, which mpmath does not have
+            ends = None
+        if ends is not None and done(*ends):
+            return ends
+        dps *= 2
     while dps <= MAX_DPS:
         with _ivdps(dps) as iv:
             ends = _iv_endpoints(build(iv))
@@ -267,12 +516,12 @@ def enclose(build, done, dps: int) -> tuple[Fraction, Fraction]:
 
 
 def iv_fr(iv, x: Fraction):
-    """A Fraction as an mpmath.iv interval."""
+    """A Fraction as an interval of iv (mpmath.iv or the decimal stage)."""
     return iv.mpf(x.numerator) / iv.mpf(x.denominator)
 
 
 def iv_ln(iv, x):
-    """Natural log of a positive Fraction or FactoredReal, as an mpmath.iv interval."""
+    """Natural log of a positive Fraction or FactoredReal, as an interval of iv."""
     if isinstance(x, FactoredReal):
         total = iv.mpf(0)
         for p, e in sorted(x.factors.items()):
@@ -291,11 +540,30 @@ def certified_floor(build) -> int:
 
 
 def decimal_str(q: Fraction, sig: int) -> str:
-    """q rounded to sig significant decimal digits, written as mpmath.nstr writes it."""
-    import mpmath
+    """q rounded half-up to sig significant digits, laid out as mpmath.nstr lays it out.
 
-    with mpmath.workdps(sig + 10):
-        return mpmath.nstr(mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator), sig)
+    Fixed point when the decimal exponent e satisfies
+    min(-(sig // 3), -5) < e < sig, else with e+N or e-N; trailing zeros
+    are stripped, but one is kept after the point.
+    """
+    if q == 0:
+        return "0.0"
+    ctx = decimal.Context(prec=sig, rounding=decimal.ROUND_HALF_UP, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    d = ctx.divide(q.numerator, q.denominator)
+    sign, digits, _ = d.as_tuple()
+    digits = "".join(map(str, digits))
+    e = d.adjusted()
+    split = 1
+    if min(-(sig // 3), -5) < e < sig:
+        if e < 0:
+            digits = "0" * -e + digits
+        else:
+            digits, split = digits.ljust(e + 1, "0"), e + 1
+        e = 0
+    text = (digits[:split] + "." + digits[split:]).rstrip("0")
+    if text.endswith("."):
+        text += "0"
+    return "-" * sign + text + (f"e{e:+d}" if e else "")
 
 
 @functools.lru_cache(maxsize=64)
@@ -308,29 +576,15 @@ def _decimal_contexts(prec: int) -> tuple[decimal.Context, decimal.Context]:
 
 
 @functools.lru_cache(maxsize=1024)
-def _decimal_ln(p: int, prec: int) -> tuple[decimal.Decimal, decimal.Decimal]:
-    """(lo, hi) with lo < ln p < hi: decimal's ln is correctly rounded, so one
-    unit in the last place either side of it encloses ln p."""
+def _decimal_ln(k: int, prec: int) -> tuple[decimal.Decimal, decimal.Decimal]:
+    """(lo, hi) with lo <= ln k <= hi for an integer k >= 1: decimal's ln is
+    correctly rounded, so one unit in the last place either side of it
+    encloses ln k, and ln 1 = 0 is exact."""
     down, up = _decimal_contexts(prec)
-    x = down.ln(p)  # rounded to nearest regardless of the context's rounding
+    x = down.ln(k)  # rounded to nearest regardless of the context's rounding
+    if not x:
+        return x, x
     return x.next_minus(down), x.next_plus(up)
-
-
-def _decimal_log10(factors: dict[int, Fraction], prec: int) -> tuple[Fraction, Fraction]:
-    """Exact endpoints of an enclosure of sum e_p log10 p, evaluated once on
-    decimal at prec digits with every operation rounded outward."""
-    down, up = _decimal_contexts(prec)
-    lo = hi = decimal.Decimal(0)
-    for p, e in factors.items():
-        ln_lo, ln_hi = _decimal_ln(p, prec)
-        if e < 0:
-            ln_lo, ln_hi = ln_hi, ln_lo  # e * ln p is least at the largest ln p
-        lo = down.add(lo, down.divide(down.multiply(e.numerator, ln_lo), e.denominator))
-        hi = up.add(hi, up.divide(up.multiply(e.numerator, ln_hi), e.denominator))
-    l10_lo, l10_hi = _decimal_ln(10, prec)
-    lo = down.divide(lo, l10_hi if lo >= 0 else l10_lo)
-    hi = up.divide(hi, l10_lo if hi >= 0 else l10_hi)
-    return Fraction(lo), Fraction(hi)
 
 
 def log10_rational(q) -> float:
@@ -504,10 +758,9 @@ class FactoredReal:
 
         So the error lies below the digits-th significant digit when
         |log10| < 1, and below the digits-th decimal otherwise.  One
-        outward-rounded evaluation on decimal at digits + 15 digits comes
-        first; only when it misses the bound (terms that nearly cancel)
-        does enclose take over, at twice those digits.  The bound is
-        certified either way.
+        enclosure, from digits + 15 digits: its decimal first stage settles
+        it unless the terms nearly cancel, and then mpmath goes on at twice
+        those digits.
         """
         if digits < 1:
             raise ValueError("digits must be >= 1")
@@ -520,9 +773,7 @@ class FactoredReal:
             least = min(abs(lo), abs(hi), 1) if lo * hi > 0 else 0  # <= min(1, |log10|)
             return (hi - lo) / 2 <= target * least
 
-        lo, hi = _decimal_log10(self._f, digits + 15)
-        if not done(lo, hi):
-            lo, hi = enclose(lambda iv: iv_ln(iv, self) / iv.log(10), done, 2 * (digits + 15))
+        lo, hi = enclose(lambda iv: iv_ln(iv, self) / iv.log(10), done, digits + 15)
         return (lo + hi) / 2, (hi - lo) / 2
 
     def log10_float(self) -> float:

@@ -402,10 +402,16 @@ def _reject_bounds(forms: _IntegerForms, states) -> tuple[float, ...]:
     for st in states:
         w = st.sel[-1].logf
         for i, shift in enumerate(st.fh.shifts[0]):
-            e = w + _LOG_TOL - forms.logcorr - shift
-            e += 1e-9 * (1 + abs(w) + abs(forms.logcorr) + abs(shift))
-            bound[i] = max(bound[i], 10.0**e if e < 308 else math.inf)  # also inf for a nan e
+            u = _float_bound(w + _LOG_TOL - forms.logcorr - shift, w, forms.logcorr, shift)
+            bound[i] = max(bound[i], u)
     return tuple(bound)
+
+
+def _float_bound(e: float, *logs: float) -> float:
+    """10^e with e widened by 1e-9 relative to the logs it is made of, far
+    above their float error; inf past the float range, also for a nan e."""
+    e += 1e-9 * sum(map(abs, logs), 1)
+    return 10.0**e if e < 308 else math.inf
 
 
 def _infima_grid(pair: TwistedPair, grid, extra_vectors=()) -> list[InfimaEstimate]:
@@ -725,6 +731,14 @@ class _SolutionTest:
     logs lie within _LOG_TOL; then cmp_power_product decides
     |F_i(x)|_v^N C_v^(-N/n) h^(-e_iv N) <= 1 with N = lcm(n, den e_iv).  A
     form vanishing at x has no term and imposes nothing.
+
+    `bounds[h - 1]` holds, per form of `forms.flat` up to the infinite
+    place's, a float U_i(h) such that a vector of height h with
+    |F_i(x)| > U_i(h) fails that float test at the infinite place:
+    10^(rhs + _LOG_TOL), its exponent widened by 1e-9 (1 + |rhs|), far above
+    the float error of the comparison (as _reject_bounds widens), and
+    infinite past the float range and for the p-adic forms before it.
+    Without an infinite place the bounds are empty and bound nothing.
     """
 
     def __init__(self, sys: SystemInstance, h_max: int):
@@ -748,6 +762,13 @@ class _SolutionTest:
                 hk = -e.numerator * (big_n // e.denominator)
                 place_rhs.append((rhs, c.numerator, c.denominator, big_n, -(big_n // n), hk))
             self.rhs.append(place_rhs)
+        self.bounds = [()] * h_max
+        for (p, _, part), place_rhs in zip(self.forms.parts, self.rhs):
+            if p is None:
+                self.bounds = [
+                    (math.inf,) * part.start + tuple(_float_bound(rhs[h] + _LOG_TOL, rhs[h]) for rhs, *_ in place_rhs)
+                    for h in range(h_max)
+                ]
 
     def holds(self, values, h: int) -> bool:
         """Whether a primitive vector of height h solves the system, from its values at the forms of `forms.flat`."""
@@ -787,7 +808,8 @@ def scan_system(sys: SystemInstance, h_max, box: int) -> ScanReport:
     hist: dict[int, int] = {}
     for vec, values in enumerate_primitive(sys.n, bmax, test.forms.flat):
         h = max(map(abs, vec))
-        if test.holds(values, h):
+        # map stops at the shorter input, so an empty bound skips nothing
+        if not any(map(gt, map(abs, values), test.bounds[h - 1])) and test.holds(values, h):
             k = _mult_bin(h, ratio)
             hist[k] = hist.get(k, 0) + 1
             solutions.append(

@@ -565,8 +565,14 @@ def test_scan_with_400_digit_exponent_denominators_is_bounded(tmp_path, capsys):
     start = time.perf_counter()
     assert cmd_dispatch(["scan", path, "--hmax", "10", "--box", "10", "--out", str(tmp_path / "o.json")]) in (0, 5)
     # x = (1, 4) ties |2 x_1| <= 2^(1/2) 4^(1/4 + 10^-400) within the float tolerance, on the
-    # two base pairs (2, 1) and (4, 1), which no merge of equal pairs cancels
+    # two base pairs (2, 1) and (4, 1), which no merge of equal pairs cancels; but
+    # |x_2| = 4 > 2^(1/2) 4^(-5/4 - 10^-400) = 1/4 fails by far, so x is rejected
+    # by its integer bound before the tie is reached
     path = _system(tmp_path, [["2", "0"], ["0", "1"]], [F(-3, 4) + _TINY, F(-9, 4) - _TINY])
+    assert cmd_dispatch(["scan", path, "--hmax", "10", "--box", "5", "--out", str(tmp_path / "o.json")]) == 0
+    # x = (4, 1) ties |x_1 - 3 x_2| = 1 <= 8^(1/2) 4^(-3/4 + 10^-400), on the base pairs
+    # (8, 1) and (4, 1), and passes |-7 x_1 + 29 x_2| = 1 < 8^(1/2) 4^(-1/4 - 10^-400) = 2
+    path = _system(tmp_path, [["1", "-3"], ["-7", "29"]], [F(-7, 4) + _TINY, F(-5, 4) - _TINY])
     assert cmd_dispatch(["scan", path, "--hmax", "10", "--box", "5"]) == 5
     assert time.perf_counter() - start < 2
     assert "more than 262144 bits" in capsys.readouterr().err
@@ -751,5 +757,30 @@ def test_searches_and_invariants_never_import_mpmath(e1_path, tmp_path):
     assert _fresh_interpreter(runs, tmp_path) == ([0] * len(runs), False)
 
 
-def test_bounds_imports_mpmath(tmp_path):
-    assert _fresh_interpreter([["bounds", "--thm", "1.1", "--n", "6", "--delta", "1/2"]], tmp_path) == ([0], True)
+def _bin_system(tmp_path, eps: Fraction) -> str:
+    """The n = 3 system at infinity whose solutions at heights 1 and 2 fall
+    in histogram bins 0 and about ln(2) (6/eps), as a file."""
+    forms = [["-1", "0", "-2"], ["-2", "-1", "1"], ["-1", "0", "1"]]
+    exps = [str(-(3 + eps) / 2), str(-(3 + eps) / 4), str(-(3 + eps) / 4)]
+    path = tmp_path / f"bin{eps.denominator}.json"
+    place = {"place": "inf", "forms": forms, "exps": exps}
+    path.write_text(json.dumps({"n": 3, "epsilon": str(eps), "places": [place]}))
+    return str(path)
+
+
+def test_certified_values_never_import_mpmath(tmp_path):
+    # every theorem, a cover with its endpoints and a scan with a solution of
+    # height 2 (a histogram bin of 415890) stay on the decimal first stage
+    from heightlab.bounds_reduction import THEOREMS
+
+    flags = {
+        "n": ("--n", "3"), "delta": ("--delta", "1/2"), "eps": ("--eps", "2/3"), "R": ("--R", "5"), "D": ("--D", "2"),
+        "H_L": ("--hl", "7/2"), "H_star": ("--hstar", "9/4"), "d": ("--dd", "2"), "s": ("--s", "2"),
+    }
+    runs = [["bounds", "--thm", thm, *(x for k in names for x in flags[k])] for thm, (names, _) in THEOREMS.items()]
+    runs.append(["cover", "--omega", "1000", "--delta", "1/3", "--q1", "7"])
+    runs.append(["scan", _bin_system(tmp_path, Fraction(1, 10**5)), "--hmax", "5", "--box", "5"])
+    assert _fresh_interpreter(runs, tmp_path) == ([0] * len(runs), False)
+    # at eps = 10^-30 the bin's first enclosure divides by an interval that holds 0, and mpmath goes on
+    escalating = ["scan", _bin_system(tmp_path, Fraction(1, 10**30)), "--hmax", "5", "--box", "5"]
+    assert _fresh_interpreter([escalating], tmp_path) == ([0], True)

@@ -1,5 +1,7 @@
+import decimal
 import json
 import math
+import operator
 import random
 import time
 from fractions import Fraction
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heightlab import exact_reals
+from heightlab import bounds_reduction, exact_reals
 from heightlab.exact_reals import (
     MAX_DPS,
     ONE,
@@ -125,23 +127,23 @@ def test_near_cancelling_log10_falls_back_to_enclose(monkeypatch):
             convergents.append((h1, k1))
             theta = 1 / (theta - a)
     a, b = next((h, k) for h, k in convergents if k > 10**8)
-    calls = []
-    real = exact_reals.enclose
+    calls = []  # the digits of each evaluation of the log10 builder
+    real = exact_reals.iv_ln
 
-    def spy(build, done, dps):
-        calls.append(dps)
-        return real(build, done, dps)
+    def spy(iv, x):
+        calls.append(iv.dps)
+        return real(iv, x)
 
-    monkeypatch.setattr(exact_reals, "enclose", spy)
+    monkeypatch.setattr(exact_reals, "iv_ln", spy)
     x = FR({2: a, 3: -b})
     for digits in (1, 12, 40):
         calls.clear()
         _assert_log10_certified(x, digits)
-        assert calls and calls[0] == 2 * (digits + 15)
+        assert calls[:2] == [digits + 15, 2 * (digits + 15)]
     # a value far from 0 takes the decimal stage alone
     calls.clear()
     _assert_log10_certified(FR({2: 1, 3: F(-1, 7)}), 12)
-    assert calls == []
+    assert calls == [27]
 
 
 def test_cmp_consistent_with_log10():
@@ -324,3 +326,148 @@ def test_enclose_refuses_past_max_dps():
     with pytest.raises(CertificationError, match=f"more than {MAX_DPS} digits"):
         enclose(build, lambda lo, hi: hi - lo < 1, 30)
     assert seen[-1] <= MAX_DPS < 2 * seen[-1]
+
+
+# -- the decimal first stage of enclose -----------------------------------------
+
+
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _binary(args):
+    (f, g), op = args
+    return lambda iv: _OPS[op](f(iv), g(iv))
+
+
+def _with_int(args):
+    f, k, op, left = args  # an int on the left-hand side or on the right
+    return (lambda iv: _OPS[op](k, f(iv))) if left else (lambda iv: _OPS[op](f(iv), k))
+
+
+_positive = st.builds(F, st.integers(1, 10**30), st.integers(1, 10**30))
+_leaves = st.one_of(
+    st.integers(-(10**6), 10**6).map(lambda k: lambda iv: iv.mpf(k)),
+    st.fractions(-(10**40), 10**40, max_denominator=10**40).map(lambda q: lambda iv: exact_reals.iv_fr(iv, q)),
+    # logs of small, huge (past the cached integers and the exact size cap) and near-1 rationals
+    _positive.map(lambda q: lambda iv: iv.log(exact_reals.iv_fr(iv, q))),
+    st.integers(2, 10**6).map(lambda k: lambda iv: iv.log(k)),
+    st.integers(70, 5000).map(lambda b: lambda iv: iv.log(iv.mpf(3**b + 1) / iv.mpf(2**b))),
+    st.integers(5, 60).map(lambda d: lambda iv: iv.log(exact_reals.iv_fr(iv, 1 + F(1, 10**d)))),
+    st.lists(st.integers(-(10**12), 10**12), min_size=2, max_size=2).map(lambda ab: lambda iv: iv.mpf(sorted(ab))),
+)
+
+
+def _extend(children):
+    ops = st.sampled_from("+-*/")
+    return st.one_of(
+        st.tuples(st.tuples(children, children), ops).map(_binary),
+        st.tuples(children, st.integers(-20, 20), ops, st.booleans()).map(_with_int),
+        st.tuples(children, st.one_of(st.integers(-7, 7), st.sampled_from([10**6 + 1, -(10**6), 2 * 10**9]))).map(
+            lambda fk: lambda iv: fk[0](iv) ** fk[1]
+        ),
+        children.map(lambda f: lambda iv: iv.log(f(iv))),  # nested logs
+    )
+
+
+_expressions = st.recursive(_leaves, _extend, max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_expressions, st.integers(5, exact_reals.DECIMAL_DPS))
+def test_first_stage_encloses_the_mpmath_oracle(build, dps):
+    """The first stage's interval meets mpmath's at three times the digits,
+    whose width is far below one unit in the first stage's last place: so
+    the first stage encloses the value.  Whatever mpmath cannot bound (an
+    infinite interval, a log of a value <= 0) the first stage leaves unbounded."""
+    stage = exact_reals._DecimalIV(dps)
+    try:
+        x = build(stage)
+    except decimal.Overflow:  # past decimal's exponent range: enclose goes on to mpmath
+        return
+    with exact_reals._ivdps(3 * dps) as iv:
+        try:
+            oracle = build(iv)
+            bounded = mpmath.isfinite(oracle.a) and mpmath.isfinite(oracle.b)
+        except (mpmath.libmp.ComplexResult, ZeroDivisionError):
+            bounded = False
+        if not bounded:
+            assert x is stage.unbounded
+            return
+        if x is stage.unbounded:
+            return  # looser than mpmath, which enclose then asks
+        if x.q is not None:
+            mine = iv.mpf(x.q.numerator) / x.q.denominator
+        else:
+            mine = iv.mpf([str(x.lo), str(x.hi)])  # rounded outward
+        assert mine.a <= oracle.b and oracle.a <= mine.b
+
+
+def test_first_stage_negates_without_rounding():
+    # Decimal's unary minus rounds to the thread's context (28 digits), not
+    # outward at the stage's digits: the cover's enclosure of ln(omega)/ln(3/2),
+    # whose true value is 12 + 1.9e-43, then lay below it and the count came out 12
+    assert bounds_reduction.interval_cover(F(3, 2) ** 12 + F(1, 10**40), 1) == 13
+    stage = exact_reals._DecimalIV(60)
+    x = -stage.log(3)
+    assert x.hi.copy_negate() == stage.log(3).lo and len(x.lo.as_tuple().digits) == 60
+
+
+def test_first_stage_cap_sends_long_starts_to_mpmath():
+    seen = []
+
+    def build(iv):
+        seen.append(iv is mpmath.iv)
+        return iv.log(iv.mpf(2))
+
+    enclose(build, lambda lo, hi: True, exact_reals.DECIMAL_DPS)
+    enclose(build, lambda lo, hi: True, exact_reals.DECIMAL_DPS + 1)
+    assert seen == [False, True]
+
+
+# -- decimal_str ------------------------------------------------------------
+
+
+def _nstr(q: F, sig: int) -> str:
+    """decimal_str as it was: q as an mpmath number at sig + 10 digits, written by mpmath.nstr."""
+    with mpmath.workdps(sig + 10):
+        return mpmath.nstr(mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator), sig)
+
+
+@st.composite
+def _decimal_str_cases(draw):
+    sig = draw(st.integers(1, 40))
+    # decimal exponents on both sides of the fixed-point range (min(-(sig//3), -5), sig)
+    e = draw(st.integers(min(-(sig // 3), -5) - 3, sig + 3))
+    k = draw(st.integers(10 ** (sig - 1), 10**sig - 1))
+    unit = F(10) ** (e - sig + 1)  # the last kept place: k units has exponent e
+    kind = draw(st.sampled_from(["any", "half", "tie"]))
+    if kind == "any":
+        q = (k + draw(st.fractions(0, 1).filter(lambda f: abs(f - F(1, 2)) > F(1, 1000)))) * unit
+    elif kind == "half":  # a hair from the half-way point, past the error of nstr's own digits
+        q = (k + F(1, 2) + draw(st.sampled_from([-1, 1])) * F(1, 1000)) * unit
+    else:  # k.5 units exactly
+        q = (k + F(1, 2)) * unit
+    sign = draw(st.sampled_from([-1, 1]))
+    # an exact tie rounds away from zero, as a value a hair past it does; nstr
+    # writes the tie itself from binary digits that may land on either side
+    oracle = q + F(1, 1000) * unit if kind == "tie" else q
+    return sign * q, sig, sign * oracle
+
+
+@settings(max_examples=500, deadline=None)
+@given(_decimal_str_cases())
+def test_decimal_str_matches_mpmath_nstr(case):
+    q, sig, oracle = case
+    assert exact_reals.decimal_str(q, sig) == _nstr(oracle, sig)
+
+
+def test_decimal_str_examples():
+    ds = exact_reals.decimal_str
+    assert ds(F(0), 5) == "0.0"
+    assert ds(F(1, 8), 2) == "0.13"  # a tie, away from zero
+    assert ds(F(-1, 8), 2) == "-0.13"
+    assert ds(F(12300), 5) == "12300.0"
+    assert ds(F(12300), 3) == "1.23e+4"
+    assert ds(F(1, 10**7), 12) == "1.0e-7"
+    assert ds(F(999996, 10**6), 5) == "1.0"
+    assert ds(F(2, 3), 40) == "0." + "6" * 39 + "7"
