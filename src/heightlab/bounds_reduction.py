@@ -5,8 +5,8 @@ outward-rounded interval arithmetic, on the interval helpers of
 exact_reals (iv_fr, iv_ln, certified_floor): floor brackets are only taken
 once the enclosure pins the integer, and reported decimals carry certified
 significant digits.  Each builder is written once against mpmath.iv's
-interface and runs first on enclose's decimal stage; mpmath takes over
-only what that stage leaves unbounded or undecided.  A constant that needs more than
+interface and runs on enclose's decimal intervals, at digits that double
+until the enclosure decides.  A constant that needs more than
 exact_reals.MAX_DPS digits raises CertificationError.  Every cover count
 is one routine, _cover_count, on the same enclosures.  "log" in the
 formulas is the natural logarithm throughout (recorded in every report).
@@ -50,14 +50,15 @@ COVER_COUNT_CAP = 10_000
 
 
 def _certified_decimal(build, sig: int) -> str:
-    """Decimal string of a positive-width target with sig certified digits."""
+    """Decimal string of a positive-width target with sig certified digits,
+    from sig + 15 digits (at least 30), as report log10s start."""
     rel = Fraction(1, 10 ** (sig + 2))
 
     def done(lo, hi):
         scale = max(abs(lo), abs(hi))
         return scale == 0 or (hi - lo) / scale <= rel
 
-    lo, hi = enclose(build, done, 30)
+    lo, hi = enclose(build, done, max(30, sig + 15))
     if lo == hi == 0:
         return "0"
     return decimal_str((lo + hi) / 2, sig)

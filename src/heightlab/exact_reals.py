@@ -14,14 +14,13 @@ interval arithmetic, until the exact endpoints decide what the caller
 needs.  Its builders are written once against mpmath.iv's interface, and
 the interval helpers beside it (iv_fr, iv_ln and certified_floor) build
 what it evaluates for the theorem constants and floors, cover counts, the
-scan's histogram bins and report log10s.  A starting precision of at most
-DECIMAL_DPS digits is first evaluated once on the standard library's
-decimal (_DecimalIV: exact rationals until a size cap, directed rounding
-past it, one correctly rounded ln per log); only what that stage leaves
-unbounded or undecided goes on to mpmath.iv at doubling precision.  A value
-that needs more than MAX_DPS decimal digits raises CertificationError.
-This is the one module that imports mpmath, and only for that escalation,
-so a request whose values all pass the first stage never loads it.
+scan's histogram bins and report log10s.  enclose evaluates them on the
+standard library's decimal (_DecimalIV: exact rationals until a size cap,
+directed rounding past it), with one ln of its own in Python integers
+(_ln: square roots, then atanh's series, with a proven error bound), at
+digits that double from the caller's start.  A value that needs more than
+MAX_DPS decimal digits raises CertificationError.  The package needs no
+library outside the standard one.
 """
 
 from __future__ import annotations
@@ -30,13 +29,11 @@ import decimal
 import functools
 import itertools
 import math
-from contextlib import contextmanager
 from fractions import Fraction
 
 __all__ = [
     "FactoredReal", "ONE", "CertificationError", "is_prime", "factorint", "log10_rational",
-    "cmp_power_product", "POWER_BITS", "enclose", "iv_fr", "iv_ln", "certified_floor", "MAX_DPS", "DECIMAL_DPS",
-    "decimal_str",
+    "cmp_power_product", "POWER_BITS", "enclose", "iv_fr", "iv_ln", "certified_floor", "MAX_DPS", "decimal_str",
 ]
 
 _RatLike = (int, Fraction)
@@ -209,32 +206,9 @@ def cmp_power_product(terms) -> int:
 
 # -- interval plumbing ----------------------------------------------------------
 
-# Most decimal digits the first stage of enclose starts at: every report log10
-# at --precision <= 100 (100 + 15 digits) stays on it.  Past it the stage's one
-# uncached ln per log of a computed interval outweighs the rest: theorem 3.1's
-# builder takes 0.46 ms against mpmath's 0.34 ms at 120 digits, 1.3 against 0.46
-# at 240 and 6.6 against 1.0 at 480 (Python 3.11 on a 2-vCPU VM), so a later
-# start goes to mpmath directly.
-DECIMAL_DPS = 120
-# Bits past which an exact numerator or denominator of the first stage becomes
+# Bits past which an exact numerator or denominator of _DecimalIV becomes
 # an outward-rounded interval, so that exact powers such as 2**(2 * 10**9) are never built.
 _EXACT_BITS = 4096
-# Integers whose ln the first stage caches, per (integer, digits).
-_SMALL_INT = 1 << 64
-
-
-@contextmanager
-def _ivdps(dps: int):
-    """mpmath.iv at dps decimal digits, restored on exit."""
-    import mpmath
-
-    iv = mpmath.iv
-    old = iv.dps
-    iv.dps = dps
-    try:
-        yield iv
-    finally:
-        iv.dps = old
 
 
 def _as_fraction(x) -> Fraction:
@@ -245,21 +219,114 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-def _iv_endpoints(x) -> tuple[Fraction, Fraction] | None:
-    """Exact Fraction endpoints of an mpmath.iv value; None when an endpoint
-    is infinite or nan (mpmath writes those with mantissa 0 and a nonzero
-    exponent), CertificationError for an endpoint whose binary exponent
-    lies past POWER_BITS, before it is built."""
-    lo, hi = x._mpi_
-    out = []
-    for sign, man, exp, _ in (lo, hi):
-        if man == 0 and exp != 0:
-            return None
-        if abs(exp) > POWER_BITS:
-            raise CertificationError(f"an interval endpoint needs more than {POWER_BITS} bits")
-        f = Fraction(int(man)) * Fraction(2) ** int(exp)
-        out.append(-f if sign else f)
-    return out[0], out[1]
+# -- the integer ln -------------------------------------------------------------
+
+# Bits _ln_fixed carries past its working precision and the r bits its square roots lose.
+_GUARD = 40
+# ln 2 = 18 atanh(1/26) - 2 atanh(1/4801) + 8 atanh(1/8749) and ln 10 = 3 ln 2 + 2 atanh(1/9),
+# as the (k, n) of sums of k atanh(1/n).
+_LN2 = ((18, 26), (-2, 4801), (8, 8749))
+_LN10 = ((54, 26), (-6, 4801), (24, 8749), (2, 9))
+
+
+@functools.lru_cache(maxsize=128)
+def _atanh_sum(terms, w: int) -> tuple[int, int]:
+    """(L, E) with |L - 2**w sum k atanh(1/n)| <= E over terms (k, n), n >= 3.
+
+    At W = w + 32 bits, t_j = floor(t_{j-1} / n**2) from t_0 = floor(2**W / n)
+    lies less than 9/8 below 2**W n**-(2j+1) (a loss of at most a ninth of
+    the last plus 1), so each t_j // (2j + 1) lies less than 3 below its
+    term, and the tail after the last nonzero t_j less than 2."""
+    total = err = 0
+    for k, n in terms:
+        t, j = (1 << (w + 32)) // n, 1
+        while t:
+            total += k * (t // j)
+            t //= n * n
+            j += 2
+        err += abs(k) * (3 * (j // 2) + 2)
+    return total >> 32, (err >> 32) + 2
+
+
+def _ln_fixed(num: int, den: int, w: int) -> tuple[int, int]:
+    """(L, E) with |L - 2**w ln(num/den)| <= E, for integers num >= den >= 1.
+
+    num/den = 2**s m with m in [1, 2).  r floored square roots take m to u
+    near 1 (fewer when m is near 1 already), and ln m = 2**(r+1) atanh(y),
+    y = (u - 1)/(u + 1) < 1/3, whose series in y**2 then gains about 2 r
+    bits a term.  All in fixed point at W bits; errors in units of 2**-W.
+
+    Every floor rounds a nonnegative value down, so L never exceeds ln m.
+    Each root loses less than one unit more than the last (sqrt(a - b) >=
+    sqrt(a) - b for a >= 1): u less than r + 1, ln u less than r + 2.  y
+    loses less than 1, so 2 atanh(y) less than 9/4; each power of y less
+    than 3/2 (less than y**k + y**2 e + 1 more a term), so each of the N
+    terms less than 5/2 and their tail less than 27/16, both doubled.  In
+    all 5 N + r + 9, times 2**r for ln m: W carries r + _GUARD bits past w
+    for them, and as many as s has for the error of s ln 2.
+    """
+    s = (num // den).bit_length() - 1
+    base = den << s
+    r = max(0, math.isqrt(w) // 4 - base.bit_length() + (num - base).bit_length())
+    W = w + r + _GUARD + s.bit_length()
+    u = (num << W) // base  # 2**W <= u < 2**(W + 1), so y >= 0 and >> rounds down
+    for _ in range(r):
+        u = math.isqrt(u << W)
+    one = 1 << W
+    y = ((u - one) << W) // (u + one)
+    y2 = y * y >> W
+    total = terms = 0
+    while y:
+        terms += 1
+        total += y // (2 * terms - 1)
+        y = y * y2 >> W
+    total <<= r + 1
+    err = (5 * terms + r + 9) << r
+    if s:
+        l2, e2 = _atanh_sum(_LN2, W)
+        total += s * l2
+        err += s * e2
+    shift = W - w
+    return total >> shift, (err >> shift) + 2
+
+
+def _ln(x, prec: int) -> tuple[decimal.Decimal, decimal.Decimal]:
+    """(lo, hi) with lo <= ln x <= hi, rounded outward at prec digits, for
+    a positive int, Fraction or Decimal x.
+
+    A Decimal c 10**e, c of d digits, adjusted exponent a = e + d - 1, is
+    ln(c / 10**(d-1)) + a ln 10 when a >= 0, and -(ln(10**d / c) + (-a - 1) ln 10)
+    when a < 0: two terms >= 0 that never cancel.  A rational is +-ln num/den,
+    num >= den, and ln num/den >= (num - den)/num: without an ln 10 term,
+    that many more bits are carried."""
+    if isinstance(x, decimal.Decimal):
+        _, digits, e = x.as_tuple()
+        c, a = int(decimal.Decimal((0, digits, 0))), e + len(digits) - 1
+        if a >= 0:
+            num, den, k, neg = c, 10 ** (len(digits) - 1), a, False
+        else:
+            num, den, k, neg = 10 ** len(digits), c, -a - 1, True
+    else:
+        num, den, k = x.numerator, x.denominator, 0
+        neg = num < den
+        if neg:
+            num, den = den, num
+    if num == den and not k:
+        return decimal.Decimal(0), decimal.Decimal(0)
+    w = prec * 10 // 3 + 5 + k.bit_length()  # prec log2(10) + 4 bits and more
+    if not k:
+        w += num.bit_length() - (num - den).bit_length() + 1
+    total, err = _ln_fixed(num, den, w)
+    if k:
+        l10, e10 = _atanh_sum(_LN10, w)
+        total, err = total + k * l10, err + k * e10
+    down, up = _decimal_contexts(prec)
+    lo, hi = down.divide(total - err, 1 << w), up.divide(total + err, 1 << w)
+    return (hi.copy_negate(), lo.copy_negate()) if neg else (lo, hi)
+
+
+# _ln of exact rationals, which recur in every builder (primes, 10, the theorems' parameters)
+_exact_ln = functools.lru_cache(maxsize=1024)(_ln)
 
 
 def _power(x: decimal.Decimal, k: int, ctx: decimal.Context) -> decimal.Decimal:
@@ -275,9 +342,9 @@ def _power(x: decimal.Decimal, k: int, ctx: decimal.Context) -> decimal.Decimal:
 
 
 class _DecimalIV:
-    """The first stage of enclose: what builders use of mpmath.iv (mpf,
-    log, dps, and + - * / and integer ** on its values), on the standard
-    library's decimal at dps digits, every result rounded outward."""
+    """The interval arithmetic of enclose: what builders use of mpmath.iv
+    (mpf, log, dps, and + - * / and integer ** on its values), on the
+    standard library's decimal at dps digits, every result rounded outward."""
 
     def __init__(self, dps: int):
         self.dps = dps
@@ -295,38 +362,25 @@ class _DecimalIV:
         return _Ival(self, x if isinstance(x, _RatLike) else Fraction(x))
 
     def log(self, x) -> "_Ival":
-        """ln x.  A positive rational of small integers is ln num - ln den,
-        from _decimal_ln; anything else is ln of its interval [lo, hi], lo > 0:
-        ln lo correctly rounded and widened one unit either side, plus
-        (hi - lo)/lo above it, as ln is concave.  Unbounded for an x that
-        may be <= 0."""
+        """ln x.  A positive rational is _ln's enclosure of it; anything else
+        is ln of its interval [lo, hi], lo > 0: _ln's enclosure of ln lo, plus
+        (hi - lo)/lo above it, as ln is concave.  Unbounded for an x that may
+        be <= 0."""
         x = self.mpf(x)
         q = x.q
         if q is not None:
-            if q <= 0:
-                return self.unbounded
-            num, den = q.numerator, q.denominator
-            if num < _SMALL_INT and den < _SMALL_INT:
-                lo, hi = _decimal_ln(num, self.dps)
-                if den == 1:
-                    return _Ival(self, None, lo, hi)
-                den_lo, den_hi = _decimal_ln(den, self.dps)
-                return _Ival(self, None, self.down.subtract(lo, den_hi), self.up.subtract(hi, den_lo))
-        elif x is self.unbounded:
+            return _Ival(self, None, *_exact_ln(q, self.dps)) if q > 0 else self.unbounded
+        if x is self.unbounded:
             return x
         lo, hi = x.ends()
         if lo <= 0:
             return self.unbounded
-        ln = self.down.ln(lo)  # rounded to nearest regardless of the context's rounding
-        if ln:  # only ln 1 = 0 is exact
-            ln_lo, ln_hi = ln.next_minus(self.down), ln.next_plus(self.up)
-        else:
-            ln_lo = ln_hi = ln
+        ln_lo, ln_hi = _ln(lo, self.dps)
         return _Ival(self, None, ln_lo, self.up.add(ln_hi, self.up.divide(self.up.subtract(hi, lo), lo)))
 
 
 class _Ival:
-    """A value of the first stage: the exact rational q (an int or a
+    """A value of _DecimalIV: the exact rational q (an int or a
     Fraction) or, when q is None, the interval [lo, hi] of Decimals.  Its
     namespace's `unbounded` (lo = hi = None) stands for what no finite
     interval encloses here: a quotient by an interval that holds 0, or a
@@ -476,7 +530,7 @@ _POWER_DIGITS = int(POWER_BITS * math.log10(2))
 
 
 def _decimal_endpoints(x: _Ival) -> tuple[Fraction, Fraction] | None:
-    """Exact Fraction endpoints of a first-stage value; None when it is
+    """Exact Fraction endpoints of a _DecimalIV value; None when it is
     unbounded, CertificationError for an endpoint whose decimal exponent
     lies past POWER_BITS, before it is built."""
     if x.q is not None:
@@ -490,25 +544,18 @@ def _decimal_endpoints(x: _Ival) -> tuple[Fraction, Fraction] | None:
 
 
 def enclose(build, done, dps: int) -> tuple[Fraction, Fraction]:
-    """Exact endpoints (lo, hi) of build(iv), an interval expression in mpmath.iv.
+    """Exact endpoints (lo, hi) of build(iv), an interval expression in mpmath.iv's interface.
 
-    A starting dps of at most DECIMAL_DPS is first evaluated once on the
-    decimal stage (_DecimalIV).  Unless that gives finite endpoints for
-    which done(lo, hi) holds, build runs on mpmath.iv at twice the digits,
-    and the digits double until both endpoints are finite and done holds;
-    CertificationError past MAX_DPS digits.  mpmath is imported only then.
+    build runs on _DecimalIV at dps digits, and the digits double until
+    both endpoints are finite and done(lo, hi) holds; CertificationError
+    past MAX_DPS digits, and at once for a value past decimal's exponent
+    range, which more digits do not widen.
     """
-    if dps <= DECIMAL_DPS:
+    while dps <= MAX_DPS:
         try:
             ends = _decimal_endpoints(build(_DecimalIV(dps)))
-        except decimal.Overflow:  # past decimal's exponent range, which mpmath does not have
-            ends = None
-        if ends is not None and done(*ends):
-            return ends
-        dps *= 2
-    while dps <= MAX_DPS:
-        with _ivdps(dps) as iv:
-            ends = _iv_endpoints(build(iv))
+        except decimal.Overflow:
+            raise CertificationError("a certified value lies past decimal's exponent range") from None
         if ends is not None and done(*ends):
             return ends
         dps *= 2
@@ -516,7 +563,7 @@ def enclose(build, done, dps: int) -> tuple[Fraction, Fraction]:
 
 
 def iv_fr(iv, x: Fraction):
-    """A Fraction as an interval of iv (mpmath.iv or the decimal stage)."""
+    """A Fraction as an interval of iv (_DecimalIV, or mpmath.iv itself)."""
     return iv.mpf(x.numerator) / iv.mpf(x.denominator)
 
 
@@ -573,18 +620,6 @@ def _decimal_contexts(prec: int) -> tuple[decimal.Context, decimal.Context]:
         decimal.Context(prec=prec, rounding=r, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
         for r in (decimal.ROUND_FLOOR, decimal.ROUND_CEILING)
     )
-
-
-@functools.lru_cache(maxsize=1024)
-def _decimal_ln(k: int, prec: int) -> tuple[decimal.Decimal, decimal.Decimal]:
-    """(lo, hi) with lo <= ln k <= hi for an integer k >= 1: decimal's ln is
-    correctly rounded, so one unit in the last place either side of it
-    encloses ln k, and ln 1 = 0 is exact."""
-    down, up = _decimal_contexts(prec)
-    x = down.ln(k)  # rounded to nearest regardless of the context's rounding
-    if not x:
-        return x, x
-    return x.next_minus(down), x.next_plus(up)
 
 
 def log10_rational(q) -> float:
@@ -758,9 +793,8 @@ class FactoredReal:
 
         So the error lies below the digits-th significant digit when
         |log10| < 1, and below the digits-th decimal otherwise.  One
-        enclosure, from digits + 15 digits: its decimal first stage settles
-        it unless the terms nearly cancel, and then mpmath goes on at twice
-        those digits.
+        enclosure, from digits + 15 digits: its first evaluation settles it
+        unless the terms nearly cancel, and then the digits double.
         """
         if digits < 1:
             raise ValueError("digits must be >= 1")

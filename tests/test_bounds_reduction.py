@@ -8,8 +8,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from heightlab import bounds_reduction
 from heightlab.bounds_reduction import (
     COVER_COUNT_CAP,
+    THEOREMS,
     bound_constants,
     cover_list,
     gamma_value,
@@ -21,7 +23,7 @@ from heightlab.bounds_reduction import (
     s1_count,
     s2_count,
 )
-from heightlab.exact_reals import FactoredReal
+from heightlab.exact_reals import FactoredReal, enclose
 from heightlab.infima_lab import SystemInstance
 from heightlab.places_heights import INF, Place
 from heightlab.twisted_system import ValidationError, validate
@@ -264,6 +266,28 @@ def test_interval_cover_near_one_and_at_the_cap():
     assert interval_cover(base**COVER_COUNT_CAP, F(1, 1000)) == COVER_COUNT_CAP
     with pytest.raises(ValidationError):
         interval_cover(base**COVER_COUNT_CAP + F(1, 10**9), F(1, 1000))
+
+
+@pytest.mark.parametrize("thm", sorted(THEOREMS))
+def test_bounds_at_high_precision_evaluate_each_builder_once(thm, monkeypatch):
+    # every decimal starts at --precision + 15 digits, which settle it at once
+    counts = []
+
+    def spy(build, done, dps):
+        counts.append(0)
+        k = len(counts) - 1
+
+        def counted(iv):
+            counts[k] += 1
+            return build(iv)
+
+        return enclose(counted, done, dps)
+
+    monkeypatch.setattr(bounds_reduction, "enclose", spy)
+    flags = {"n": 3, "delta": F(1, 2), "eps": F(2, 3), "R": 5, "D": 2, "H_L": F(7, 2), "H_star": F(9, 4), "d": 2, "s": 2}
+    names, _ = THEOREMS[thm]
+    bound_constants(thm, {k: flags[k] for k in names}, precision=40)
+    assert counts and set(counts) == {1}
 
 
 def test_interval_cover_refuses_large_counts_quickly():

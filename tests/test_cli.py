@@ -710,7 +710,7 @@ def test_factored_log10_asks_for_digits_below_the_last_place():
     assert _factored_json(FactoredReal.from_rational(Fraction(1, 100000)), 12)["log10"] == "-5"
 
 
-# -- mpmath is loaded on first use -------------------------------------------
+# -- the package never loads mpmath -------------------------------------------
 
 
 def _fresh_interpreter(runs, tmp_path) -> tuple[list[int], bool]:
@@ -770,7 +770,7 @@ def _bin_system(tmp_path, eps: Fraction) -> str:
 
 def test_certified_values_never_import_mpmath(tmp_path):
     # every theorem, a cover with its endpoints and a scan with a solution of
-    # height 2 (a histogram bin of 415890) stay on the decimal first stage
+    # height 2 (a histogram bin of 415890)
     from heightlab.bounds_reduction import THEOREMS
 
     flags = {
@@ -781,6 +781,15 @@ def test_certified_values_never_import_mpmath(tmp_path):
     runs.append(["cover", "--omega", "1000", "--delta", "1/3", "--q1", "7"])
     runs.append(["scan", _bin_system(tmp_path, Fraction(1, 10**5)), "--hmax", "5", "--box", "5"])
     assert _fresh_interpreter(runs, tmp_path) == ([0] * len(runs), False)
-    # at eps = 10^-30 the bin's first enclosure divides by an interval that holds 0, and mpmath goes on
+    # at eps = 10^-30 the bin's first enclosure divides by an interval that holds 0, and the digits double
     escalating = ["scan", _bin_system(tmp_path, Fraction(1, 10**30)), "--hmax", "5", "--box", "5"]
-    assert _fresh_interpreter([escalating], tmp_path) == ([0], True)
+    assert _fresh_interpreter([escalating], tmp_path) == ([0], False)
+
+
+def test_slowest_refusal_is_bounded(tmp_path):
+    # the floor bracket of m' doubles its digits from 30 to 15,360 before it is refused
+    import time
+
+    start = time.perf_counter()
+    assert _fresh_interpreter([["bounds", "--thm", "1.3", "--n", "100000", "--eps", "1"]], tmp_path) == ([5], False)
+    assert time.perf_counter() - start < 10

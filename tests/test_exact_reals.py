@@ -140,7 +140,7 @@ def test_near_cancelling_log10_falls_back_to_enclose(monkeypatch):
         calls.clear()
         _assert_log10_certified(x, digits)
         assert calls[:2] == [digits + 15, 2 * (digits + 15)]
-    # a value far from 0 takes the decimal stage alone
+    # a value far from 0 takes one evaluation
     calls.clear()
     _assert_log10_certified(FR({2: 1, 3: F(-1, 7)}), 12)
     assert calls == [27]
@@ -315,6 +315,18 @@ def test_enclose_refuses_an_interval_that_stays_infinite():
         enclose(build, lambda lo, hi: True, 30)
 
 
+def test_enclose_refuses_a_value_past_decimals_exponent_range_at_once():
+    seen = []
+
+    def build(iv):  # 2**(10**19) has some 3 10**18 digits in its exponent, past decimal.MAX_EMAX
+        seen.append(iv.dps)
+        return iv.mpf([2, 3]) ** 10**19
+
+    with pytest.raises(CertificationError, match="exponent range"):
+        enclose(build, lambda lo, hi: True, 30)
+    assert seen == [30]
+
+
 def test_enclose_refuses_past_max_dps():
     seen = []
 
@@ -373,18 +385,22 @@ _expressions = st.recursive(_leaves, _extend, max_leaves=6)
 
 
 @settings(max_examples=300, deadline=None)
-@given(_expressions, st.integers(5, exact_reals.DECIMAL_DPS))
+@given(_expressions, st.integers(5, 480))
 def test_first_stage_encloses_the_mpmath_oracle(build, dps):
-    """The first stage's interval meets mpmath's at three times the digits,
-    whose width is far below one unit in the first stage's last place: so
-    the first stage encloses the value.  Whatever mpmath cannot bound (an
-    infinite interval, a log of a value <= 0) the first stage leaves unbounded."""
+    """The decimal intervals meet mpmath.iv's at three times the digits and
+    100 more, whose width is far below one unit in their last place: so
+    they enclose the value.  Whatever mpmath cannot bound there (an infinite
+    interval, a log of a value <= 0) they leave unbounded; the 100 digits
+    hold every leaf exactly enough for that, since the decimal ln of an
+    exact rational such as 1 + 10^-60 does not round its argument first."""
     stage = exact_reals._DecimalIV(dps)
     try:
         x = build(stage)
-    except decimal.Overflow:  # past decimal's exponent range: enclose goes on to mpmath
+    except decimal.Overflow:  # past decimal's exponent range, which enclose refuses
         return
-    with exact_reals._ivdps(3 * dps) as iv:
+    iv = mpmath.iv
+    old, iv.dps = iv.dps, 3 * dps + 100
+    try:
         try:
             oracle = build(iv)
             bounded = mpmath.isfinite(oracle.a) and mpmath.isfinite(oracle.b)
@@ -394,12 +410,14 @@ def test_first_stage_encloses_the_mpmath_oracle(build, dps):
             assert x is stage.unbounded
             return
         if x is stage.unbounded:
-            return  # looser than mpmath, which enclose then asks
+            return  # looser than mpmath: enclose then doubles the digits
         if x.q is not None:
             mine = iv.mpf(x.q.numerator) / x.q.denominator
         else:
             mine = iv.mpf([str(x.lo), str(x.hi)])  # rounded outward
         assert mine.a <= oracle.b and oracle.a <= mine.b
+    finally:
+        iv.dps = old
 
 
 def test_first_stage_negates_without_rounding():
@@ -412,16 +430,59 @@ def test_first_stage_negates_without_rounding():
     assert x.hi.copy_negate() == stage.log(3).lo and len(x.lo.as_tuple().digits) == 60
 
 
-def test_first_stage_cap_sends_long_starts_to_mpmath():
-    seen = []
+# -- the integer ln ------------------------------------------------------------
 
-    def build(iv):
-        seen.append(iv is mpmath.iv)
-        return iv.log(iv.mpf(2))
 
-    enclose(build, lambda lo, hi: True, exact_reals.DECIMAL_DPS)
-    enclose(build, lambda lo, hi: True, exact_reals.DECIMAL_DPS + 1)
-    assert seen == [False, True]
+def _ln_oracle(c: int, e: int, digits: int) -> tuple[F, F]:
+    """(ln(c 10**e) from mpmath, a bound on its error), with 3 digits + 15
+    significant digits left after any cancellation between ln c and e ln 10."""
+    dps = 3 * digits + c.bit_length() // 3 + len(str(abs(e))) + 20
+    with mpmath.workdps(dps):
+        sign, man, exp, _ = (mpmath.log(c) + e * mpmath.log(10))._mpf_
+    o = (-1) ** sign * F(man) * F(2) ** exp
+    return o, abs(o) / 10 ** (3 * digits)
+
+
+_ints = st.one_of(
+    st.just(1),
+    st.builds(lambda j, d: max(1, 2**j + d), st.integers(0, 13_000), st.sampled_from([-1, 0, 1])),
+    st.integers(1, 2**13_000),
+).map(lambda k: (k, 0))
+_endpoints = st.tuples(st.integers(1, 10**600), st.integers(-(10**6), 10**6))
+_near_one = st.builds(  # within 10^(3 - d) of 1, on either side
+    lambda d, m: (10**d + m, -d), st.integers(4, 1000), st.integers(-999, 999).filter(bool)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_ints, _endpoints, _near_one), st.integers(5, 2000), st.booleans())
+def test_integer_ln_encloses_the_mpmath_oracle(ce, digits, exact):
+    """_ln of c 10**e, as a Decimal or (for small |e|) an int or Fraction, meets
+    mpmath's ln at three times the digits, rounded outward to a width of at
+    most four units in its last place."""
+    c, e = ce
+    if exact and abs(e) <= 1000:
+        x = c * F(10) ** e
+    else:
+        x = decimal.Decimal((0, decimal.Decimal(c).as_tuple().digits, e))
+    lo, hi = exact_reals._ln(x, digits)
+    if -700 < e <= 0 and c == 10**-e:  # x = 1
+        assert lo == hi == 0
+        return
+    o, slack = _ln_oracle(c, e, digits)
+    assert F(lo) <= o + slack and o - slack <= F(hi)
+    assert len(lo.as_tuple().digits) <= digits and len(hi.as_tuple().digits) <= digits
+    ulp = F(10) ** (max(lo.copy_abs(), hi.copy_abs()).adjusted() - digits + 1)
+    assert F(hi) - F(lo) <= 4 * ulp
+
+
+def test_integer_ln_constants():
+    # ln 2 and ln 10 from their atanh series, against mpmath at 700 digits
+    with mpmath.workdps(700):
+        for terms, value in ((exact_reals._LN2, mpmath.log(2)), (exact_reals._LN10, mpmath.log(10))):
+            for w in (20, 333, 1000):
+                total, err = exact_reals._atanh_sum(terms, w)
+                assert abs(total - value * 2**w) <= err <= 16
 
 
 # -- decimal_str ------------------------------------------------------------
