@@ -2,7 +2,8 @@
 
 All closed-form constants are evaluated by exact_reals.enclose, with
 outward-rounded interval arithmetic, on the interval helpers of
-exact_reals (iv_fr, iv_ln, certified_floor): floor brackets are only taken
+exact_reals (iv_fr, iv_ln, certified_floor); the log10 of an exact factored
+entry comes from exact_reals.log10_enclosure.  Floor brackets are only taken
 once the enclosure pins the integer, and reported decimals carry certified
 significant digits.  Each builder is written once against mpmath.iv's
 interface and runs on enclose's decimal intervals, at digits that double
@@ -19,7 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact_reals import (
-    POWER_BITS, CertificationError, FactoredReal, certified_floor, decimal_str, enclose, iv_fr, iv_ln, log10_rational,
+    POWER_BITS, CertificationError, FactoredReal, certified_floor, decimal_str, enclose, iv_fr, iv_ln, log10_enclosure,
+    log10_rational,
 )
 from .places_heights import height
 from .twisted_system import PlaceData, TwistedPair, ValidationError, pair_invariants, parse_frac, twisted_height, validate
@@ -49,16 +51,16 @@ COVER_COUNT_CAP = 10_000
 # -- interval plumbing ------------------------------------------------------
 
 
-def _certified_decimal(build, sig: int) -> str:
+def _certified_decimal(evaluate, target, sig: int) -> str:
     """Decimal string of a positive-width target with sig certified digits,
-    from sig + 15 digits (at least 30), as report log10s start."""
-    rel = Fraction(1, 10 ** (sig + 2))
+    from sig + 15 digits (at least 30), as report log10s start: enclose of
+    a builder, or log10_enclosure of a FactoredReal."""
+    inv_rel = 10 ** (sig + 2)
 
-    def done(lo, hi):
-        scale = max(abs(lo), abs(hi))
-        return scale == 0 or (hi - lo) / scale <= rel
+    def done(lo, hi, one=1):  # a relative width of at most 10**-(sig + 2), or lo = hi = 0, in any unit 1/one
+        return (hi - lo) * inv_rel <= max(abs(lo), abs(hi))
 
-    lo, hi = enclose(build, done, max(30, sig + 15))
+    lo, hi = evaluate(target, done, max(30, sig + 15))
     if lo == hi == 0:
         return "0"
     return decimal_str((lo + hi) / 2, sig)
@@ -108,17 +110,17 @@ def _entry_factored(x: FactoredReal, sig: int) -> dict:
     for _, num, den in factored:  # the report prints these integers
         _text(num)
         _text(den)
-    log10 = _certified_decimal(lambda iv: iv_ln(iv, x) / iv.log(10), sig) if not x.is_one() else "0"
+    log10 = _certified_decimal(log10_enclosure, x, sig) if not x.is_one() else "0"
     return {"tier": "exact", "value": None, "factored": factored, "log10": log10, "loglog10": None}
 
 
 def _entry_real(build, sig: int) -> dict:
-    log10 = _certified_decimal(lambda iv: iv.log(build(iv)) / iv.log(10), sig)
+    log10 = _certified_decimal(enclose, lambda iv: iv.log(build(iv)) / iv.log(10), sig)
     return {"tier": "log10", "value": None, "log10": log10, "loglog10": None}
 
 
 def _entry_loglog(build_log10log10, sig: int) -> dict:
-    s = _certified_decimal(build_log10log10, sig)
+    s = _certified_decimal(enclose, build_log10log10, sig)
     return {"tier": "loglog10", "value": None, "log10": None, "loglog10": s}
 
 
@@ -381,7 +383,7 @@ def _cover_count(base: Fraction, target) -> int:
     have more than exact_reals.POWER_BITS bits.
     """
     rational = isinstance(target, Fraction)
-    # ln(num) - ln(den) cancels about -log10(x - 1) digits when x = num/den is near 1
+    # x = num/den near 1 loses about -log10(x - 1) digits once it is too long to stay exact
     lost = max(
         x.denominator.bit_length() - (x.numerator - x.denominator).bit_length()
         for x in ((base, target) if rational else (base,))

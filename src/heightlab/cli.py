@@ -226,8 +226,7 @@ def _parse_qgrid(spec: str) -> list[Fraction]:
 
 def cmd_dispatch(argv) -> int:
     """Parse arguments, run one subcommand, write reports."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(argv)
     try:
         if "precision" in args and not 1 <= args.precision <= MAX_PRECISION:
             raise ValidationError(f"--precision must be in [1, {MAX_PRECISION}], got {args.precision}")
@@ -242,8 +241,25 @@ def cmd_dispatch(argv) -> int:
         return _fail(5, f"could not certify: {exc}")
 
 
+def _parse(argv) -> argparse.Namespace:
+    """parse_args of the top parser, in one pass when argv starts with a subcommand.
+
+    That subcommand's own parser reads the rest, as the top parser would hand
+    it over, and what it leaves goes to the top parser's error, as there.
+    """
+    parser, subcommands = _parsers()
+    sub = subcommands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top parser, and each subcommand's parser by name."""
     parser = argparse.ArgumentParser(
         prog="heightlab",
         description="Exact twisted heights, filtrations, infima search and bound tables.",
@@ -329,7 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     add("reduce", _cmd_reduce, needs_system=True)
     add("cover", _cmd_cover, omega={"required": True}, delta={"required": True}, q1={"default": None})
-    return parser
+    return parser, sub.choices
 
 
 def _cmd_validate(args) -> int:

@@ -9,17 +9,20 @@ proof in the range where it is used; an integer that cannot be factored
 into certified primes within a fixed budget raises CertificationError,
 and so does an exact comparison (cmp_power_product) past POWER_BITS bits.
 
-Every certified real of the package is evaluated by enclose: outward-rounded
-interval arithmetic, until the exact endpoints decide what the caller
-needs.  Its builders are written once against mpmath.iv's interface, and
-the interval helpers beside it (iv_fr, iv_ln and certified_floor) build
-what it evaluates for the theorem constants and floors, cover counts, the
-scan's histogram bins and report log10s.  enclose evaluates them on the
-standard library's decimal (_DecimalIV: exact rationals until a size cap,
-directed rounding past it), with one ln of its own in Python integers
-(_ln: square roots, then atanh's series, with a proven error bound), at
-digits that double from the caller's start.  A value that needs more than
-MAX_DPS decimal digits raises CertificationError.  The package needs no
+Certified reals are evaluated to exact endpoints, at digits that double
+from the caller's start until those endpoints decide what the caller needs;
+a value that needs more than MAX_DPS decimal digits raises
+CertificationError.  Two routines do it.  log10_enclosure gives the log10
+of a FactoredReal (every report log10, and the factored entries of the
+bound tables) as one sum in fixed point: the cached ln of each prime
+(_ln_fixed: square roots, then atanh's series in Python integers, with a
+proven error bound), times its exponent, over ln 10.  enclose evaluates
+every other value: outward-rounded interval arithmetic on builders written
+once against mpmath.iv's interface, with the interval helpers beside it
+(iv_fr, iv_ln and certified_floor) for the theorem constants and floors,
+cover counts and the scan's histogram bins.  It runs them on the standard
+library's decimal (_DecimalIV: exact rationals until a size cap, directed
+rounding past it), with _ln_fixed again for its ln.  The package needs no
 library outside the standard one.
 """
 
@@ -33,7 +36,8 @@ from fractions import Fraction
 
 __all__ = [
     "FactoredReal", "ONE", "CertificationError", "is_prime", "factorint", "log10_rational",
-    "cmp_power_product", "POWER_BITS", "enclose", "iv_fr", "iv_ln", "certified_floor", "MAX_DPS", "decimal_str",
+    "cmp_power_product", "POWER_BITS", "enclose", "log10_enclosure", "iv_fr", "iv_ln", "certified_floor", "MAX_DPS",
+    "decimal_str",
 ]
 
 _RatLike = (int, Fraction)
@@ -229,23 +233,37 @@ _LN2 = ((18, 26), (-2, 4801), (8, 8749))
 _LN10 = ((54, 26), (-6, 4801), (24, 8749), (2, 9))
 
 
-@functools.lru_cache(maxsize=128)
+# The widest (v, L, E) _atanh_sum has computed, per terms.
+_WIDEST: dict = {}
+
+
 def _atanh_sum(terms, w: int) -> tuple[int, int]:
     """(L, E) with |L - 2**w sum k atanh(1/n)| <= E over terms (k, n), n >= 3.
 
-    At W = w + 32 bits, t_j = floor(t_{j-1} / n**2) from t_0 = floor(2**W / n)
+    At W = v + 32 bits, t_j = floor(t_{j-1} / n**2) from t_0 = floor(2**W / n)
     lies less than 9/8 below 2**W n**-(2j+1) (a loss of at most a ninth of
     the last plus 1), so each t_j // (2j + 1) lies less than 3 below its
-    term, and the tail after the last nonzero t_j less than 2."""
-    total = err = 0
-    for k, n in terms:
-        t, j = (1 << (w + 32)) // n, 1
-        while t:
-            total += k * (t // j)
-            t //= n * n
-            j += 2
-        err += abs(k) * (3 * (j // 2) + 2)
-    return total >> 32, (err >> 32) + 2
+    term, and the tail after the last nonzero t_j less than 2.
+
+    The sum is computed once per terms, at v = w + 64 for the widest w
+    asked for so far, and a lower w gets that L shifted right by d = v - w
+    with one more unit of error: the shift floors L / 2**d, which loses less
+    than 1, and |L / 2**d - 2**w c| <= E / 2**d <= E for the constant c.
+    """
+    widest = _WIDEST.get(terms)
+    if widest is None or widest[0] < w:
+        v = w + 64  # one precision's w vary by the bits of r and s in _ln_fixed: take them at once
+        total = err = 0
+        for k, n in terms:
+            t, j = (1 << (v + 32)) // n, 1
+            while t:
+                total += k * (t // j)
+                t //= n * n
+                j += 2
+            err += abs(k) * (3 * (j // 2) + 2)
+        widest = _WIDEST[terms] = (v, total >> 32, (err >> 32) + 2)
+    v, total, err = widest
+    return (total >> (v - w), err + 1) if v > w else (total, err)
 
 
 def _ln_fixed(num: int, den: int, w: int) -> tuple[int, int]:
@@ -288,6 +306,10 @@ def _ln_fixed(num: int, den: int, w: int) -> tuple[int, int]:
         err += s * e2
     shift = W - w
     return total >> shift, (err >> shift) + 2
+
+
+# _ln_fixed of the primes of report log10s, at the few w their digits give
+_ln_prime = functools.lru_cache(maxsize=1024)(_ln_fixed)
 
 
 def _ln(x, prec: int) -> tuple[decimal.Decimal, decimal.Decimal]:
@@ -389,7 +411,7 @@ class _Ival:
     __slots__ = ("ns", "q", "lo", "hi")
 
     def __init__(self, ns: _DecimalIV, q, lo=None, hi=None):
-        if q is not None and max(q.numerator.bit_length(), q.denominator.bit_length()) > _EXACT_BITS:
+        if q is not None and (q.numerator.bit_length() > _EXACT_BITS or q.denominator.bit_length() > _EXACT_BITS):
             lo, hi, q = *_round_long(ns, q), None
         self.ns, self.q, self.lo, self.hi = ns, q, lo, hi
 
@@ -562,13 +584,49 @@ def enclose(build, done, dps: int) -> tuple[Fraction, Fraction]:
     raise CertificationError(f"a certified value needs more than {MAX_DPS} digits")
 
 
+def log10_enclosure(x: "FactoredReal", done, dps: int) -> tuple[Fraction, Fraction]:
+    """Exact endpoints (lo, hi) of log10 x, as enclose gives those of
+    iv_ln(iv, x) / iv.log(10), from one sum in fixed point instead.
+
+    At w = dps log2(10) + 5 bits or more, each prime power p**(a/b) of x
+    adds floor(a L_p / b), where |L_p - 2**w ln p| <= E_p (_ln_fixed): the
+    term lies less than |a/b| E_p + 1 from 2**w (a/b) ln p.  The sum T, with
+    E the sum of those bounds, is divided by ln 10's [L - E', L + E']
+    (_atanh_sum), and the quotients of [T - E, T + E] by it, rounded outward
+    to units of 2**-w, are lo and hi.  The digits double until
+    done(lo 2**w, hi 2**w, 2**w), on integers; CertificationError past MAX_DPS.
+    """
+    factors = x._f.items()
+    while dps <= MAX_DPS:
+        w = dps * 10 // 3 + 5
+        total = err = 0
+        for p, e in factors:
+            ln_p, err_p = _ln_prime(p, 1, w)
+            a, b = e.numerator, e.denominator
+            total += a * ln_p // b
+            err += -(-abs(a) * err_p // b) + 1
+        ln10, err10 = _atanh_sum(_LN10, w)
+        lo, hi = total - err, total + err
+        lo = (lo << w) // (ln10 + err10 if lo >= 0 else ln10 - err10)
+        hi = -((-hi << w) // (ln10 - err10 if hi >= 0 else ln10 + err10))
+        if done(lo, hi, 1 << w):
+            return Fraction(lo, 1 << w), Fraction(hi, 1 << w)
+        dps *= 2
+    raise CertificationError(f"a certified value needs more than {MAX_DPS} digits")
+
+
 def iv_fr(iv, x: Fraction):
-    """A Fraction as an interval of iv (_DecimalIV, or mpmath.iv itself)."""
+    """A Fraction as an interval of iv: on _DecimalIV that exact value, on mpmath.iv num / den."""
+    if isinstance(iv, _DecimalIV):
+        return iv.mpf(x)
     return iv.mpf(x.numerator) / iv.mpf(x.denominator)
 
 
 def iv_ln(iv, x):
-    """Natural log of a positive Fraction or FactoredReal, as an interval of iv."""
+    """Natural log of a positive Fraction or FactoredReal, as an interval of iv.
+
+    A Fraction on _DecimalIV is one ln of the exact value; on mpmath.iv,
+    which takes no Fraction, ln num - ln den."""
     if isinstance(x, FactoredReal):
         total = iv.mpf(0)
         for p, e in sorted(x.factors.items()):
@@ -577,6 +635,8 @@ def iv_ln(iv, x):
     x = Fraction(x)
     if x <= 0:
         raise ValueError("log of non-positive value")
+    if isinstance(iv, _DecimalIV):
+        return iv.log(x)
     return iv.log(iv.mpf(x.numerator)) - iv.log(iv.mpf(x.denominator))
 
 
@@ -793,7 +853,7 @@ class FactoredReal:
 
         So the error lies below the digits-th significant digit when
         |log10| < 1, and below the digits-th decimal otherwise.  One
-        enclosure, from digits + 15 digits: its first evaluation settles it
+        log10_enclosure, from digits + 15 digits: its first sum settles it
         unless the terms nearly cancel, and then the digits double.
         """
         if digits < 1:
@@ -801,13 +861,13 @@ class FactoredReal:
         exact = self.log10_exact()
         if exact is not None:
             return exact, Fraction(0)
-        target = Fraction(1, 10 ** digits)
+        scale = 2 * 10**digits
 
-        def done(lo, hi):
-            least = min(abs(lo), abs(hi), 1) if lo * hi > 0 else 0  # <= min(1, |log10|)
-            return (hi - lo) / 2 <= target * least
+        def done(lo, hi, one):  # in units of 1/one
+            least = min(abs(lo), abs(hi), one) if (lo > 0) == (hi > 0) else 0  # <= min(1, |log10|) one
+            return (hi - lo) * scale <= least
 
-        lo, hi = enclose(lambda iv: iv_ln(iv, self) / iv.log(10), done, digits + 15)
+        lo, hi = log10_enclosure(self, done, digits + 15)
         return (lo + hi) / 2, (hi - lo) / 2
 
     def log10_float(self) -> float:

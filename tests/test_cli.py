@@ -532,10 +532,70 @@ def test_cover_count_over_cap_refused_quickly(capsys):
 
 
 def test_parser_is_built_once():
-    from heightlab.cli import _build_parser
+    from heightlab.cli import _parsers
 
-    assert _build_parser() is _build_parser()
+    assert _parsers() is _parsers()
 
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        ["nope"],
+        ["bounds", "-h"],
+        ["bounds", "--n", "3"],  # --thm is required
+        ["bounds", "--thm", "1.1", "--n", "6", "--delta", "1/2", "--bogus", "x"],
+        ["bounds", "--thm", "1.1", "--n", "6", "--delta", "1/2", "--precision", "twelve"],
+        ["bounds", "--th", "1.1", "--n", "6", "--del", "1/2", "--prec", "20"],  # abbreviated flags
+        ["validate", "a.json", "b.json"],
+    ],
+)
+def test_dispatch_parses_as_the_top_parser(argv, capsys):
+    # one pass through the subcommand's parser: the same namespace, or the same exit and message
+    from heightlab.cli import _parse, _parsers
+
+    def outcome(parse):
+        try:
+            return 0, parse(list(argv)), capsys.readouterr()
+        except SystemExit as exc:
+            return exc.code, None, capsys.readouterr()
+
+    assert outcome(_parse) == outcome(_parsers()[0].parse_args)
+
+
+def test_printed_log10s_match_the_interval_route():
+    # report log10s (FactoredReal.log10) and bound-table log10s come from the
+    # fixed-point kernel; they print as the enclosure of iv_ln / ln 10 did
+    import random
+
+    from heightlab import bounds_reduction
+    from heightlab.cli import _factored_json, _g_str
+    from heightlab.exact_reals import FactoredReal, enclose, iv_ln
+
+    rng = random.Random(17)
+    primes = [2, 3, 5, 7, 11, 13, 101, 65537, 999983]
+    for precision in range(1, 101):
+        values = [
+            FactoredReal({p: F(rng.randint(-99, 99) or 1, rng.randint(1, 12)) for p in rng.sample(primes, 3)}),
+            FactoredReal({p: F(rng.randint(1, 10**40), rng.randint(1, 10**30)) for p in rng.sample(primes, 2)}),
+            FactoredReal({2: 1054, 3: -665}),  # near 1: 665/1054 is a convergent of log 2 / log 3
+        ]
+        for x in values:
+            target = F(1, 10**precision)
+
+            def done(lo, hi):
+                least = min(abs(lo), abs(hi), 1) if lo * hi > 0 else 0
+                return (hi - lo) / 2 <= target * least
+
+            def build(iv):
+                return iv_ln(iv, x) / iv.log(10)
+
+            lo, hi = enclose(build, done, precision + 15)
+            assert _factored_json(x, precision)["log10"] == _g_str((lo + hi) / 2, precision)
+            table = bounds_reduction._entry_factored(x, precision)["log10"]
+            assert table == bounds_reduction._certified_decimal(enclose, build, precision)
 
 
 def test_help_names_the_factoring_refusal(capsys):
@@ -781,9 +841,27 @@ def test_certified_values_never_import_mpmath(tmp_path):
     runs.append(["cover", "--omega", "1000", "--delta", "1/3", "--q1", "7"])
     runs.append(["scan", _bin_system(tmp_path, Fraction(1, 10**5)), "--hmax", "5", "--box", "5"])
     assert _fresh_interpreter(runs, tmp_path) == ([0] * len(runs), False)
-    # at eps = 10^-30 the bin's first enclosure divides by an interval that holds 0, and the digits double
+    # at eps = 10^-30 the bin, about 4 10^30, has more digits than its first enclosure, and the digits double
     escalating = ["scan", _bin_system(tmp_path, Fraction(1, 10**30)), "--hmax", "5", "--box", "5"]
     assert _fresh_interpreter([escalating], tmp_path) == ([0], False)
+
+
+def test_near_one_bin_ratio_takes_one_ln(tmp_path, monkeypatch):
+    # the ln of the histogram ratio, about 1 + eps/6 at eps = 10^-30, is one ln of the exact
+    # ratio, not ln num - ln den, which cancel 30 digits: the bin's enclosures run at 30 and 60 digits
+    from heightlab import exact_reals
+
+    seen = []
+
+    class Counting(exact_reals._DecimalIV):
+        def __init__(self, dps):
+            seen.append(dps)
+            super().__init__(dps)
+
+    monkeypatch.setattr(exact_reals, "_DecimalIV", Counting)
+    argv = ["scan", _bin_system(tmp_path, Fraction(1, 10**30)), "--hmax", "5", "--box", "5"]
+    assert cmd_dispatch(argv + ["--out", str(tmp_path / "bin30-out.json")]) == 0
+    assert seen == [30, 60]
 
 
 def test_slowest_refusal_is_bounded(tmp_path):

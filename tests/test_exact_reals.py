@@ -115,35 +115,47 @@ def test_log10_encloses_the_mpmath_oracle(factors, digits):
     _assert_log10_certified(FR(factors), digits)
 
 
-def test_near_cancelling_log10_falls_back_to_enclose(monkeypatch):
-    # a/b a convergent of log 3/log 2: 2^a 3^-b has |log10| below 1/b, far
-    # below its terms, so the decimal stage misses the relative bound
-    with mpmath.workdps(60):
+def _convergents_of_log2_3(count: int) -> list[tuple[int, int]]:
+    """(a, b) with a/b the convergents of log 3 / log 2, so 2^a 3^-b is near 1."""
+    with mpmath.workdps(200):
         theta = mpmath.log(3) / mpmath.log(2)
-        convergents, (h0, h1), (k0, k1) = [], (0, 1), (1, 0)
-        for _ in range(25):
+        out, (h0, h1), (k0, k1) = [], (0, 1), (1, 0)
+        for _ in range(count):
             a = int(mpmath.floor(theta))
             h0, h1, k0, k1 = h1, a * h1 + h0, k1, a * k1 + k0
-            convergents.append((h1, k1))
+            out.append((h1, k1))
             theta = 1 / (theta - a)
-    a, b = next((h, k) for h, k in convergents if k > 10**8)
-    calls = []  # the digits of each evaluation of the log10 builder
-    real = exact_reals.iv_ln
+    return out
 
-    def spy(iv, x):
-        calls.append(iv.dps)
-        return real(iv, x)
 
-    monkeypatch.setattr(exact_reals, "iv_ln", spy)
+_CONVERGENTS = _convergents_of_log2_3(60)
+
+
+def test_near_cancelling_log10_doubles_its_digits(monkeypatch):
+    # a/b a convergent of log 3/log 2: 2^a 3^-b has |log10| below 1/b, far
+    # below its terms, so the kernel's first sum misses the relative bound
+    a, b = next((h, k) for h, k in _CONVERGENTS if k > 10**8)
+    calls = []  # the bits of each sum: one division by ln 10 a sum
+    real = exact_reals._atanh_sum
+
+    def spy(terms, w):
+        if terms == exact_reals._LN10:
+            calls.append(w)
+        return real(terms, w)
+
+    def bits(dps):
+        return dps * 10 // 3 + 5
+
+    monkeypatch.setattr(exact_reals, "_atanh_sum", spy)
     x = FR({2: a, 3: -b})
     for digits in (1, 12, 40):
         calls.clear()
         _assert_log10_certified(x, digits)
-        assert calls[:2] == [digits + 15, 2 * (digits + 15)]
-    # a value far from 0 takes one evaluation
+        assert calls[:2] == [bits(digits + 15), bits(2 * (digits + 15))]
+    # a value far from 0 takes one sum
     calls.clear()
     _assert_log10_certified(FR({2: 1, 3: F(-1, 7)}), 12)
-    assert calls == [27]
+    assert calls == [bits(27)]
 
 
 def test_cmp_consistent_with_log10():
@@ -476,13 +488,73 @@ def test_integer_ln_encloses_the_mpmath_oracle(ce, digits, exact):
     assert F(hi) - F(lo) <= 4 * ulp
 
 
-def test_integer_ln_constants():
-    # ln 2 and ln 10 from their atanh series, against mpmath at 700 digits
+def test_integer_ln_constants(monkeypatch):
+    # ln 2 and ln 10 from their atanh series, against mpmath at 700 digits:
+    # computed at the widest bits asked for, and shifted for fewer
+    monkeypatch.setattr(exact_reals, "_WIDEST", {})
     with mpmath.workdps(700):
         for terms, value in ((exact_reals._LN2, mpmath.log(2)), (exact_reals._LN10, mpmath.log(10))):
-            for w in (20, 333, 1000):
+            for w in (20, 333, 1000, 999, 333, 20, 1100, 1200):
                 total, err = exact_reals._atanh_sum(terms, w)
                 assert abs(total - value * 2**w) <= err <= 16
+            assert exact_reals._WIDEST[terms][0] == 1200 + 64
+
+
+# -- the log10 kernel ------------------------------------------------------------
+
+
+def _next_prime(n: int) -> int:
+    while not exact_reals.is_prime(n):
+        n += 1
+    return n
+
+
+_exponents = st.one_of(
+    st.builds(F, st.integers(-60, 60), st.integers(1, 30)),
+    st.builds(F, st.integers(-(10**50), 10**50), st.integers(1, 10**50)),  # huge values, and values near 1
+).filter(bool)
+_kernel_values = st.one_of(
+    st.dictionaries(st.integers(2, 10**6).map(_next_prime), _exponents, min_size=1, max_size=6).map(FR),
+    st.builds(  # near-cancelling: 2^a 3^-b at a convergent a/b, |log10| about 1/b^2
+        lambda ab, sign: FR({2: sign * ab[0], 3: -sign * ab[1]}), st.sampled_from(_CONVERGENTS), st.sampled_from([-1, 1])
+    ),
+    st.integers(1, 10**9).map(lambda k: FR.from_rational(F(k + 1, k))),  # near 1
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kernel_values, st.integers(5, 300))
+def test_log10_kernel_encloses_the_mpmath_oracle(x, dps):
+    """One sum of log10_enclosure at dps digits holds log10 x from mpmath at three
+    times the digits, and is no wider than its proven bound: 2**-w times the
+    sum of its term errors and ln 10's error over ln 10, plus a unit for each
+    outward rounding, at w = dps log2(10) + 5 bits, where each ln p and ln 10
+    carries at most 4 units."""
+    lo, hi = exact_reals.log10_enclosure(x, lambda lo, hi, one: True, dps)
+    scale = sum(abs(e) * math.log10(p) for p, e in x.factors.items())
+    digits = 3 * dps + len(str(int(scale))) + 20
+    with mpmath.workdps(digits):
+        oracle = mpmath.fsum(mpmath.mpf(e.numerator) / e.denominator * mpmath.log10(p) for p, e in x.factors.items())
+        slack = mpmath.mpf(scale + 1) * mpmath.mpf(10) ** (-3 * dps - 10)
+        assert mpmath.mpf(lo.numerator) / lo.denominator <= oracle + slack
+        assert oracle - slack <= mpmath.mpf(hi.numerator) / hi.denominator
+    w = dps * 10 // 3 + 5
+    term_errors = sum(4 * abs(e) + 2 for e in x.factors.values())
+    assert (hi - lo) * 2**w <= 2 * (term_errors + 4 * max(abs(lo), abs(hi))) / F(23025, 10**4) + 2  # ln 10 > 2.3025
+
+
+def test_log10_kernel_refuses_past_max_dps(monkeypatch):
+    seen = []
+    real = exact_reals._ln_prime
+
+    def spy(p, q, w):
+        seen.append(w)
+        return real(p, q, w)
+
+    monkeypatch.setattr(exact_reals, "_ln_prime", spy)
+    with pytest.raises(CertificationError, match=f"more than {MAX_DPS} digits"):
+        exact_reals.log10_enclosure(FR({2: 1}), lambda lo, hi, one: False, 30)
+    assert seen == [dps * 10 // 3 + 5 for dps in (30, 60, 120, 240, 480, 960, 1920, 3840, 7680, 15360)]
 
 
 # -- decimal_str ------------------------------------------------------------
