@@ -6,7 +6,7 @@ exact_reals (iv_fr, iv_ln, certified_floor); the log10 of an exact factored
 entry comes from exact_reals.log10_enclosure.  Floor brackets are only taken
 once the enclosure pins the integer, and reported decimals carry certified
 significant digits.  Each builder is written once against mpmath.iv's
-interface and runs on enclose's decimal intervals, at digits that double
+interface and runs on enclose's binary intervals, at digits that double
 until the enclosure decides.  A constant that needs more than
 exact_reals.MAX_DPS digits raises CertificationError.  Every cover count
 is one routine, _cover_count, on the same enclosures.  "log" in the
@@ -383,17 +383,12 @@ def _cover_count(base: Fraction, target) -> int:
     have more than exact_reals.POWER_BITS bits.
     """
     rational = isinstance(target, Fraction)
-    # x = num/den near 1 loses about -log10(x - 1) digits once it is too long to stay exact
-    lost = max(
-        x.denominator.bit_length() - (x.numerator - x.denominator).bit_length()
-        for x in ((base, target) if rational else (base,))
-    )
 
     def ratio(iv):
         ln_target = iv_ln(iv, target) if rational else iv.log(target(iv))
         return ln_target / iv_ln(iv, base)
 
-    lo, hi = enclose(ratio, lambda lo, hi: rational or math.ceil(lo) == math.ceil(hi), 30 + max(lost, 0) // 3)
+    lo, hi = enclose(ratio, lambda lo, hi: rational or math.ceil(lo) == math.ceil(hi), 30)
     s = max(1, math.ceil(lo))
     if s <= COVER_COUNT_CAP and math.ceil(hi) > s:  # the enclosure holds an integer
         _check_power_bits(base, math.ceil(hi))

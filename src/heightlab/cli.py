@@ -8,7 +8,6 @@ sorted keys so identical inputs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import decimal
 import functools
 import json
 import sys
@@ -21,7 +20,7 @@ from .bounds_reduction import (
     interval_cover,
     reduce_system,
 )
-from .exact_reals import FactoredReal
+from .exact_reals import FactoredReal, g_str
 from .exterior_algebra import Subspace
 from .filtration import (
     UnsupportedSystemError,
@@ -107,22 +106,7 @@ def _factored_json(x: FactoredReal, precision: int) -> dict:
     val, _ = x.log10(precision)
     if abs(val) > _FLOAT_MAX:
         raise CertificationError("a log10 of the report has too many digits to print")
-    return {"factored": x.to_json(), "log10": _g_str(val, precision)}
-
-
-def _g_str(q: Fraction, sig: int) -> str:
-    """q rounded half-even to sig significant digits, laid out as f"{x:.{sig}g}" lays out a float x."""
-    d = decimal.Context(prec=sig).divide(q.numerator, q.denominator)
-    sign, digits, _ = d.as_tuple()
-    e = d.adjusted()
-    digits = "".join(map(str, digits)).rstrip("0") or "0"
-    if not -4 <= e < sig:
-        return "-" * sign + digits[0] + ("." + digits[1:] if digits[1:] else "") + f"e{e:+03d}"
-    if e >= 0:
-        whole, frac = digits[: e + 1].ljust(e + 1, "0"), digits[e + 1 :]
-    else:
-        whole, frac = "0", "0" * (-e - 1) + digits
-    return "-" * sign + whole + ("." + frac if frac else "")
+    return {"factored": x.to_json(), "log10": g_str(val, precision)}
 
 
 def _subspace_json(s: Subspace) -> dict:

@@ -20,10 +20,11 @@ proven error bound), times its exponent, over ln 10.  enclose evaluates
 every other value: outward-rounded interval arithmetic on builders written
 once against mpmath.iv's interface, with the interval helpers beside it
 (iv_fr, iv_ln and certified_floor) for the theorem constants and floors,
-cover counts and the scan's histogram bins.  It runs them on the standard
-library's decimal (_DecimalIV: exact rationals until a size cap, directed
-rounding past it), with _ln_fixed again for its ln.  The package needs no
-library outside the standard one.
+cover counts and the scan's histogram bins.  It runs them on integer
+mantissas over a power of 2 (_BinaryIV: exact rationals until a size cap,
+outward rounding past it), with _ln_fixed again for its ln.  decimal
+serves only the printing of digits (decimal_str, g_str).  The package
+needs no library outside the standard one.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from fractions import Fraction
 __all__ = [
     "FactoredReal", "ONE", "CertificationError", "is_prime", "factorint", "log10_rational",
     "cmp_power_product", "POWER_BITS", "enclose", "log10_enclosure", "iv_fr", "iv_ln", "certified_floor", "MAX_DPS",
-    "decimal_str",
+    "decimal_str", "g_str",
 ]
 
 _RatLike = (int, Fraction)
@@ -210,7 +211,7 @@ def cmp_power_product(terms) -> int:
 
 # -- interval plumbing ----------------------------------------------------------
 
-# Bits past which an exact numerator or denominator of _DecimalIV becomes
+# Bits past which an exact numerator or denominator of _BinaryIV becomes
 # an outward-rounded interval, so that exact powers such as 2**(2 * 10**9) are never built.
 _EXACT_BITS = 4096
 
@@ -312,65 +313,78 @@ def _ln_fixed(num: int, den: int, w: int) -> tuple[int, int]:
 _ln_prime = functools.lru_cache(maxsize=1024)(_ln_fixed)
 
 
-def _ln(x, prec: int) -> tuple[decimal.Decimal, decimal.Decimal]:
-    """(lo, hi) with lo <= ln x <= hi, rounded outward at prec digits, for
-    a positive int, Fraction or Decimal x.
+def _ln(num: int, den: int, t: int, bits: int) -> tuple[int, int, int]:
+    """(lo, hi, e) with lo 2**e <= ln(num/den 2**t) <= hi 2**e, for integers
+    num >= den >= 1 and t >= 0.
 
-    A Decimal c 10**e, c of d digits, adjusted exponent a = e + d - 1, is
-    ln(c / 10**(d-1)) + a ln 10 when a >= 0, and -(ln(10**d / c) + (-a - 1) ln 10)
-    when a < 0: two terms >= 0 that never cancel.  A rational is +-ln num/den,
-    num >= den, and ln num/den >= (num - den)/num: without an ln 10 term,
-    that many more bits are carried."""
-    if isinstance(x, decimal.Decimal):
-        _, digits, e = x.as_tuple()
-        c, a = int(decimal.Decimal((0, digits, 0))), e + len(digits) - 1
-        if a >= 0:
-            num, den, k, neg = c, 10 ** (len(digits) - 1), a, False
-        else:
-            num, den, k, neg = 10 ** len(digits), c, -a - 1, True
-    else:
-        num, den, k = x.numerator, x.denominator, 0
-        neg = num < den
-        if neg:
-            num, den = den, num
-    if num == den and not k:
-        return decimal.Decimal(0), decimal.Decimal(0)
-    w = prec * 10 // 3 + 5 + k.bit_length()  # prec log2(10) + 4 bits and more
-    if not k:
+    ln num/den (_ln_fixed) and t ln 2 (_atanh_sum) are two terms >= 0 that
+    never cancel, at w = bits + t.bit_length() bits, so that t times the
+    error of ln 2 stays within a few units of 2**-bits.  Without t,
+    ln num/den >= (num - den)/num, and w carries that many more bits."""
+    if num == den and not t:
+        return 0, 0, -bits
+    w = bits + t.bit_length()
+    if not t:
         w += num.bit_length() - (num - den).bit_length() + 1
     total, err = _ln_fixed(num, den, w)
-    if k:
-        l10, e10 = _atanh_sum(_LN10, w)
-        total, err = total + k * l10, err + k * e10
-    down, up = _decimal_contexts(prec)
-    lo, hi = down.divide(total - err, 1 << w), up.divide(total + err, 1 << w)
-    return (hi.copy_negate(), lo.copy_negate()) if neg else (lo, hi)
+    if t:
+        l2, e2 = _atanh_sum(_LN2, w)
+        total, err = total + t * l2, err + t * e2
+    return total - err, total + err, -w
 
 
-# _ln of exact rationals, which recur in every builder (primes, 10, the theorems' parameters)
-_exact_ln = functools.lru_cache(maxsize=1024)(_ln)
+@functools.lru_cache(maxsize=1024)
+def _exact_ln(q, bits: int) -> tuple[int, int, int]:
+    """_ln of a positive rational, which recur in every builder (primes, 10, the
+    theorems' parameters): +-ln num/den with num >= den, of any size."""
+    num, den = q.numerator, q.denominator
+    if num >= den:
+        return _ln(num, den, 0, bits)
+    lo, hi, e = _ln(den, num, 0, bits)
+    return -hi, -lo, e
 
 
-def _power(x: decimal.Decimal, k: int, ctx: decimal.Context) -> decimal.Decimal:
-    """x**k for x >= 0 and k >= 1 by squaring, every product rounded by ctx."""
-    out = None
-    while True:
-        if k & 1:
-            out = x if out is None else ctx.multiply(out, x)
-        k >>= 1
-        if not k:
-            return out
-        x = ctx.multiply(x, x)
+def _dyadic_ln(m: int, e: int, bits: int) -> tuple[int, int, int]:
+    """_ln of m 2**e, m >= 1: ln m + e ln 2 when e >= 0, ln(m / 2**-e) when
+    that is >= 1, and else -(ln(2**b / m) + t ln 2) with b the bits of m and
+    t = -e - b >= 0."""
+    if e >= 0:
+        return _ln(m, 1, e, bits)
+    b = m.bit_length()
+    if b > -e:
+        return _ln(m, 1 << -e, 0, bits)
+    lo, hi, w = _ln(1 << b, m, -e - b, bits)
+    return -hi, -lo, w
 
 
-class _DecimalIV:
+def _floor(q, e: int) -> int:
+    """floor(q / 2**e) of a rational q."""
+    a, b = q.numerator, q.denominator
+    return (a << -e) // b if e < 0 else a // (b << e)
+
+
+def _outward(lo, hi, bits: int) -> tuple[int, int, int]:
+    """(a, b, e) with a 2**e <= lo <= hi <= b 2**e, for rationals lo <= hi,
+    with about bits bits in the larger of |a| and |b| (exact for a dyadic that fits)."""
+    big = max(-lo, hi)
+    e = big.numerator.bit_length() - big.denominator.bit_length() - bits
+    return _floor(lo, e), -_floor(-hi, e), e
+
+
+def _shift(m: int, k: int) -> int:
+    """floor(m 2**k)."""
+    return m << k if k >= 0 else m >> -k
+
+
+class _BinaryIV:
     """The interval arithmetic of enclose: what builders use of mpmath.iv
-    (mpf, log, dps, and + - * / and integer ** on its values), on the
-    standard library's decimal at dps digits, every result rounded outward."""
+    (mpf, log, dps, and + - * / and integer ** on its values), on integer
+    mantissas over a power of 2 at bits = dps log2(10) + 5 bits, every
+    result rounded outward."""
 
     def __init__(self, dps: int):
         self.dps = dps
-        self.down, self.up = _decimal_contexts(dps)
+        self.bits = dps * 10 // 3 + 5
         self.unbounded = _Ival(self, None)
 
     def mpf(self, x) -> "_Ival":
@@ -378,48 +392,48 @@ class _DecimalIV:
         if isinstance(x, _Ival):
             return x
         if isinstance(x, (list, tuple)):
-            lo, hi = (Fraction(e) for e in x)
-            lo, hi = self.down.divide(lo.numerator, lo.denominator), self.up.divide(hi.numerator, hi.denominator)
-            return _Ival(self, None, lo, hi)
+            lo, hi = (Fraction(v) for v in x)
+            return _Ival(self, None, *_outward(lo, hi, self.bits))
         return _Ival(self, x if isinstance(x, _RatLike) else Fraction(x))
 
     def log(self, x) -> "_Ival":
-        """ln x.  A positive rational is _ln's enclosure of it; anything else
-        is ln of its interval [lo, hi], lo > 0: _ln's enclosure of ln lo, plus
-        (hi - lo)/lo above it, as ln is concave.  Unbounded for an x that may
-        be <= 0."""
-        x = self.mpf(x)
-        q = x.q
+        """ln x.  A positive rational, of any size, is one _ln of it; anything
+        else is ln of its interval [lo, hi] 2**e, lo > 0: _ln's enclosure of
+        ln lo 2**e, plus (hi - lo)/lo above it, as ln is concave.  Unbounded
+        for an x that may be <= 0."""
+        if isinstance(x, _RatLike):
+            q = x
+        else:
+            x = self.mpf(x)
+            q = x.q
         if q is not None:
-            return _Ival(self, None, *_exact_ln(q, self.dps)) if q > 0 else self.unbounded
-        if x is self.unbounded:
-            return x
-        lo, hi = x.ends()
-        if lo <= 0:
+            return _interval(self, *_exact_ln(q, self.bits)) if q > 0 else self.unbounded
+        if x is self.unbounded or x.lo <= 0:
             return self.unbounded
-        ln_lo, ln_hi = _ln(lo, self.dps)
-        return _Ival(self, None, ln_lo, self.up.add(ln_hi, self.up.divide(self.up.subtract(hi, lo), lo)))
+        lo, hi, e = _dyadic_ln(x.lo, x.e, self.bits)
+        return _interval(self, lo, hi - ((x.lo - x.hi) << -e) // x.lo, e)
 
 
 class _Ival:
-    """A value of _DecimalIV: the exact rational q (an int or a
-    Fraction) or, when q is None, the interval [lo, hi] of Decimals.  Its
+    """A value of _BinaryIV: the exact rational q (an int or a Fraction) or,
+    when q is None, the interval [lo, hi] 2**e of integers lo <= hi.  Its
     namespace's `unbounded` (lo = hi = None) stands for what no finite
     interval encloses here: a quotient by an interval that holds 0, or a
     log of one that reaches 0."""
 
-    __slots__ = ("ns", "q", "lo", "hi")
+    __slots__ = ("ns", "q", "lo", "hi", "e")
 
-    def __init__(self, ns: _DecimalIV, q, lo=None, hi=None):
+    def __init__(self, ns: _BinaryIV, q, lo=None, hi=None, e=0):
         if q is not None and (q.numerator.bit_length() > _EXACT_BITS or q.denominator.bit_length() > _EXACT_BITS):
-            lo, hi, q = *_round_long(ns, q), None
-        self.ns, self.q, self.lo, self.hi = ns, q, lo, hi
+            lo, hi, e = _outward(q, q, ns.bits)
+            q = None
+        self.ns, self.q, self.lo, self.hi, self.e = ns, q, lo, hi, e
 
-    def ends(self) -> tuple[decimal.Decimal, decimal.Decimal]:
+    def ends(self) -> tuple[int, int, int]:
         q = self.q
         if q is None:
-            return self.lo, self.hi
-        return self.ns.down.divide(q.numerator, q.denominator), self.ns.up.divide(q.numerator, q.denominator)
+            return self.lo, self.hi, self.e
+        return _outward(q, q, self.ns.bits)
 
     def _other(self, x):
         if isinstance(x, _Ival):
@@ -429,6 +443,9 @@ class _Ival:
         return None
 
     def __add__(self, other):
+        """Both terms in units of 2**e, e bits below the top of the larger:
+        a term below that unit floors to 0 or -1 there, and so widens it by
+        one.  A zero has no top, and adds nothing."""
         b = self._other(other)
         if b is None:
             return NotImplemented
@@ -437,8 +454,14 @@ class _Ival:
             return _Ival(ns, self.q + b.q)
         if self is ns.unbounded or b is ns.unbounded:
             return ns.unbounded
-        (alo, ahi), (blo, bhi) = self.ends(), b.ends()
-        return _Ival(ns, None, ns.down.add(alo, blo), ns.up.add(ahi, bhi))
+        (alo, ahi, ae), (blo, bhi, be) = self.ends(), b.ends()
+        if not alo and not ahi:
+            return b
+        if not blo and not bhi:
+            return self
+        e = max(max(-alo, ahi).bit_length() + ae, max(-blo, bhi).bit_length() + be) - ns.bits
+        lo = _shift(alo, ae - e) + _shift(blo, be - e)
+        return _Ival(ns, None, lo, -_shift(-ahi, ae - e) - _shift(-bhi, be - e), e)
 
     __radd__ = __add__
 
@@ -447,8 +470,7 @@ class _Ival:
             return _Ival(self.ns, -self.q)
         if self is self.ns.unbounded:
             return self
-        # copy_negate is exact; unary minus would round to the thread's context
-        return _Ival(self.ns, None, self.hi.copy_negate(), self.lo.copy_negate())
+        return _Ival(self.ns, None, -self.hi, -self.lo, self.e)
 
     def __sub__(self, other):
         b = self._other(other)
@@ -466,12 +488,9 @@ class _Ival:
             return _Ival(ns, self.q * b.q)
         if self is ns.unbounded or b is ns.unbounded:
             return ns.unbounded
-        (alo, ahi), (blo, bhi) = self.ends(), b.ends()
-        down, up = ns.down, ns.up
-        if alo >= 0 and blo >= 0:
-            return _Ival(ns, None, down.multiply(alo, blo), up.multiply(ahi, bhi))
-        pairs = [(x, y) for x in (alo, ahi) for y in (blo, bhi)]
-        return _Ival(ns, None, min(down.multiply(x, y) for x, y in pairs), max(up.multiply(x, y) for x, y in pairs))
+        (alo, ahi, ae), (blo, bhi, be) = self.ends(), b.ends()
+        products = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
+        return _interval(ns, min(products), max(products), ae + be)
 
     __rmul__ = __mul__
 
@@ -496,18 +515,40 @@ class _Ival:
             return self
         if k <= 0:
             return 1 / self**-k if k else _Ival(ns, 1)
-        lo, hi = self.ends()
+        lo, hi, e = self.ends()
+        x = _Ival(ns, None, lo, hi, e)
         if lo >= 0:
-            return _Ival(ns, None, _power(lo, k, ns.down), _power(hi, k, ns.up))
+            return _power(x, k)
         if hi <= 0:
-            p = (-self) ** k
-            return p if k % 2 == 0 else -p
-        if k % 2:
-            return _Ival(ns, None, _power(lo.copy_negate(), k, ns.up).copy_negate(), _power(hi, k, ns.up))
-        return _Ival(ns, None, decimal.Decimal(0), _power(max(lo.copy_negate(), hi), k, ns.up))
+            return -_power(-x, k) if k % 2 else _power(-x, k)
+        if k % 2:  # [lo, 0]**k + [0, hi]**k
+            return -_power(_Ival(ns, None, 0, -lo, e), k) + _power(_Ival(ns, None, 0, hi, e), k)
+        return _power(_Ival(ns, None, 0, max(-lo, hi), e), k)
+
+
+def _interval(ns: _BinaryIV, lo: int, hi: int, e: int) -> _Ival:
+    """[lo, hi] 2**e rounded outward to ns.bits bits."""
+    k = max(-lo, hi).bit_length() - ns.bits
+    if k > 0:
+        lo, hi, e = lo >> k, -(-hi >> k), e + k
+    return _Ival(ns, None, lo, hi, e)
+
+
+def _power(x: _Ival, k: int) -> _Ival:
+    """x**k for an interval x >= 0 and k >= 1, by squaring."""
+    out = None
+    while True:
+        if k & 1:
+            out = x if out is None else out * x
+        k >>= 1
+        if not k:
+            return out
+        x = x * x
 
 
 def _divide(a: _Ival, b: _Ival) -> _Ival:
+    """The floor and ceiling quotients of the endpoints, a's mantissas shifted
+    left by s bits so that the largest has about ns.bits bits."""
     ns = a.ns
     if b.q is not None and b.q == 0:
         return ns.unbounded
@@ -515,69 +556,43 @@ def _divide(a: _Ival, b: _Ival) -> _Ival:
         return _Ival(ns, Fraction(a.q, b.q))
     if a is ns.unbounded or b is ns.unbounded:
         return ns.unbounded
-    (alo, ahi), (blo, bhi) = a.ends(), b.ends()
+    (alo, ahi, ae), (blo, bhi, be) = a.ends(), b.ends()
     if blo <= 0 <= bhi:
         return ns.unbounded
-    down, up = ns.down, ns.up
-    if alo >= 0 and blo > 0:
-        return _Ival(ns, None, down.divide(alo, bhi), up.divide(ahi, blo))
-    pairs = [(x, y) for x in (alo, ahi) for y in (blo, bhi)]
-    return _Ival(ns, None, min(down.divide(x, y) for x, y in pairs), max(up.divide(x, y) for x, y in pairs))
-
-
-def _round_long(ns: _DecimalIV, q: Fraction) -> tuple[decimal.Decimal, decimal.Decimal]:
-    """Outward-rounded endpoints of a rational too long to convert directly
-    (decimal converts an integer in quadratic time): q lies in [m, m + 1] 2**t
-    with m = floor(q / 2**t) of about 4 dps + 64 bits, and 2**t is a power by squaring."""
-    a, b = q.numerator, q.denominator
-    t = a.bit_length() - b.bit_length() - 4 * ns.dps - 64
-    m = (a >> t) // b if t >= 0 else (a << -t) // b
-    two = decimal.Decimal(2)
-    if t > 0:
-        small, large = _power(two, t, ns.down), _power(two, t, ns.up)
-    elif t < 0:
-        small, large = ns.down.divide(1, _power(two, -t, ns.up)), ns.up.divide(1, _power(two, -t, ns.down))
-    else:
-        small = large = decimal.Decimal(1)
-    lo = ns.down.multiply(m, small if m >= 0 else large)
-    hi = ns.up.multiply(m + 1, large if m + 1 >= 0 else small)
-    return lo, hi
+    s = max(0, ns.bits + (blo if blo > 0 else -bhi).bit_length() - max(-alo, ahi).bit_length() + 1)
+    lo = min((x << s) // y for x in (alo, ahi) for y in (blo, bhi))
+    hi = -min((-x << s) // y for x in (alo, ahi) for y in (blo, bhi))
+    return _interval(ns, lo, hi, ae - be - s)
 
 
 # Most decimal digits a certified value may be evaluated at.
 MAX_DPS = 20_000
-# Most digits of a Decimal exponent an endpoint may have before it is built
-# as a Fraction: POWER_BITS in decimal digits.
-_POWER_DIGITS = int(POWER_BITS * math.log10(2))
 
 
-def _decimal_endpoints(x: _Ival) -> tuple[Fraction, Fraction] | None:
-    """Exact Fraction endpoints of a _DecimalIV value; None when it is
-    unbounded, CertificationError for an endpoint whose decimal exponent
-    lies past POWER_BITS, before it is built."""
+def _endpoints(x: _Ival) -> tuple[Fraction, Fraction] | None:
+    """Exact Fraction endpoints of a _BinaryIV value; None when it is
+    unbounded, CertificationError for an endpoint whose exponent lies past
+    POWER_BITS, before it is built."""
     if x.q is not None:
         return Fraction(x.q), Fraction(x.q)
     if x is x.ns.unbounded:
         return None
-    for d in (x.lo, x.hi):
-        if abs(d.as_tuple().exponent) > _POWER_DIGITS:
-            raise CertificationError(f"an interval endpoint needs more than {POWER_BITS} bits")
-    return Fraction(x.lo), Fraction(x.hi)
+    if abs(x.e) > POWER_BITS:
+        raise CertificationError(f"an interval endpoint needs more than {POWER_BITS} bits")
+    unit = Fraction(2) ** x.e
+    return x.lo * unit, x.hi * unit
 
 
 def enclose(build, done, dps: int) -> tuple[Fraction, Fraction]:
     """Exact endpoints (lo, hi) of build(iv), an interval expression in mpmath.iv's interface.
 
-    build runs on _DecimalIV at dps digits, and the digits double until
-    both endpoints are finite and done(lo, hi) holds; CertificationError
-    past MAX_DPS digits, and at once for a value past decimal's exponent
-    range, which more digits do not widen.
+    build runs on _BinaryIV at dps digits, and the digits double until both
+    endpoints are finite and done(lo, hi) holds; CertificationError past
+    MAX_DPS digits, and at once for an endpoint past POWER_BITS bits,
+    which more digits do not shrink.
     """
     while dps <= MAX_DPS:
-        try:
-            ends = _decimal_endpoints(build(_DecimalIV(dps)))
-        except decimal.Overflow:
-            raise CertificationError("a certified value lies past decimal's exponent range") from None
+        ends = _endpoints(build(_BinaryIV(dps)))
         if ends is not None and done(*ends):
             return ends
         dps *= 2
@@ -616,8 +631,8 @@ def log10_enclosure(x: "FactoredReal", done, dps: int) -> tuple[Fraction, Fracti
 
 
 def iv_fr(iv, x: Fraction):
-    """A Fraction as an interval of iv: on _DecimalIV that exact value, on mpmath.iv num / den."""
-    if isinstance(iv, _DecimalIV):
+    """A Fraction as an interval of iv: on _BinaryIV that exact value, on mpmath.iv num / den."""
+    if isinstance(iv, _BinaryIV):
         return iv.mpf(x)
     return iv.mpf(x.numerator) / iv.mpf(x.denominator)
 
@@ -625,8 +640,8 @@ def iv_fr(iv, x: Fraction):
 def iv_ln(iv, x):
     """Natural log of a positive Fraction or FactoredReal, as an interval of iv.
 
-    A Fraction on _DecimalIV is one ln of the exact value; on mpmath.iv,
-    which takes no Fraction, ln num - ln den."""
+    A Fraction on _BinaryIV is one ln of the exact value, at any size; on
+    mpmath.iv, which takes no Fraction, ln num - ln den."""
     if isinstance(x, FactoredReal):
         total = iv.mpf(0)
         for p, e in sorted(x.factors.items()):
@@ -635,7 +650,7 @@ def iv_ln(iv, x):
     x = Fraction(x)
     if x <= 0:
         raise ValueError("log of non-positive value")
-    if isinstance(iv, _DecimalIV):
+    if isinstance(iv, _BinaryIV):
         return iv.log(x)
     return iv.log(iv.mpf(x.numerator)) - iv.log(iv.mpf(x.denominator))
 
@@ -644,6 +659,18 @@ def certified_floor(build) -> int:
     """floor of build(iv), from an enclosure refined until both endpoints have the same floor."""
     lo, _ = enclose(build, lambda lo, hi: math.floor(lo) == math.floor(hi), 30)
     return math.floor(lo)
+
+
+# -- printing ---------------------------------------------------------------------
+
+
+def _decimal_digits(q: Fraction, sig: int, rounding: str) -> tuple[int, str, int]:
+    """(sign, digits, adjusted exponent) of q rounded to sig significant digits, with no exponent limit in reach."""
+    d = decimal.Context(prec=sig, rounding=rounding, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN).divide(
+        q.numerator, q.denominator
+    )
+    sign, digits, _ = d.as_tuple()
+    return sign, "".join(map(str, digits)), d.adjusted()
 
 
 def decimal_str(q: Fraction, sig: int) -> str:
@@ -655,11 +682,7 @@ def decimal_str(q: Fraction, sig: int) -> str:
     """
     if q == 0:
         return "0.0"
-    ctx = decimal.Context(prec=sig, rounding=decimal.ROUND_HALF_UP, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
-    d = ctx.divide(q.numerator, q.denominator)
-    sign, digits, _ = d.as_tuple()
-    digits = "".join(map(str, digits))
-    e = d.adjusted()
+    sign, digits, e = _decimal_digits(q, sig, decimal.ROUND_HALF_UP)
     split = 1
     if min(-(sig // 3), -5) < e < sig:
         if e < 0:
@@ -673,13 +696,17 @@ def decimal_str(q: Fraction, sig: int) -> str:
     return "-" * sign + text + (f"e{e:+d}" if e else "")
 
 
-@functools.lru_cache(maxsize=64)
-def _decimal_contexts(prec: int) -> tuple[decimal.Context, decimal.Context]:
-    """(round toward -inf, round toward +inf) decimal contexts at prec digits, with no exponent limit in reach."""
-    return tuple(
-        decimal.Context(prec=prec, rounding=r, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
-        for r in (decimal.ROUND_FLOOR, decimal.ROUND_CEILING)
-    )
+def g_str(q: Fraction, sig: int) -> str:
+    """q rounded half-even to sig significant digits, laid out as f"{x:.{sig}g}" lays out a float x."""
+    sign, digits, e = _decimal_digits(q, sig, decimal.ROUND_HALF_EVEN)
+    digits = digits.rstrip("0") or "0"
+    if not -4 <= e < sig:
+        return "-" * sign + digits[0] + ("." + digits[1:] if digits[1:] else "") + f"e{e:+03d}"
+    if e >= 0:
+        whole, frac = digits[: e + 1].ljust(e + 1, "0"), digits[e + 1 :]
+    else:
+        whole, frac = "0", "0" * (-e - 1) + digits
+    return "-" * sign + whole + ("." + frac if frac else "")
 
 
 def log10_rational(q) -> float:

@@ -60,8 +60,12 @@ class Place:
 
     @staticmethod
     def parse(label) -> "Place":
+        """The place of "inf" or None, or of a prime given as an int or a string of one;
+        TypeError for any other type (a float or a bool would be truncated to an int)."""
         if label == "inf" or label is None:
             return Place.infinite()
+        if isinstance(label, bool) or not isinstance(label, (int, str)):
+            raise TypeError(f"a place is 'inf' or a prime, got {label!r}")
         return Place.finite(int(label))
 
     def __repr__(self):

@@ -319,9 +319,12 @@ _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 def parse_frac(s) -> Fraction:
     """The rational of an int, a Fraction, a finite float or a string ("-3/4", "0.25", "1e-3").
 
-    Raises what Fraction raises for other input, and ValueError for a
-    decimal exponent beyond EXPONENT_CAP in magnitude or an infinite float.
+    Raises what Fraction raises for other input, TypeError for a bool, and
+    ValueError for a decimal exponent beyond EXPONENT_CAP in magnitude or an
+    infinite float.
     """
+    if isinstance(s, bool):
+        raise TypeError("a bool is not a rational")
     if isinstance(s, str):
         m = _EXPONENT.search(s)
         if m and abs(int(m.group(1))) > EXPONENT_CAP:
@@ -358,8 +361,9 @@ def places_from_json(data, n_min: int = 1) -> tuple[int, dict]:
     """(n, {Place: (forms, exps)}) from a pair or system JSON object.
 
     Raises ValidationError unless the input is an object with a dimension
-    n_min <= n <= DIM_CAP and a list of places, each with a label ("inf"
-    or a prime), n forms of n rationals and n rational exponents.
+    n_min <= n <= DIM_CAP (an integer or a string of one) and a list of
+    distinct places, each with a label ("inf" or a prime), n forms of n
+    rationals and n rational exponents.
     """
     if not isinstance(data, dict):
         raise ValidationError(f"expected a JSON object, got {type(data).__name__}")
@@ -367,6 +371,8 @@ def places_from_json(data, n_min: int = 1) -> tuple[int, dict]:
         if key not in data:
             raise ValidationError(f"missing key {key!r}")
     try:
+        if isinstance(data["n"], bool) or not isinstance(data["n"], (int, str)):
+            raise TypeError
         n = int(data["n"])
     except (ValueError, TypeError):
         raise ValidationError(f"n must be an integer, got {data['n']!r}") from None
@@ -383,6 +389,8 @@ def places_from_json(data, n_min: int = 1) -> tuple[int, dict]:
         except (ValueError, TypeError):
             raise ValidationError(f"place must be 'inf' or a prime, got {entry['place']!r}") from None
         where = f"at place {place.label()}"
+        if place in places:
+            raise ValidationError(f"place {place.label()} is listed twice")
         if not isinstance(entry["forms"], list) or len(entry["forms"]) != n:
             raise ValidationError(f"need {n} forms {where}")
         forms = tuple(parse_rationals(f, n, f"a form {where}") for f in entry["forms"])

@@ -263,6 +263,15 @@ _GOOD_PLACE = {"place": "inf", "forms": [["1", "0"], ["0", "1"]], "exps": ["1", 
         {"n": "two", "places": [_GOOD_PLACE]},
         {"n": 2, "places": [dict(_GOOD_PLACE, exps=["1/0", "-1"])]},
         {"n": 2, "places": [{"place": "inf"}]},
+        # read as another pair before: a place listed twice (the last entry won),
+        # a float or bool n or place (truncated to an int), a bool as a rational
+        {"n": 2, "places": [_GOOD_PLACE, _GOOD_PLACE]},
+        {"n": 2, "places": [dict(_GOOD_PLACE, place=2), dict(_GOOD_PLACE, place="2")]},
+        {"n": 2.9, "places": [_GOOD_PLACE]},
+        {"n": True, "places": [{"place": "inf", "forms": [["1"]], "exps": ["0"]}]},
+        {"n": 2, "places": [dict(_GOOD_PLACE, place=3.7)]},
+        {"n": 2, "places": [dict(_GOOD_PLACE, forms=[[True, "0"], ["0", "1"]])]},
+        {"n": 2, "places": [dict(_GOOD_PLACE, exps=[True, "-1"])]},
     ],
 )
 def test_malformed_pair_exit_2(tmp_path, data):
@@ -285,6 +294,8 @@ def test_malformed_pair_exit_2(tmp_path, data):
         {"n": 2, "epsilon": "1", "places": [{"place": "inf", "forms": [["1", "0"], ["0", "1"]], "exps": ["-2", "0"]}]},
         {"n": 2, "epsilon": "0", "places": [{"place": "inf", "forms": [["1", "0"], ["0", "1"]], "exps": ["-2", "0"]}]},
         {"n": 2, "epsilon": "2", "places": [{"place": "inf", "forms": [["1", "0"], ["0", "1"]], "exps": ["-4", "0"]}]},
+        {"n": 2, "epsilon": True, "places": [{"place": "inf", "forms": [["1", "0"], ["0", "1"]], "exps": ["-3", "0"]}]},
+        {"n": 2, "epsilon": "1", "places": [{"place": "inf", "forms": [["1", "0"], ["0", "1"]], "exps": [-3, False]}]},
     ],
 )
 def test_malformed_system_exit_2(tmp_path, data, capsys):
@@ -294,6 +305,13 @@ def test_malformed_system_exit_2(tmp_path, data, capsys):
     err = capsys.readouterr().err
     assert err.count("validation failure") == 2 and "Traceback" not in err
     assert "exponent sum at" not in err  # a normalization of pairs, which a system need not meet
+
+
+def test_integer_strings_still_read_as_n_and_places(tmp_path):
+    data = {"n": "2", "places": [dict(_GOOD_PLACE, place="3"), dict(_GOOD_PLACE, place=5)]}
+    assert cmd_dispatch(["validate", _write(tmp_path, "good.json", data)]) == 0
+    ints = {"n": 2, "places": [dict(_GOOD_PLACE, place=3), dict(_GOOD_PLACE, place=5)]}
+    assert pair_from_json(data) == pair_from_json(ints)
 
 
 def test_empty_box_exit_2(e1_path, sys_path):
@@ -463,6 +481,15 @@ def test_huge_floor_bracket_is_refused_before_building_endpoints(args, capsys):
     assert "an interval endpoint needs more than 262144 bits" in capsys.readouterr().err
 
 
+def test_constant_past_decimals_exponent_range_answers(capsys):
+    # t of Corollary 3.1b at n = s = 10^9 is about 10^(1.9 10^19): a binary exponent
+    # holds it, and its log10 is n s log10(9 n^2) + 10 + 2n log10 2 + 15 log10 n
+    # + log10 ln 3 + log10 ln ln 3 = 1.89542425100414e+19
+    args = ["bounds", "--thm", "3.1b", "--n", "1000000000", "--eps", "1", "--s", "1000000000"]
+    assert cmd_dispatch(args) == 0
+    assert json.loads(capsys.readouterr().out)["constants"]["t"]["log10"] == "1.895424251e+19"
+
+
 def test_help_lists_exit_codes(capsys):
     with pytest.raises(SystemExit):
         cmd_dispatch(["--help"])
@@ -571,8 +598,8 @@ def test_printed_log10s_match_the_interval_route():
     import random
 
     from heightlab import bounds_reduction
-    from heightlab.cli import _factored_json, _g_str
-    from heightlab.exact_reals import FactoredReal, enclose, iv_ln
+    from heightlab.cli import _factored_json
+    from heightlab.exact_reals import FactoredReal, enclose, g_str, iv_ln
 
     rng = random.Random(17)
     primes = [2, 3, 5, 7, 11, 13, 101, 65537, 999983]
@@ -593,7 +620,7 @@ def test_printed_log10s_match_the_interval_route():
                 return iv_ln(iv, x) / iv.log(10)
 
             lo, hi = enclose(build, done, precision + 15)
-            assert _factored_json(x, precision)["log10"] == _g_str((lo + hi) / 2, precision)
+            assert _factored_json(x, precision)["log10"] == g_str((lo + hi) / 2, precision)
             table = bounds_reduction._entry_factored(x, precision)["log10"]
             assert table == bounds_reduction._certified_decimal(enclose, build, precision)
 
@@ -754,10 +781,10 @@ def test_report_log10_digits_are_exact_past_float_precision(tmp_path):
 @settings(max_examples=400, deadline=None)
 @given(st.floats(allow_nan=False, allow_infinity=False), st.integers(1, 25))
 def test_g_str_lays_out_as_percent_g(x, sig):
-    from heightlab.cli import _g_str
+    from heightlab.exact_reals import g_str
 
     assume(x != 0 or math.copysign(1, x) > 0)  # a Fraction has no -0
-    assert _g_str(Fraction(x), sig) == f"{x:.{sig}g}"
+    assert g_str(Fraction(x), sig) == f"{x:.{sig}g}"
 
 
 def test_factored_log10_asks_for_digits_below_the_last_place():
@@ -853,12 +880,12 @@ def test_near_one_bin_ratio_takes_one_ln(tmp_path, monkeypatch):
 
     seen = []
 
-    class Counting(exact_reals._DecimalIV):
+    class Counting(exact_reals._BinaryIV):
         def __init__(self, dps):
             seen.append(dps)
             super().__init__(dps)
 
-    monkeypatch.setattr(exact_reals, "_DecimalIV", Counting)
+    monkeypatch.setattr(exact_reals, "_BinaryIV", Counting)
     argv = ["scan", _bin_system(tmp_path, Fraction(1, 10**30)), "--hmax", "5", "--box", "5"]
     assert cmd_dispatch(argv + ["--out", str(tmp_path / "bin30-out.json")]) == 0
     assert seen == [30, 60]

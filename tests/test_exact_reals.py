@@ -1,4 +1,3 @@
-import decimal
 import json
 import math
 import operator
@@ -327,14 +326,14 @@ def test_enclose_refuses_an_interval_that_stays_infinite():
         enclose(build, lambda lo, hi: True, 30)
 
 
-def test_enclose_refuses_a_value_past_decimals_exponent_range_at_once():
+def test_enclose_refuses_an_endpoint_past_power_bits_at_once():
     seen = []
 
-    def build(iv):  # 2**(10**19) has some 3 10**18 digits in its exponent, past decimal.MAX_EMAX
+    def build(iv):  # 2**(10**19) is computed, but its endpoints would have some 10**19 bits
         seen.append(iv.dps)
         return iv.mpf([2, 3]) ** 10**19
 
-    with pytest.raises(CertificationError, match="exponent range"):
+    with pytest.raises(CertificationError, match=f"more than {POWER_BITS} bits"):
         enclose(build, lambda lo, hi: True, 30)
     assert seen == [30]
 
@@ -352,7 +351,7 @@ def test_enclose_refuses_past_max_dps():
     assert seen[-1] <= MAX_DPS < 2 * seen[-1]
 
 
-# -- the decimal first stage of enclose -----------------------------------------
+# -- the binary first stage of enclose ------------------------------------------
 
 
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
@@ -399,17 +398,14 @@ _expressions = st.recursive(_leaves, _extend, max_leaves=6)
 @settings(max_examples=300, deadline=None)
 @given(_expressions, st.integers(5, 480))
 def test_first_stage_encloses_the_mpmath_oracle(build, dps):
-    """The decimal intervals meet mpmath.iv's at three times the digits and
+    """The binary intervals meet mpmath.iv's at three times the digits and
     100 more, whose width is far below one unit in their last place: so
     they enclose the value.  Whatever mpmath cannot bound there (an infinite
     interval, a log of a value <= 0) they leave unbounded; the 100 digits
-    hold every leaf exactly enough for that, since the decimal ln of an
-    exact rational such as 1 + 10^-60 does not round its argument first."""
-    stage = exact_reals._DecimalIV(dps)
-    try:
-        x = build(stage)
-    except decimal.Overflow:  # past decimal's exponent range, which enclose refuses
-        return
+    hold every leaf exactly enough for that, since the ln of an exact
+    rational such as 1 + 10^-60 does not round its argument first."""
+    stage = exact_reals._BinaryIV(dps)
+    x = build(stage)
     iv = mpmath.iv
     old, iv.dps = iv.dps, 3 * dps + 100
     try:
@@ -426,31 +422,100 @@ def test_first_stage_encloses_the_mpmath_oracle(build, dps):
         if x.q is not None:
             mine = iv.mpf(x.q.numerator) / x.q.denominator
         else:
-            mine = iv.mpf([str(x.lo), str(x.hi)])  # rounded outward
+            mine = iv.mpf([x.lo, x.hi]) * iv.mpf(2) ** x.e  # exact: the mantissas fit, and 2**e is a binary exponent
         assert mine.a <= oracle.b and oracle.a <= mine.b
     finally:
         iv.dps = old
 
 
 def test_first_stage_negates_without_rounding():
-    # Decimal's unary minus rounds to the thread's context (28 digits), not
-    # outward at the stage's digits: the cover's enclosure of ln(omega)/ln(3/2),
-    # whose true value is 12 + 1.9e-43, then lay below it and the count came out 12
+    # the cover's enclosure of ln(omega)/ln(3/2), whose true value is 12 + 1.9e-43,
+    # must not lie below it (a negation that rounded to fewer digits once made the count 12)
     assert bounds_reduction.interval_cover(F(3, 2) ** 12 + F(1, 10**40), 1) == 13
-    stage = exact_reals._DecimalIV(60)
-    x = -stage.log(3)
-    assert x.hi.copy_negate() == stage.log(3).lo and len(x.lo.as_tuple().digits) == 60
+    stage = exact_reals._BinaryIV(60)
+    x, y = -stage.log(3), stage.log(3)
+    assert (x.lo, x.hi, x.e) == (-y.hi, -y.lo, y.e)
+
+
+def _ends(x) -> tuple[F, F]:
+    return exact_reals._endpoints(x)
+
+
+def test_first_stage_adds_terms_far_apart():
+    # a term below the other's last unit widens that unit by one, on the side of its sign
+    stage = exact_reals._BinaryIV(30)
+    big = stage.log(3)
+    for tiny in (F(1, 10**5000), -F(1, 10**5000), stage.log(1 + F(1, 10**3000))):
+        lo, hi = _ends(big + tiny)
+        (blo, bhi), (tlo, thi) = _ends(big), _ends(stage.mpf(tiny))
+        assert lo <= blo + tlo and bhi + thi <= hi
+        unit = F(1, 2 ** -(big.e))
+        assert (lo, hi) == (blo - unit * (tlo < 0), bhi + unit * (thi > 0))
+    # and the sum of 2**(10**6) and 1 keeps the larger's bits, with no shift by 10**6 bits
+    huge = stage.mpf([2, 2]) ** 10**6
+    s = huge + 1
+    assert s.e == huge.e and (s.lo, s.hi) == (huge.lo, huge.hi + 1)
+    # a zero, exact or [0, 0] 2**e, adds nothing: a small term keeps its own bits
+    small = stage.log(2) * F(1, 10**60)
+    for zero in (stage.mpf(0), stage.mpf(0) * stage.log(3), stage.log(1)):
+        assert _ends(zero + small) == _ends(small) == _ends(small + zero)
+    # terms on the same scale add exactly
+    assert _ends(stage.mpf([1, 2]) + stage.mpf([F(1, 4), F(1, 2)])) == (F(5, 4), F(5, 2))
+
+
+@pytest.mark.parametrize(
+    "ends, k, expected",
+    [
+        ((-2, 3), 3, (-8, 27)),
+        ((-3, 2), 3, (-27, 8)),
+        ((-2, 3), 2, (0, 9)),
+        ((-3, 2), 4, (0, 81)),
+        ((-3, -2), 3, (-27, -8)),
+        ((-3, -2), 2, (4, 9)),
+        ((-3, 2), -1, None),  # 1 / an interval that holds 0
+    ],
+)
+def test_first_stage_powers_of_mixed_sign_intervals(ends, k, expected):
+    x = exact_reals._BinaryIV(30).mpf(list(ends)) ** k
+    assert (x is x.ns.unbounded) if expected is None else _ends(x) == tuple(map(F, expected))
+
+
+def test_first_stage_divides_mixed_signs():
+    stage = exact_reals._BinaryIV(30)
+    assert _ends(stage.mpf([-6, 3]) / stage.mpf([2, 3])) == (-3, F(3, 2))
+    assert _ends(stage.mpf([-6, 3]) / stage.mpf([-3, -2])) == (F(-3, 2), 3)
+    lo, hi = _ends(stage.mpf([2, 6]) / stage.mpf([-3, -1]))
+    assert lo == -6 and F(-2, 3) < hi < F(-2, 3) + F(1, 2**100)
+    assert stage.mpf([1, 2]) / stage.mpf([-1, 1]) is stage.unbounded
+    lo, hi = _ends(stage.mpf([-1, 1]) / 3)  # 1/3 is rounded outward, on both sides
+    assert lo == -hi and F(1, 3) < hi < F(1, 3) + F(1, 2**100)
+
+
+def test_cover_near_one_settles_at_the_first_digits(monkeypatch):
+    # ln(1 + 10^-4000) and ln(1 + 4 10^-4000) are one exact ln each at 30 digits
+    seen = []
+
+    class Counting(exact_reals._BinaryIV):
+        def __init__(self, dps):
+            seen.append(dps)
+            super().__init__(dps)
+
+    monkeypatch.setattr(exact_reals, "_BinaryIV", Counting)
+    assert bounds_reduction.interval_cover(1 + F(1, 10**4000), F(2, 10**4000)) == 1
+    # (1 + u)**4 > 1 + 4u > (1 + u)**3 at u = 10^-4000
+    assert bounds_reduction.interval_cover(1 + F(4, 10**4000), F(2, 10**4000)) == 4
+    assert seen == [30, 30]
 
 
 # -- the integer ln ------------------------------------------------------------
 
 
-def _ln_oracle(c: int, e: int, digits: int) -> tuple[F, F]:
-    """(ln(c 10**e) from mpmath, a bound on its error), with 3 digits + 15
-    significant digits left after any cancellation between ln c and e ln 10."""
-    dps = 3 * digits + c.bit_length() // 3 + len(str(abs(e))) + 20
+def _ln_oracle(num: int, den: int, t: int, digits: int) -> tuple[F, F]:
+    """(ln(num/den 2**t) from mpmath, a bound on its error), with 3 digits + 15
+    significant digits left after any cancellation between its terms."""
+    dps = 3 * digits + max(num, den).bit_length() // 3 + len(str(abs(t))) + 20
     with mpmath.workdps(dps):
-        sign, man, exp, _ = (mpmath.log(c) + e * mpmath.log(10))._mpf_
+        sign, man, exp, _ = (mpmath.log(num) - mpmath.log(den) + t * mpmath.log(2))._mpf_
     o = (-1) ** sign * F(man) * F(2) ** exp
     return o, abs(o) / 10 ** (3 * digits)
 
@@ -459,33 +524,39 @@ _ints = st.one_of(
     st.just(1),
     st.builds(lambda j, d: max(1, 2**j + d), st.integers(0, 13_000), st.sampled_from([-1, 0, 1])),
     st.integers(1, 2**13_000),
-).map(lambda k: (k, 0))
-_endpoints = st.tuples(st.integers(1, 10**600), st.integers(-(10**6), 10**6))
-_near_one = st.builds(  # within 10^(3 - d) of 1, on either side
-    lambda d, m: (10**d + m, -d), st.integers(4, 1000), st.integers(-999, 999).filter(bool)
 )
+# endpoints m 2**e as _BinaryIV holds them: m of up to a few thousand bits, e of either sign and any size
+_endpoints = st.tuples(
+    st.one_of(st.integers(1, 2**7000), st.builds(lambda j: 2**j, st.integers(0, 7000))),
+    st.one_of(st.integers(-20_000, 20_000), st.integers(-(10**20), 10**20)),
+)
+_near_one = st.builds(  # within 10^(3 - d) of 1, on either side
+    lambda d, m: F(10**d + m, 10**d), st.integers(4, 1000), st.integers(-999, 999).filter(bool)
+)
+_rationals = st.one_of(_ints.map(F), _near_one, st.builds(F, _ints, _ints))
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(_ints, _endpoints, _near_one), st.integers(5, 2000), st.booleans())
-def test_integer_ln_encloses_the_mpmath_oracle(ce, digits, exact):
-    """_ln of c 10**e, as a Decimal or (for small |e|) an int or Fraction, meets
-    mpmath's ln at three times the digits, rounded outward to a width of at
-    most four units in its last place."""
-    c, e = ce
-    if exact and abs(e) <= 1000:
-        x = c * F(10) ** e
+@given(st.one_of(_rationals, _endpoints), st.integers(5, 2000))
+def test_integer_ln_encloses_the_mpmath_oracle(x, digits):
+    """The ln of an exact rational (_exact_ln) or of an endpoint m 2**e
+    (_dyadic_ln) at bits = digits log2(10) + 5 meets mpmath's ln at three
+    times the digits, with a width of at most eight units in the last of
+    its bits (ln 2 as ln 1 + 1 ln 2, whose two error bounds add, takes five)."""
+    bits = digits * 10 // 3 + 5
+    if isinstance(x, F):
+        num, den, t = x.numerator, x.denominator, 0
+        lo, hi, e = exact_reals._exact_ln(x, bits)
     else:
-        x = decimal.Decimal((0, decimal.Decimal(c).as_tuple().digits, e))
-    lo, hi = exact_reals._ln(x, digits)
-    if -700 < e <= 0 and c == 10**-e:  # x = 1
+        (num, t), den = x, 1
+        lo, hi, e = exact_reals._dyadic_ln(num, t, bits)
+    if x == 1 or den == 1 and t <= 0 and num.bit_length() == 1 - t and not num & (num - 1):  # x = 1, or m 2**e = 1
         assert lo == hi == 0
         return
-    o, slack = _ln_oracle(c, e, digits)
-    assert F(lo) <= o + slack and o - slack <= F(hi)
-    assert len(lo.as_tuple().digits) <= digits and len(hi.as_tuple().digits) <= digits
-    ulp = F(10) ** (max(lo.copy_abs(), hi.copy_abs()).adjusted() - digits + 1)
-    assert F(hi) - F(lo) <= 4 * ulp
+    o, slack = _ln_oracle(num, den, t, digits)
+    assert lo * F(2) ** e <= o + slack and o - slack <= hi * F(2) ** e
+    ulp = F(2) ** (max(-lo, hi).bit_length() + e - bits)
+    assert (hi - lo) * F(2) ** e <= 8 * ulp
 
 
 def test_integer_ln_constants(monkeypatch):
