@@ -320,13 +320,15 @@ def _ln(num: int, den: int, t: int, bits: int) -> tuple[int, int, int]:
     ln num/den (_ln_fixed) and t ln 2 (_atanh_sum) are two terms >= 0 that
     never cancel, at w = bits + t.bit_length() bits, so that t times the
     error of ln 2 stays within a few units of 2**-bits.  Without t,
-    ln num/den >= (num - den)/num, and w carries that many more bits."""
-    if num == den and not t:
-        return 0, 0, -bits
+    ln num/den >= (num - den)/num, and w carries that many more bits.  ln 1
+    is 0 exactly, so the ln of a power of 2 carries the error of t ln 2 only."""
     w = bits + t.bit_length()
-    if not t:
-        w += num.bit_length() - (num - den).bit_length() + 1
-    total, err = _ln_fixed(num, den, w)
+    if num == den:
+        total = err = 0
+    else:
+        if not t:
+            w += num.bit_length() - (num - den).bit_length() + 1
+        total, err = _ln_fixed(num, den, w)
     if t:
         l2, e2 = _atanh_sum(_LN2, w)
         total, err = total + t * l2, err + t * e2

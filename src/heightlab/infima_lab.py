@@ -14,12 +14,13 @@ a vector carries ints and floats only.  Its exact value
 mantissa * Q^exponent is built when a float comparison is too close to
 call or the value is reported, and two such values are compared by
 exact_reals.cmp_power_product.  A streaming matroid greedy per Q keeps
-the current best independent n-tuple, and one enumeration feeds the
-greedies of a whole grid of Q values.  For a pair whose only active place
-is infinite, a vector is skipped before its logs are taken when one of its
-integer form values exceeds a float bound under which every greedy's own
-float test would reject it (_reject_bounds), so each greedy still sees the
-same vectors in the same order.  The reported lambda-bar values are
+the current best independent n-tuple, deciding most steps by one dot
+product with a normal of the span of its n-1 best, and one enumeration
+feeds the greedies of a whole grid of Q values.  For a pair whose only
+active place is infinite, a vector is skipped before its logs are taken
+when one of its integer form values exceeds a float bound under which
+every greedy's own float test would reject it (_reject_bounds), so each
+greedy still sees the same vectors in the same order.  The reported lambda-bar values are
 upper estimates of the true infima: lambda_i <= lambda_bar_i always.
 A Diophantine system is the twisted pair of its forms and exponents plus
 eps (SystemInstance).  The scan reads each vector's terms from the same
@@ -40,7 +41,7 @@ from .exact_reals import FactoredReal, certified_floor, cmp_power_product, iv_ln
 from .exterior_algebra import Subspace, wedge
 from .filtration import FiltrationChain, exceptional_subspace, exterior_pair, filtration
 from .places_heights import INF, Place, primitive_scale, valuation
-from .rational_linalg import RankTracker, det
+from .rational_linalg import RankTracker, det, int_kernel
 from .twisted_system import (
     TwistedPair,
     ValidationError,
@@ -325,7 +326,14 @@ class _Greedy:
     of value <= v is the span of the sel records of value <= v, and the
     spans need no other record.  feed turns a vector away without a greedy
     step when its value is above the worst selected one (which only falls),
-    or ties it while sel spans Q^n.
+    or ties it while sel spans Q^n.  A vector x below the worst record r_n
+    but not below r_{n-1} (a tie goes after r_{n-1}, as x was fed later)
+    comes between them in the greedy order, so the hyperplane
+    H = span(r_1..r_{n-1}) decides it: x in H leaves sel as it is, and
+    otherwise x replaces r_n and H stays.  One dot product with an integer
+    normal of H, taken when first needed after _insert changed sel, tests
+    this; at n = 1, H = {0}.  `bound` holds this greedy's reject bounds
+    (_reject_bounds), taken again only when its worst record changes.
     """
 
     def __init__(self, forms: _IntegerForms, q, box: int):
@@ -333,18 +341,34 @@ class _Greedy:
         self.box = box
         self.n = forms.n
         self.sel: list[_Record] = []
+        self.bound: tuple[float, ...] = ()
+        self._normal = None  # an integer normal of span(sel[:-1]) once sel is full, or None
 
     def feed(self, vec, terms) -> bool:
-        """Offer one vector; True when it entered the greedy step (sel may have changed)."""
+        """Offer one vector; True when the worst selected record of a full sel changed."""
         sel = self.sel
         full = len(sel) == self.n
         # reject on the float alone before building a record
         if full and self.fh.log(terms) > sel[-1].logf + _LOG_TOL:
             return False
         rec = _Record(vec, *self.fh.value(terms))
-        if full and _cmp_records(rec, sel[-1], self.fh) >= 0:
-            return False
+        worst = sel[-1] if full else None
+        if full:
+            if _cmp_records(rec, worst, self.fh) >= 0:
+                return False
+            if self.n == 1 or _cmp_records(rec, sel[-2], self.fh) >= 0:
+                if self._normal is None:
+                    self._normal = int_kernel([r.vec for r in sel[:-1]], self.n)[0]
+                if not sum(map(mul, self._normal, vec)):
+                    return False
+                sel[-1] = rec
+                self._take_bound()
+                return True
         self._insert(rec)
+        self._normal = None
+        if len(self.sel) < self.n or self.sel[-1] is worst:
+            return False
+        self._take_bound()
         return True
 
     def _insert(self, rec: _Record):
@@ -361,6 +385,14 @@ class _Greedy:
                 if len(out) == self.n:
                     break
         self.sel = out
+
+    def _take_bound(self):
+        """This greedy's reject bounds from its worst record, whose float log is w (see _reject_bounds)."""
+        w = self.sel[-1].logf
+        logcorr = self.fh.forms.logcorr
+        self.bound = tuple(
+            _float_bound(w + _LOG_TOL - logcorr - shift, w, logcorr, shift) for shift in self.fh.shifts[0]
+        )
 
     def estimate(self) -> "InfimaEstimate":
         n, sel, fh = self.n, self.sel, self.fh
@@ -393,18 +425,14 @@ def _reject_bounds(forms: _IntegerForms, states) -> tuple[float, ...]:
     record has float log w rejects x once log10 |F_i(x)| exceeds
     w + _LOG_TOL - logcorr - shift_i.  The exponent is widened by 1e-9
     relative to the logs it is made of, far above their float error, so
-    the skip never drops a vector the float test would keep; U_i is the
-    largest over the greedies, and infinite past the float range.
+    the skip never drops a vector the float test would keep.  Each greedy
+    keeps its own U_i (_Greedy.bound, taken when its worst record changes);
+    U_i here is the largest over the greedies, and infinite past the float
+    range.
     """
-    if len(forms.places) > 1 or any(len(st.sel) < forms.n for st in states):
+    if len(forms.places) > 1 or not all(st.bound for st in states):
         return ()
-    bound = [0.0] * forms.n
-    for st in states:
-        w = st.sel[-1].logf
-        for i, shift in enumerate(st.fh.shifts[0]):
-            u = _float_bound(w + _LOG_TOL - forms.logcorr - shift, w, forms.logcorr, shift)
-            bound[i] = max(bound[i], u)
-    return tuple(bound)
+    return tuple(map(max, zip(*(st.bound for st in states))))
 
 
 def _float_bound(e: float, *logs: float) -> float:
@@ -425,7 +453,7 @@ def _infima_grid(pair: TwistedPair, grid, extra_vectors=()) -> list[InfimaEstima
     alone would.  A vector whose integer form values exceed the
     _reject_bounds of the greedies is skipped before its terms are built:
     every greedy would reject it, so no answer changes.  The bounds are
-    taken again whenever some greedy's selection may have changed.
+    combined again whenever some greedy's worst record changed.
     """
     n = pair.n
     for _, box in grid:

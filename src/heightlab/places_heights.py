@@ -9,6 +9,7 @@ squared Euclidean data).
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,7 +27,24 @@ __all__ = [
     "height_two_squared",
     "inhomogeneous_height",
     "primitive_scale",
+    "parse_int",
 ]
+
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_int(s) -> int:
+    """The integer of an int or of a string of ASCII digits with an optional sign.
+
+    ValueError for any other string: int() would also read surrounding
+    spaces, underscores between digits and non-ASCII digits.  TypeError for
+    any other type (a float or a bool would be truncated to an int).
+    """
+    if isinstance(s, bool) or not isinstance(s, (int, str)):
+        raise TypeError(f"expected an integer, got {s!r}")
+    if isinstance(s, str) and not _INTEGER.fullmatch(s):
+        raise ValueError(f"not an integer: {s!r}")
+    return int(s)
 
 
 @dataclass(frozen=True, order=True)
@@ -60,13 +78,10 @@ class Place:
 
     @staticmethod
     def parse(label) -> "Place":
-        """The place of "inf" or None, or of a prime given as an int or a string of one;
-        TypeError for any other type (a float or a bool would be truncated to an int)."""
+        """The place of "inf" or None, or of a prime given as parse_int reads it."""
         if label == "inf" or label is None:
             return Place.infinite()
-        if isinstance(label, bool) or not isinstance(label, (int, str)):
-            raise TypeError(f"a place is 'inf' or a prime, got {label!r}")
-        return Place.finite(int(label))
+        return Place.finite(parse_int(label))
 
     def __repr__(self):
         return "Place(inf)" if self.p is None else f"Place({self.p})"

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .exact_reals import FactoredReal
-from .places_heights import INF, Place, abs_value, primitive_scale
+from .places_heights import INF, Place, abs_value, parse_int, primitive_scale
 from .rational_linalg import det, mat_vec, qvec, rank
 
 __all__ = [
@@ -313,19 +313,22 @@ def frac_str(x) -> str:
 # limit on the digits of an int read from a string.  Without a cap a few
 # characters such as "1e1000000" buy a million-digit power of ten.
 EXPONENT_CAP = 4300
-_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+_EXPONENT = re.compile(r"[eE]([-+]?\d+)\s*\Z")
 
 
 def parse_frac(s) -> Fraction:
     """The rational of an int, a Fraction, a finite float or a string ("-3/4", "0.25", "1e-3").
 
     Raises what Fraction raises for other input, TypeError for a bool, and
-    ValueError for a decimal exponent beyond EXPONENT_CAP in magnitude or an
-    infinite float.
+    ValueError for a decimal exponent beyond EXPONENT_CAP in magnitude, an
+    infinite float, or a string with an underscore (Fraction reads "1_000"
+    only from Python 3.11 on).
     """
     if isinstance(s, bool):
         raise TypeError("a bool is not a rational")
     if isinstance(s, str):
+        if "_" in s:
+            raise ValueError("underscores in a rational")
         m = _EXPONENT.search(s)
         if m and abs(int(m.group(1))) > EXPONENT_CAP:
             raise ValueError(f"decimal exponent beyond +-{EXPONENT_CAP}")
@@ -371,9 +374,7 @@ def places_from_json(data, n_min: int = 1) -> tuple[int, dict]:
         if key not in data:
             raise ValidationError(f"missing key {key!r}")
     try:
-        if isinstance(data["n"], bool) or not isinstance(data["n"], (int, str)):
-            raise TypeError
-        n = int(data["n"])
+        n = parse_int(data["n"])
     except (ValueError, TypeError):
         raise ValidationError(f"n must be an integer, got {data['n']!r}") from None
     if not n_min <= n <= DIM_CAP:

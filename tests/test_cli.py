@@ -272,6 +272,14 @@ _GOOD_PLACE = {"place": "inf", "forms": [["1", "0"], ["0", "1"]], "exps": ["1", 
         {"n": 2, "places": [dict(_GOOD_PLACE, place=3.7)]},
         {"n": 2, "places": [dict(_GOOD_PLACE, forms=[[True, "0"], ["0", "1"]])]},
         {"n": 2, "places": [dict(_GOOD_PLACE, exps=[True, "-1"])]},
+        # int() reads these as 2 and the prime 11, and Fraction "1_0" as 10 from Python 3.11 on
+        {"n": " 0_2 ", "places": [_GOOD_PLACE]},
+        {"n": "2 ", "places": [_GOOD_PLACE]},
+        {"n": "\u0662", "places": [_GOOD_PLACE]},  # an Arabic-Indic digit two
+        {"n": 2, "places": [dict(_GOOD_PLACE, place="1_1")]},
+        {"n": 2, "places": [dict(_GOOD_PLACE, place=" 3")]},
+        {"n": 2, "places": [dict(_GOOD_PLACE, forms=[["1_0", "0"], ["0", "1"]])]},
+        {"n": 2, "places": [dict(_GOOD_PLACE, exps=["1", "-1e1_0"])]},
     ],
 )
 def test_malformed_pair_exit_2(tmp_path, data):
@@ -312,6 +320,15 @@ def test_integer_strings_still_read_as_n_and_places(tmp_path):
     assert cmd_dispatch(["validate", _write(tmp_path, "good.json", data)]) == 0
     ints = {"n": 2, "places": [dict(_GOOD_PLACE, place=3), dict(_GOOD_PLACE, place=5)]}
     assert pair_from_json(data) == pair_from_json(ints)
+    signed = {"n": "+2", "places": [dict(_GOOD_PLACE, place="+3"), dict(_GOOD_PLACE, place="05")]}
+    assert pair_from_json(signed) == pair_from_json(ints)
+
+
+def test_underscores_refused_in_systems_and_flags(e1_path, tmp_path):
+    system = {"n": 2, "epsilon": "1_0/1_0", "places": [dict(_GOOD_PLACE, exps=["-3", "0"])]}
+    assert cmd_dispatch(["reduce", _write(tmp_path, "s.json", system)]) == 2
+    assert cmd_dispatch(["infima", e1_path, "--q", "1_0", "--box", "2"]) == 2
+    assert cmd_dispatch(["bounds", "--thm", "1.1", "--n", "2", "--delta", "1_0/2_0"]) == 2
 
 
 def test_empty_box_exit_2(e1_path, sys_path):

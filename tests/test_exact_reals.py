@@ -542,7 +542,7 @@ def test_integer_ln_encloses_the_mpmath_oracle(x, digits):
     """The ln of an exact rational (_exact_ln) or of an endpoint m 2**e
     (_dyadic_ln) at bits = digits log2(10) + 5 meets mpmath's ln at three
     times the digits, with a width of at most eight units in the last of
-    its bits (ln 2 as ln 1 + 1 ln 2, whose two error bounds add, takes five)."""
+    its bits."""
     bits = digits * 10 // 3 + 5
     if isinstance(x, F):
         num, den, t = x.numerator, x.denominator, 0
@@ -557,6 +557,21 @@ def test_integer_ln_encloses_the_mpmath_oracle(x, digits):
     assert lo * F(2) ** e <= o + slack and o - slack <= hi * F(2) ** e
     ulp = F(2) ** (max(-lo, hi).bit_length() + e - bits)
     assert (hi - lo) * F(2) ** e <= 8 * ulp
+
+
+@pytest.mark.parametrize("t", [1, 2, 7, 1000, 2**40])
+def test_ln_of_a_power_of_two_carries_only_the_error_of_ln2(t):
+    # ln 1 adds no error to t ln 2: at t = 1 the width is 3 units of 2**-bits, not 5
+    bits = 70
+    lo, hi, e = exact_reals._dyadic_ln(1, t, bits)
+    assert e == -(bits + t.bit_length())
+    _, err = exact_reals._atanh_sum(exact_reals._LN2, -e)
+    assert hi - lo == 2 * t * err
+    if t == 1:
+        assert (hi - lo) * F(2) ** e == 3 * F(2) ** -bits
+    with mpmath.workdps(60):
+        value = t * mpmath.log(2) * 2 ** -e
+        assert lo <= value <= hi
 
 
 def test_integer_ln_constants(monkeypatch):

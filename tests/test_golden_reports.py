@@ -24,6 +24,7 @@ from heightlab.suite import (
     random_subspace_rows,
 )
 from heightlab.twisted_system import frac_str, pair_to_json
+from test_infima_kernel import _p_adic, _tied
 
 SLOPES_BOX = {2: 6, 3: 3, 4: 2}
 
@@ -44,6 +45,10 @@ SYSTEMS = (
          "exps": ["-15/8", "-15/16", "-15/16"]}]},
 )
 SCAN_BOX = {2: 12, 3: 3}
+
+# the boxes of the infima_sweep benchmark workload, by n
+INFIMA_BOX = {2: 30, 3: 6, 4: 3}
+INFIMA_QS = ("10", "100", "1000")
 
 # Three parameter sets per theorem; the second set of 2.x, 8.1, 3.1 and 3.2
 # takes the H_L (H_star) branch of C0 (C1).
@@ -89,6 +94,19 @@ def _special_pairs():
     return pairs
 
 
+def _infima_requests():
+    """(label, pair, q, box): random one-place pairs at n = 2, 3, 4 and the
+    tied and p-adic pairs of the reject-bound tests, at Q = 10, 100, 1000,
+    and the tied pair at Q = 10^400, whose bounds lie past the float range."""
+    rng = random.Random(1919)
+    named = [(f"n{n}-{k}", random_pair(rng, n, places=1), INFIMA_BOX[n]) for n in (2, 3, 4) for k in range(3)]
+    named += [("tied", _tied, 4), ("p-adic", _p_adic, 3)]
+    for name, pair, box in named:
+        for q in INFIMA_QS:
+            yield f"{name}-{q}", pair, q, box
+    yield "tied-1e400", _tied, "1" + "0" * 400, 4
+
+
 def _write(tmp_path, name, data):
     p = tmp_path / name
     p.write_text(json.dumps(data, sort_keys=True))
@@ -111,6 +129,10 @@ def _cases(command, tmp_path):
                 rows = random_subspace_rows(rng, pair.n, dim)
                 sub = {"ambient": pair.n, "basis": [[frac_str(a) for a in r] for r in rows]}
                 yield f"{k}-{dim}", [command, path, _write(tmp_path, f"u{k}-{dim}.json", sub)]
+    elif command == "infima":
+        for label, pair, q, box in _infima_requests():
+            path = _write(tmp_path, "pair.json", pair_to_json(pair))
+            yield label, [command, path, "--q", q, "--box", str(box)]
     elif command == "slopes":
         for name, pair in curated_slope_suite():
             path = _write(tmp_path, f"{name}.json", pair_to_json(pair))
@@ -148,6 +170,7 @@ GOLDEN = {
     "exceptional": "5756689d1ba30f10428abdbacac1569bbfe288d91dc1a24464494f3498f7d7e4",
     "special-t": "07441b3ed6f8085385771fe44d6633d1c44137a0cfc702863b67a2578685cf65",
     "weight": "35b5fdb36a017b46a6ba5c90c7477a27745f85ffd709ae10433c267d05d372ac",
+    "infima": "be56b58cc2590544ef434bab62c4befe27490ef6d97459b4def395da222b602a",
     "slopes": "53d668133eaab6eafd0f3ba439b931e8f346001fa6bde262d512f4b59e6c34fa",
     "scan": "1e31724168419f13a9f652f75ba4ceed50353165bfdf734cd8230ab90a72f1a1",
     "reduce": "74da5ec1ced65f2ff6c57348a2f9a1ca691116657e8fc7cffbd42ca50b68d364",
@@ -164,6 +187,6 @@ if __name__ == "__main__":
     import tempfile
     from pathlib import Path
 
-    for command in ("filtration", "exceptional", "special-t", "weight", "slopes", "scan", "reduce", "bounds"):
+    for command in ("filtration", "exceptional", "special-t", "weight", "infima", "slopes", "scan", "reduce", "bounds"):
         with tempfile.TemporaryDirectory() as d:
             print(f'    "{command}": "{report_digest(command, Path(d))}",')

@@ -25,8 +25,8 @@ from heightlab.infima_lab import (
     successive_infima,
 )
 from heightlab.places_heights import INF, Place, primitive_scale
-from heightlab.rational_linalg import RankTracker, rank
-from heightlab.suite import diag_pair, random_pair
+from heightlab.rational_linalg import RankTracker, rank, solve_exact
+from heightlab.suite import curated_slope_suite, diag_pair, random_pair
 from heightlab.twisted_system import TwistedPair, twisted_height
 
 F = Fraction
@@ -358,3 +358,89 @@ def test_reject_bounds_skip_most_vectors(n, box):
             for q in (10, 100, 1000):
                 successive_infima(pair, q, box)
     assert built < enumerated / 4
+
+
+# -- the streaming greedy against a textbook greedy ----------------------------
+
+
+def textbook_greedy(pair, q, stream):
+    """Sort by exact twisted height, then by feed order; keep a vector when the rank grows."""
+    heights = [twisted_height(pair, q, x) for x in stream]
+    kept = []
+    for k in sorted(range(len(stream)), key=heights.__getitem__):  # a stable sort keeps feed order
+        if rank([stream[j] for j in kept] + [stream[k]]) > len(kept):
+            kept.append(k)
+            if len(kept) == pair.n:
+                break
+    return [heights[k] for k in kept], [stream[k] for k in kept]
+
+
+@st.composite
+def greedy_streams(draw):
+    """(pair, q, stream) at n = 1-4.  The forms are the dual basis of a basis
+    b_1..b_n, so x = sum a_j b_j has height max_j |a_j| Q^(c_j) up to a
+    constant, and c_n is the largest exponent: the n-1 best records tend to
+    lie in span(b_1..b_{n-1}), and so does most of the stream.  Small integer
+    exponents, coefficients and Q make exact ties common."""
+    n = draw(st.integers(1, 4))
+    small = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    basis = draw(st.lists(small, min_size=n, max_size=n).filter(lambda b: rank(b) == n))
+    forms = [solve_exact(basis, [int(i == j) for j in range(n)]) for i in range(n)]
+    exps = draw(st.lists(st.sampled_from([F(-1), F(0), F(0), F(1, 2), F(1)]), min_size=n - 1, max_size=n - 1))
+    pair = TwistedPair(n, {INF: (forms, exps + [F(2)])})
+    coords = st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1)
+    far = st.integers(-1, 1).filter(bool)
+    # a_n = 0 for most vectors: those lie in the hyperplane of b_1..b_{n-1}
+    combos = st.tuples(coords, st.one_of(st.just(0), st.just(0), st.just(0), far))
+    stream = []
+    for a, a_n in draw(st.lists(combos, min_size=1, max_size=24)):
+        x = [sum(c * b[k] for c, b in zip(a + [a_n], basis)) for k in range(n)]
+        if any(x):
+            stream.append(primitive_scale(x))
+    assume(stream)
+    return pair, draw(st.sampled_from([F(1), F(2), F(3), F(10)])), stream
+
+
+@settings(SETTINGS, max_examples=200)
+@given(greedy_streams(), st.booleans())
+@example((diag_pair([1, -1]), F(10), [(1, 1), (0, 1), (1, -1), (1, 0), (2, 1)]), True)
+@example((TwistedPair(1, {INF: (((2,),), (0,))}), F(3), [(1,), (-1,), (1,)]), False)
+def test_greedy_matches_textbook_greedy(pqs, units_first):
+    pair, q, stream = pqs
+    if units_first:  # as _infima_grid feeds them, so that the selection is full from the start
+        stream = [tuple(int(i == j) for j in range(pair.n)) for i in range(pair.n)] + stream
+    forms = _IntegerForms(pair)
+    greedy = infima_lab._Greedy(forms, q, 1)
+    for x in stream:
+        greedy.feed(x, forms.terms(dot_values(forms.flat, x)))
+        # the greedy's reject bounds are always those of its worst record
+        bound = greedy.bound
+        if len(greedy.sel) == pair.n:
+            greedy._take_bound()
+        assert greedy.bound == bound
+    fh = greedy.fh
+    heights, vecs = textbook_greedy(pair, q, stream)
+    assert [r.vec for r in greedy.sel] == vecs
+    assert [fh.to_factored(r.exact(fh)) for r in greedy.sel] == heights
+
+
+def test_hyperplane_rule_halves_rank_tracker_calls(monkeypatch):
+    # infima_sweep-shaped requests at Q = 10 on E8-n4 and on random one-place
+    # n = 3 pairs; `through_insert` is the count when every greedy step that
+    # beats the worst record rebuilds the selection in _insert
+    calls = 0
+    real = RankTracker.try_add
+
+    def spy(self, vec):
+        nonlocal calls
+        calls += 1
+        return real(self, vec)
+
+    monkeypatch.setattr(RankTracker, "try_add", spy)
+    rng = random.Random(3)
+    e8 = dict(curated_slope_suite())["E8-n4"]
+    requests = [(e8, 3, 720)] + [(random_pair(rng, 3), 6, through_insert) for through_insert in (129, 193, 86, 116)]
+    for pair, box, through_insert in requests:
+        calls = 0
+        successive_infima(pair, 10, box)
+        assert calls <= through_insert / 2
