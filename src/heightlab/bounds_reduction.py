@@ -3,11 +3,12 @@
 All closed-form constants are evaluated by exact_reals.enclose, with
 outward-rounded interval arithmetic, on the interval helpers of
 exact_reals (iv_fr, iv_ln, certified_floor); the log10 of an exact factored
-entry comes from exact_reals.log10_enclosure.  Floor brackets are only taken
-once the enclosure pins the integer, and reported decimals carry certified
-significant digits.  Each builder is written once against mpmath.iv's
-interface and runs on enclose's binary intervals, at digits that double
-until the enclosure decides.  A constant that needs more than
+entry comes from exact_reals.log10_enclosure.  Both give integer endpoints
+(lo, hi, one), and every test on them here compares integers.  Floor
+brackets are only taken once the enclosure pins the integer, and reported
+decimals carry certified significant digits.  Each builder is written once
+against mpmath.iv's interface and runs on enclose's binary intervals, at
+digits that double until the enclosure decides.  A constant that needs more than
 exact_reals.MAX_DPS digits raises CertificationError.  Every cover count
 is one routine, _cover_count, on the same enclosures.  "log" in the
 formulas is the natural logarithm throughout (recorded in every report).
@@ -57,13 +58,13 @@ def _certified_decimal(evaluate, target, sig: int) -> str:
     a builder, or log10_enclosure of a FactoredReal."""
     inv_rel = 10 ** (sig + 2)
 
-    def done(lo, hi, one=1):  # a relative width of at most 10**-(sig + 2), or lo = hi = 0, in any unit 1/one
+    def done(lo, hi, one):  # a relative width of at most 10**-(sig + 2), or lo = hi = 0
         return (hi - lo) * inv_rel <= max(abs(lo), abs(hi))
 
-    lo, hi = evaluate(target, done, max(30, sig + 15))
+    lo, hi, one = evaluate(target, done, max(30, sig + 15))
     if lo == hi == 0:
         return "0"
-    return decimal_str((lo + hi) / 2, sig)
+    return decimal_str(lo + hi, 2 * one, sig)
 
 
 # -- the constant calculator -------------------------------------------------
@@ -156,9 +157,10 @@ def _read_params(names, params) -> dict:
             x = parse_frac(raw)
         except (ValueError, TypeError, ZeroDivisionError):
             raise ValidationError(f"{name} must be a rational, got {raw!r}") from None
-        if (integer and x.denominator != 1) or not ok(x, read):
+        value = x.numerator if x.denominator == 1 else x  # an integer is range-checked as an int
+        if (integer and x.denominator != 1) or not ok(value, read):
             raise ValidationError(f"{name} must be {need}")
-        read[name] = x.numerator if integer else x
+        read[name] = value if integer else x
     return read
 
 
@@ -364,7 +366,7 @@ def internal_t0_consistency(n: int, R, delta) -> bool:
         rhs = 1 + 3 * iv_fr(iv, 1 / delta) * m0_int * (1 + iv.log(_omega0(iv, delta, R)))
         return _t0(iv, n, delta, R) - rhs
 
-    lo, _ = enclose(lhs_minus_rhs, lambda lo, hi: lo >= 0 or hi < 0, 30)
+    lo, _, _ = enclose(lhs_minus_rhs, lambda lo, hi, one: lo >= 0 or hi < 0, 30)
     return lo >= 0
 
 
@@ -388,10 +390,11 @@ def _cover_count(base: Fraction, target) -> int:
         ln_target = iv_ln(iv, target) if rational else iv.log(target(iv))
         return ln_target / iv_ln(iv, base)
 
-    lo, hi = enclose(ratio, lambda lo, hi: rational or math.ceil(lo) == math.ceil(hi), 30)
-    s = max(1, math.ceil(lo))
-    if s <= COVER_COUNT_CAP and math.ceil(hi) > s:  # the enclosure holds an integer
-        _check_power_bits(base, math.ceil(hi))
+    lo, hi, one = enclose(ratio, lambda lo, hi, one: rational or -lo // one == -hi // one, 30)
+    s = max(1, -(-lo // one))
+    top = -(-hi // one)
+    if s <= COVER_COUNT_CAP and top > s:  # the enclosure holds an integer
+        _check_power_bits(base, top)
         while base**s < target:
             s += 1
     if s > COVER_COUNT_CAP:
@@ -462,8 +465,8 @@ def s1_bound(n: int, delta, R, h_l) -> float:
         inner = iv.log(3) + iv_ln(iv, _as_height(h_l)) / iv_fr(iv, Fraction(R))
         return 2 + 3 * iv_fr(iv, 1 / delta) * iv.log(inner)
 
-    lo, hi = enclose(val, lambda lo, hi: True, 40)
-    return float((lo + hi) / 2)
+    lo, hi, one = enclose(val, lambda lo, hi, one: True, 40)
+    return (lo + hi) / (2 * one)
 
 
 def s2_count(n: int, delta) -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -40,6 +41,7 @@ from .infima_lab import (
     slope_profile,
     successive_infima,
 )
+from .places_heights import parse_int
 from .twisted_system import (
     TwistedPair,
     ValidationError,
@@ -64,7 +66,7 @@ QGRID_STEPS_CAP = 100
 # Largest --qgrid bound: the grid is spaced in floats, with headroom for their rounding.
 QGRID_MAX = sys.float_info.max / 2
 # Largest log10 a report prints.
-_FLOAT_MAX = Fraction(sys.float_info.max)
+_FLOAT_MAX = int(sys.float_info.max)
 
 EXIT_CODES = """exit codes:
   0  success
@@ -93,7 +95,10 @@ def _emit(obj, out_path, as_csv: bool = False) -> None:
     if as_csv:
         text = obj
     else:
-        text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        parts = []
+        _write_json(obj, "\n", parts.append)
+        parts.append("\n")
+        text = "".join(parts)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -101,12 +106,82 @@ def _emit(obj, out_path, as_csv: bool = False) -> None:
         sys.stdout.write(text)
 
 
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _write_json(x, newline: str, put) -> None:
+    """Write x piece by piece to put, byte for byte as json.dumps writes it
+    with sorted keys and an indent of 2; newline is "\n" and the indent of
+    x's line.
+
+    The standard library writes indented JSON with its pure-Python encoder,
+    which yields every piece through a generator; this writer takes the same
+    steps in the same order: strings by encode_basestring_ascii, tuples as
+    lists, dict items sorted by key and other values by _json_atom.
+    """
+    if isinstance(x, str):
+        put(_json_str(x))
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            put("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for v in x:
+            put(sep)
+            _write_json(v, inner, put)
+            sep = "," + inner
+        put(newline + "]")
+    elif isinstance(x, dict):
+        if not x:
+            put("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for k, v in sorted(x.items()):
+            key = k if isinstance(k, str) else _json_atom(k)
+            if key is None:
+                raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+            put(sep + _json_str(key) + ": ")
+            _write_json(v, inner, put)
+            sep = "," + inner
+        put(newline + "}")
+    else:
+        text = _json_atom(x)
+        if text is None:
+            raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+        put(text)
+
+
+def _json_atom(x) -> str | None:
+    """The text json writes for None, a bool, an int or a float (also as a
+    dict key); None for any other value."""
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        if x != x:
+            return "NaN"
+        if x == math.inf:
+            return "Infinity"
+        if x == -math.inf:
+            return "-Infinity"
+        return float.__repr__(x)
+    return None
+
+
 def _factored_json(x: FactoredReal, precision: int) -> dict:
     # the log10 is certified to below its last printed place (FactoredReal.log10)
     val, _ = x.log10(precision)
-    if abs(val) > _FLOAT_MAX:
+    num, den = val.numerator, val.denominator
+    if abs(num) > _FLOAT_MAX * den:
         raise CertificationError("a log10 of the report has too many digits to print")
-    return {"factored": x.to_json(), "log10": g_str(val, precision)}
+    return {"factored": x.to_json(), "log10": g_str(num, den, precision)}
 
 
 def _subspace_json(s: Subspace) -> dict:
@@ -188,7 +263,7 @@ def _infima_json(est, precision: int) -> dict:
 def _parse_qgrid(spec: str) -> list[Fraction]:
     parts = spec.split(":")
     try:
-        a, b, steps = parse_frac(parts[0]), parse_frac(parts[1]), int(parts[2])
+        a, b, steps = parse_frac(parts[0]), parse_frac(parts[1]), parse_int(parts[2])
     except (ValueError, ZeroDivisionError, IndexError):
         raise ValidationError(f"--qgrid must be a:b:steps, got {spec!r}") from None
     if len(parts) != 3 or not 1 <= steps <= QGRID_STEPS_CAP or a < 2 or b < a:
@@ -208,12 +283,24 @@ def _parse_qgrid(spec: str) -> list[Fraction]:
     return out
 
 
+def _integer(text, flag: str) -> int:
+    """The value of an integer flag, as parse_int reads it; ValidationError otherwise."""
+    try:
+        return parse_int(text)
+    except (ValueError, TypeError):
+        raise ValidationError(f"--{flag} must be an integer, got {text!r}") from None
+
+
 def cmd_dispatch(argv) -> int:
     """Parse arguments, run one subcommand, write reports."""
     args = _parse(argv)
     try:
-        if "precision" in args and not 1 <= args.precision <= MAX_PRECISION:
-            raise ValidationError(f"--precision must be in [1, {MAX_PRECISION}], got {args.precision}")
+        if "precision" in args:
+            args.precision = _integer(args.precision, "precision")
+            if not 1 <= args.precision <= MAX_PRECISION:
+                raise ValidationError(f"--precision must be in [1, {MAX_PRECISION}], got {args.precision}")
+        if getattr(args, "box", None) is not None:
+            args.box = _integer(args.box, "box")
         return args.func(args)
     except ValidationError as exc:
         return _fail(2, f"validation failure: {exc}")
@@ -262,7 +349,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
             p.add_argument(f"--{flag}", **kw)
         p.add_argument("--out", default=None)
         if precision:  # the subcommands that print certified log10s or decimals
-            p.add_argument("--precision", type=int, default=12)
+            p.add_argument("--precision", default=12)
         p.set_defaults(func=fn)
         return p
 
@@ -279,14 +366,14 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
         needs_pair=True,
         precision=True,
         q={"required": True},
-        box={"type": int, "default": None},
+        box={"default": None},
     )
     add(
         "slopes",
         _cmd_slopes,
         needs_pair=True,
         qgrid={"required": True},
-        box={"type": int, "default": None},
+        box={"default": None},
     )
     add(
         "minkowski",
@@ -294,7 +381,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
         needs_pair=True,
         precision=True,
         q={"required": True},
-        box={"type": int, "default": None},
+        box={"default": None},
     )
     add(
         "gap",
@@ -303,14 +390,14 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
         precision=True,
         delta={"required": True},
         a={"required": True},
-        box={"type": int, "default": 10},
+        box={"default": 10},
     )
     add(
         "scan",
         _cmd_scan,
         needs_system=True,
         hmax={"required": True},
-        box={"type": int, "default": 10},
+        box={"default": 10},
     )
     add(
         "bounds",

@@ -12,19 +12,23 @@ and so does an exact comparison (cmp_power_product) past POWER_BITS bits.
 Certified reals are evaluated to exact endpoints, at digits that double
 from the caller's start until those endpoints decide what the caller needs;
 a value that needs more than MAX_DPS decimal digits raises
-CertificationError.  Two routines do it.  log10_enclosure gives the log10
-of a FactoredReal (every report log10, and the factored entries of the
-bound tables) as one sum in fixed point: the cached ln of each prime
-(_ln_fixed: square roots, then atanh's series in Python integers, with a
-proven error bound), times its exponent, over ln 10.  enclose evaluates
+CertificationError.  The endpoints are integers (lo, hi, one), one > 0,
+with the value in [lo / one, hi / one]: the caller's test done(lo, hi, one)
+and the caller compare integers, and build no Fraction.  Two routines do
+it.  log10_enclosure gives the log10 of a FactoredReal (every report
+log10, and the factored entries of the bound tables) as one sum in fixed
+point: the cached ln of each prime (_ln_fixed: square roots, then atanh's
+series in Python integers, with a proven error bound), times its
+exponent, over ln 10.  enclose evaluates
 every other value: outward-rounded interval arithmetic on builders written
 once against mpmath.iv's interface, with the interval helpers beside it
 (iv_fr, iv_ln and certified_floor) for the theorem constants and floors,
 cover counts and the scan's histogram bins.  It runs them on integer
 mantissas over a power of 2 (_BinaryIV: exact rationals until a size cap,
 outward rounding past it), with _ln_fixed again for its ln.  decimal
-serves only the printing of digits (decimal_str, g_str).  The package
-needs no library outside the standard one.
+serves only the printing of digits (decimal_str, g_str, of an integer
+num/den such as the midpoint (lo + hi) / (2 one)).  The package needs no
+library outside the standard one.
 """
 
 from __future__ import annotations
@@ -359,18 +363,16 @@ def _dyadic_ln(m: int, e: int, bits: int) -> tuple[int, int, int]:
     return -hi, -lo, w
 
 
-def _floor(q, e: int) -> int:
-    """floor(q / 2**e) of a rational q."""
-    a, b = q.numerator, q.denominator
-    return (a << -e) // b if e < 0 else a // (b << e)
+def _floor(num: int, den: int, e: int) -> int:
+    """floor(num / (den 2**e)), den > 0."""
+    return (num << -e) // den if e < 0 else num // (den << e)
 
 
-def _outward(lo, hi, bits: int) -> tuple[int, int, int]:
-    """(a, b, e) with a 2**e <= lo <= hi <= b 2**e, for rationals lo <= hi,
-    with about bits bits in the larger of |a| and |b| (exact for a dyadic that fits)."""
-    big = max(-lo, hi)
-    e = big.numerator.bit_length() - big.denominator.bit_length() - bits
-    return _floor(lo, e), -_floor(-hi, e), e
+def _outward(num: int, den: int, bits: int) -> tuple[int, int, int]:
+    """(a, b, e) with a 2**e <= num/den <= b 2**e, den > 0, with about bits
+    bits in |a| and |b| (a = b for a dyadic that fits)."""
+    e = abs(num).bit_length() - den.bit_length() - bits
+    return _floor(num, den, e), -_floor(-num, den, e), e
 
 
 def _shift(m: int, k: int) -> int:
@@ -395,7 +397,10 @@ class _BinaryIV:
             return x
         if isinstance(x, (list, tuple)):
             lo, hi = (Fraction(v) for v in x)
-            return _Ival(self, None, *_outward(lo, hi, self.bits))
+            big = max(-lo, hi)
+            e = big.numerator.bit_length() - big.denominator.bit_length() - self.bits
+            lo, hi = _floor(lo.numerator, lo.denominator, e), -_floor(-hi.numerator, hi.denominator, e)
+            return _Ival(self, None, lo, hi, e)
         return _Ival(self, x if isinstance(x, _RatLike) else Fraction(x))
 
     def log(self, x) -> "_Ival":
@@ -427,7 +432,7 @@ class _Ival:
 
     def __init__(self, ns: _BinaryIV, q, lo=None, hi=None, e=0):
         if q is not None and (q.numerator.bit_length() > _EXACT_BITS or q.denominator.bit_length() > _EXACT_BITS):
-            lo, hi, e = _outward(q, q, ns.bits)
+            lo, hi, e = _outward(q.numerator, q.denominator, ns.bits)
             q = None
         self.ns, self.q, self.lo, self.hi, self.e = ns, q, lo, hi, e
 
@@ -435,7 +440,7 @@ class _Ival:
         q = self.q
         if q is None:
             return self.lo, self.hi, self.e
-        return _outward(q, q, self.ns.bits)
+        return _outward(q.numerator, q.denominator, self.ns.bits)
 
     def _other(self, x):
         if isinstance(x, _Ival):
@@ -571,25 +576,29 @@ def _divide(a: _Ival, b: _Ival) -> _Ival:
 MAX_DPS = 20_000
 
 
-def _endpoints(x: _Ival) -> tuple[Fraction, Fraction] | None:
-    """Exact Fraction endpoints of a _BinaryIV value; None when it is
-    unbounded, CertificationError for an endpoint whose exponent lies past
-    POWER_BITS, before it is built."""
-    if x.q is not None:
-        return Fraction(x.q), Fraction(x.q)
+def _endpoints(x: _Ival) -> tuple[int, int, int] | None:
+    """Integer endpoints (lo, hi, one) of a _BinaryIV value, which lies in
+    [lo / one, hi / one]; None when it is unbounded, CertificationError for
+    an endpoint whose exponent lies past POWER_BITS, before it is built."""
+    q = x.q
+    if q is not None:
+        return q.numerator, q.numerator, q.denominator
     if x is x.ns.unbounded:
         return None
-    if abs(x.e) > POWER_BITS:
+    e = x.e
+    if abs(e) > POWER_BITS:
         raise CertificationError(f"an interval endpoint needs more than {POWER_BITS} bits")
-    unit = Fraction(2) ** x.e
-    return x.lo * unit, x.hi * unit
+    if e >= 0:
+        return x.lo << e, x.hi << e, 1
+    return x.lo, x.hi, 1 << -e
 
 
-def enclose(build, done, dps: int) -> tuple[Fraction, Fraction]:
-    """Exact endpoints (lo, hi) of build(iv), an interval expression in mpmath.iv's interface.
+def enclose(build, done, dps: int) -> tuple[int, int, int]:
+    """Integer endpoints (lo, hi, one) of build(iv), an interval expression in
+    mpmath.iv's interface: lo / one <= build <= hi / one, with one > 0.
 
     build runs on _BinaryIV at dps digits, and the digits double until both
-    endpoints are finite and done(lo, hi) holds; CertificationError past
+    endpoints are finite and done(lo, hi, one) holds; CertificationError past
     MAX_DPS digits, and at once for an endpoint past POWER_BITS bits,
     which more digits do not shrink.
     """
@@ -601,8 +610,8 @@ def enclose(build, done, dps: int) -> tuple[Fraction, Fraction]:
     raise CertificationError(f"a certified value needs more than {MAX_DPS} digits")
 
 
-def log10_enclosure(x: "FactoredReal", done, dps: int) -> tuple[Fraction, Fraction]:
-    """Exact endpoints (lo, hi) of log10 x, as enclose gives those of
+def log10_enclosure(x: "FactoredReal", done, dps: int) -> tuple[int, int, int]:
+    """Integer endpoints (lo, hi, one) of log10 x, as enclose gives those of
     iv_ln(iv, x) / iv.log(10), from one sum in fixed point instead.
 
     At w = dps log2(10) + 5 bits or more, each prime power p**(a/b) of x
@@ -610,8 +619,8 @@ def log10_enclosure(x: "FactoredReal", done, dps: int) -> tuple[Fraction, Fracti
     term lies less than |a/b| E_p + 1 from 2**w (a/b) ln p.  The sum T, with
     E the sum of those bounds, is divided by ln 10's [L - E', L + E']
     (_atanh_sum), and the quotients of [T - E, T + E] by it, rounded outward
-    to units of 2**-w, are lo and hi.  The digits double until
-    done(lo 2**w, hi 2**w, 2**w), on integers; CertificationError past MAX_DPS.
+    to units of 2**-w, are lo and hi, over one = 2**w.  The digits double
+    until done(lo, hi, one); CertificationError past MAX_DPS.
     """
     factors = x._f.items()
     while dps <= MAX_DPS:
@@ -627,7 +636,7 @@ def log10_enclosure(x: "FactoredReal", done, dps: int) -> tuple[Fraction, Fracti
         lo = (lo << w) // (ln10 + err10 if lo >= 0 else ln10 - err10)
         hi = -((-hi << w) // (ln10 - err10 if hi >= 0 else ln10 + err10))
         if done(lo, hi, 1 << w):
-            return Fraction(lo, 1 << w), Fraction(hi, 1 << w)
+            return lo, hi, 1 << w
         dps *= 2
     raise CertificationError(f"a certified value needs more than {MAX_DPS} digits")
 
@@ -659,32 +668,36 @@ def iv_ln(iv, x):
 
 def certified_floor(build) -> int:
     """floor of build(iv), from an enclosure refined until both endpoints have the same floor."""
-    lo, _ = enclose(build, lambda lo, hi: math.floor(lo) == math.floor(hi), 30)
-    return math.floor(lo)
+    lo, _, one = enclose(build, lambda lo, hi, one: lo // one == hi // one, 30)
+    return lo // one
 
 
 # -- printing ---------------------------------------------------------------------
 
 
-def _decimal_digits(q: Fraction, sig: int, rounding: str) -> tuple[int, str, int]:
-    """(sign, digits, adjusted exponent) of q rounded to sig significant digits, with no exponent limit in reach."""
-    d = decimal.Context(prec=sig, rounding=rounding, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN).divide(
-        q.numerator, q.denominator
-    )
+@functools.lru_cache(maxsize=None)
+def _context(sig: int, rounding: str) -> decimal.Context:
+    """The decimal context of sig significant digits, with no exponent limit in reach."""
+    return decimal.Context(prec=sig, rounding=rounding, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+
+
+def _decimal_digits(num: int, den: int, sig: int, rounding: str) -> tuple[int, str, int]:
+    """(sign, digits, adjusted exponent) of num/den, den > 0, rounded to sig significant digits."""
+    d = _context(sig, rounding).divide(num, den)
     sign, digits, _ = d.as_tuple()
     return sign, "".join(map(str, digits)), d.adjusted()
 
 
-def decimal_str(q: Fraction, sig: int) -> str:
-    """q rounded half-up to sig significant digits, laid out as mpmath.nstr lays it out.
+def decimal_str(num: int, den: int, sig: int) -> str:
+    """num/den (den > 0) rounded half-up to sig significant digits, laid out as mpmath.nstr lays it out.
 
     Fixed point when the decimal exponent e satisfies
     min(-(sig // 3), -5) < e < sig, else with e+N or e-N; trailing zeros
     are stripped, but one is kept after the point.
     """
-    if q == 0:
+    if not num:
         return "0.0"
-    sign, digits, e = _decimal_digits(q, sig, decimal.ROUND_HALF_UP)
+    sign, digits, e = _decimal_digits(num, den, sig, decimal.ROUND_HALF_UP)
     split = 1
     if min(-(sig // 3), -5) < e < sig:
         if e < 0:
@@ -698,9 +711,9 @@ def decimal_str(q: Fraction, sig: int) -> str:
     return "-" * sign + text + (f"e{e:+d}" if e else "")
 
 
-def g_str(q: Fraction, sig: int) -> str:
-    """q rounded half-even to sig significant digits, laid out as f"{x:.{sig}g}" lays out a float x."""
-    sign, digits, e = _decimal_digits(q, sig, decimal.ROUND_HALF_EVEN)
+def g_str(num: int, den: int, sig: int) -> str:
+    """num/den (den > 0) rounded half-even to sig significant digits, laid out as f"{x:.{sig}g}" lays out a float x."""
+    sign, digits, e = _decimal_digits(num, den, sig, decimal.ROUND_HALF_EVEN)
     digits = digits.rstrip("0") or "0"
     if not -4 <= e < sig:
         return "-" * sign + digits[0] + ("." + digits[1:] if digits[1:] else "") + f"e{e:+03d}"
@@ -896,8 +909,8 @@ class FactoredReal:
             least = min(abs(lo), abs(hi), one) if (lo > 0) == (hi > 0) else 0  # <= min(1, |log10|) one
             return (hi - lo) * scale <= least
 
-        lo, hi = log10_enclosure(self, done, digits + 15)
-        return (lo + hi) / 2, (hi - lo) / 2
+        lo, hi, one = log10_enclosure(self, done, digits + 15)
+        return Fraction(lo + hi, 2 * one), Fraction(hi - lo, 2 * one)
 
     def log10_float(self) -> float:
         """Fast float approximation of log10 (about 1e-12 absolute error)."""

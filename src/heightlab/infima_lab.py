@@ -228,18 +228,6 @@ class _FastHeight:
         self._qn, self._qd = self.q.numerator, self.q.denominator
         self._qfr = None
 
-    def log(self, terms) -> float:
-        """log10 of the height whose Q-free terms are given, in floats only."""
-        total = self.forms.logcorr
-        for place_terms, shift in zip(terms, self.shifts):
-            best = -math.inf
-            for lm, i, _ in place_terms:
-                lv = lm + shift[i]
-                if lv > best:
-                    best = lv
-            total += best
-        return total
-
     def value(self, terms):
         """(log10 float, chosen term per place); ties within _LOG_TOL are broken exactly."""
         total = self.forms.logcorr
@@ -326,7 +314,10 @@ class _Greedy:
     of value <= v is the span of the sel records of value <= v, and the
     spans need no other record.  feed turns a vector away without a greedy
     step when its value is above the worst selected one (which only falls),
-    or ties it while sel spans Q^n.  A vector x below the worst record r_n
+    or ties it while sel spans Q^n.  It walks the vector's terms once
+    (_FastHeight.value) and rejects on that float total before a record is
+    built; a total within _LOG_TOL of the worst is decided exactly
+    (_cmp_records).  A vector x below the worst record r_n
     but not below r_{n-1} (a tie goes after r_{n-1}, as x was fed later)
     comes between them in the greedy order, so the hyperplane
     H = span(r_1..r_{n-1}) decides it: x in H leaves sel as it is, and
@@ -348,10 +339,11 @@ class _Greedy:
         """Offer one vector; True when the worst selected record of a full sel changed."""
         sel = self.sel
         full = len(sel) == self.n
+        logf, picks = self.fh.value(terms)
         # reject on the float alone before building a record
-        if full and self.fh.log(terms) > sel[-1].logf + _LOG_TOL:
+        if full and logf > sel[-1].logf + _LOG_TOL:
             return False
-        rec = _Record(vec, *self.fh.value(terms))
+        rec = _Record(vec, logf, picks)
         worst = sel[-1] if full else None
         if full:
             if _cmp_records(rec, worst, self.fh) >= 0:

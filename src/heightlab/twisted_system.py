@@ -313,25 +313,33 @@ def frac_str(x) -> str:
 # limit on the digits of an int read from a string.  Without a cap a few
 # characters such as "1e1000000" buy a million-digit power of ten.
 EXPONENT_CAP = 4300
-_EXPONENT = re.compile(r"[eE]([-+]?\d+)\s*\Z")
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9]+)\Z")
 
 
 def parse_frac(s) -> Fraction:
     """The rational of an int, a Fraction, a finite float or a string ("-3/4", "0.25", "1e-3").
 
-    Raises what Fraction raises for other input, TypeError for a bool, and
-    ValueError for a decimal exponent beyond EXPONENT_CAP in magnitude, an
-    infinite float, or a string with an underscore (Fraction reads "1_000"
-    only from Python 3.11 on).
+    A string is ASCII with no whitespace.  An integer or a fraction of them,
+    [+-]?[0-9]+(/[0-9]+)?, is read by int alone; any other string as
+    Fraction reads it.  Raises what Fraction raises for other input (also
+    ZeroDivisionError for "1/0"), TypeError for a bool, and ValueError for
+    a string with whitespace, a non-ASCII character or an underscore (which
+    Fraction reads in " 1/2", in Arabic-Indic digits and, from Python 3.11
+    on, in "1_000"), a decimal exponent beyond EXPONENT_CAP in magnitude, or
+    an infinite float.
     """
-    if isinstance(s, bool):
-        raise TypeError("a bool is not a rational")
     if isinstance(s, str):
-        if "_" in s:
-            raise ValueError("underscores in a rational")
+        num, slash, den = s.partition("/")
+        digits = num[1:] if num[:1] in ("+", "-") else num
+        if digits.isascii() and digits.isdigit() and (not slash or den.isascii() and den.isdigit()):
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+        if not s.isascii() or s.split() != [s] or "_" in s:
+            raise ValueError(f"not a rational: {s!r}")
         m = _EXPONENT.search(s)
         if m and abs(int(m.group(1))) > EXPONENT_CAP:
             raise ValueError(f"decimal exponent beyond +-{EXPONENT_CAP}")
+    elif isinstance(s, bool):
+        raise TypeError("a bool is not a rational")
     try:
         return Fraction(s)
     except OverflowError:

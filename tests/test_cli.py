@@ -280,6 +280,12 @@ _GOOD_PLACE = {"place": "inf", "forms": [["1", "0"], ["0", "1"]], "exps": ["1", 
         {"n": 2, "places": [dict(_GOOD_PLACE, place=" 3")]},
         {"n": 2, "places": [dict(_GOOD_PLACE, forms=[["1_0", "0"], ["0", "1"]])]},
         {"n": 2, "places": [dict(_GOOD_PLACE, exps=["1", "-1e1_0"])]},
+        # Fraction reads these as 1/2, 2, 3/4 and 1/2 ("1 / 2" from Python 3.12 on)
+        {"n": 2, "places": [dict(_GOOD_PLACE, exps=[" 1/2", "-1/2"])]},
+        {"n": 2, "places": [dict(_GOOD_PLACE, exps=["1 / 2", "-1/2"])]},
+        {"n": 2, "places": [dict(_GOOD_PLACE, forms=[["\t2", "0"], ["0", "1"]])]},
+        {"n": 2, "places": [dict(_GOOD_PLACE, exps=["\u0663/\u0664", "-3/4"])]},  # Arabic-Indic 3/4
+        {"n": 2, "places": [dict(_GOOD_PLACE, exps=["0.5 ", "-1/2"])]},
     ],
 )
 def test_malformed_pair_exit_2(tmp_path, data):
@@ -304,6 +310,10 @@ def test_malformed_pair_exit_2(tmp_path, data):
         {"n": 2, "epsilon": "2", "places": [{"place": "inf", "forms": [["1", "0"], ["0", "1"]], "exps": ["-4", "0"]}]},
         {"n": 2, "epsilon": True, "places": [{"place": "inf", "forms": [["1", "0"], ["0", "1"]], "exps": ["-3", "0"]}]},
         {"n": 2, "epsilon": "1", "places": [{"place": "inf", "forms": [["1", "0"], ["0", "1"]], "exps": [-3, False]}]},
+        # whitespace and non-ASCII digits in rationals
+        {"n": 2, "epsilon": " 1", "places": [{"place": "inf", "forms": [["1", "0"], ["0", "1"]], "exps": ["-3", "0"]}]},
+        {"n": 2, "epsilon": "1", "places": [{"place": "inf", "forms": [["1", "0"], ["0", "1"]], "exps": ["-3", "0\n"]}]},
+        {"n": 2, "epsilon": "\u0661", "places": [{"place": "inf", "forms": [["1", "0"], ["0", "1"]], "exps": ["-3", "0"]}]},
     ],
 )
 def test_malformed_system_exit_2(tmp_path, data, capsys):
@@ -324,11 +334,30 @@ def test_integer_strings_still_read_as_n_and_places(tmp_path):
     assert pair_from_json(signed) == pair_from_json(ints)
 
 
-def test_underscores_refused_in_systems_and_flags(e1_path, tmp_path):
+def test_underscores_refused_in_systems_and_flags(e1_path, tmp_path, capsys):
     system = {"n": 2, "epsilon": "1_0/1_0", "places": [dict(_GOOD_PLACE, exps=["-3", "0"])]}
     assert cmd_dispatch(["reduce", _write(tmp_path, "s.json", system)]) == 2
     assert cmd_dispatch(["infima", e1_path, "--q", "1_0", "--box", "2"]) == 2
     assert cmd_dispatch(["bounds", "--thm", "1.1", "--n", "2", "--delta", "1_0/2_0"]) == 2
+    # whitespace and non-ASCII digits, in rational and integer flags alike
+    for argv in (
+        ["infima", e1_path, "--q", " 10", "--box", "2"],
+        ["infima", e1_path, "--q", "\u0661\u0660", "--box", "2"],
+        ["bounds", "--thm", "1.1", "--n", "2", "--delta", "1 / 2"],
+        ["bounds", "--thm", "1.1", "--n", "\t2", "--delta", "1/2"],
+        ["cover", "--omega", "2", "--delta", "1/2 "],
+        ["infima", e1_path, "--q", "10", "--box", " 1_0"],
+        ["infima", e1_path, "--q", "10", "--box", "2", "--precision", " 1_2"],
+        ["gap", e1_path, "--delta", "1", "--a", "4", "--box", "\u0662"],
+        ["slopes", e1_path, "--qgrid", "10:100: 2", "--box", "2"],
+    ):
+        assert cmd_dispatch(argv) == 2, argv
+    err = capsys.readouterr().err
+    assert err.count("validation failure") == 12 and "Traceback" not in err and "usage" not in err
+    # decimals, exponents, signs and leading zeros still read
+    assert cmd_dispatch(["cover", "--omega", "1e1", "--delta", "0.25"]) == 0
+    assert cmd_dispatch(["bounds", "--thm", "1.1", "--n", "+2", "--delta", "05/10"]) == 0
+    assert cmd_dispatch(["infima", e1_path, "--q", "10", "--box", "+02", "--precision", "05"]) == 0
 
 
 def test_empty_box_exit_2(e1_path, sys_path):
@@ -629,15 +658,15 @@ def test_printed_log10s_match_the_interval_route():
         for x in values:
             target = F(1, 10**precision)
 
-            def done(lo, hi):
-                least = min(abs(lo), abs(hi), 1) if lo * hi > 0 else 0
-                return (hi - lo) / 2 <= target * least
+            def done(lo, hi, one):
+                least = min(abs(lo), abs(hi), one) if lo * hi > 0 else 0
+                return F(hi - lo, 2) <= target * least
 
             def build(iv):
                 return iv_ln(iv, x) / iv.log(10)
 
-            lo, hi = enclose(build, done, precision + 15)
-            assert _factored_json(x, precision)["log10"] == g_str((lo + hi) / 2, precision)
+            lo, hi, one = enclose(build, done, precision + 15)
+            assert _factored_json(x, precision)["log10"] == g_str(lo + hi, 2 * one, precision)
             table = bounds_reduction._entry_factored(x, precision)["log10"]
             assert table == bounds_reduction._certified_decimal(enclose, build, precision)
 
@@ -801,7 +830,8 @@ def test_g_str_lays_out_as_percent_g(x, sig):
     from heightlab.exact_reals import g_str
 
     assume(x != 0 or math.copysign(1, x) > 0)  # a Fraction has no -0
-    assert g_str(Fraction(x), sig) == f"{x:.{sig}g}"
+    q = Fraction(x)
+    assert g_str(q.numerator, q.denominator, sig) == f"{x:.{sig}g}"
 
 
 def test_factored_log10_asks_for_digits_below_the_last_place():
@@ -915,3 +945,86 @@ def test_slowest_refusal_is_bounded(tmp_path):
     start = time.perf_counter()
     assert _fresh_interpreter([["bounds", "--thm", "1.3", "--n", "100000", "--eps", "1"]], tmp_path) == ([5], False)
     assert time.perf_counter() - start < 10
+
+
+# -- the report writer ------------------------------------------------------------
+
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(2**200), 2**200),  # past 2**64
+    st.floats(),  # nan, +-inf and -0.0 among them
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e308, 5e-324]),
+    st.text(),  # escapes, control and non-ASCII characters, surrogates
+    st.sampled_from(["", '"', "\\", "\n\t\r\b\f", "\x00\x1f\x7f", "é \ud800", "\U0001f600"]),
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=8), children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_json_values)
+def test_report_writer_matches_json_dumps(obj):
+    from heightlab.cli import _write_json
+
+    parts = []
+    _write_json(obj, "\n", parts.append)
+    assert "".join(parts) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+@given(st.dictionaries(st.one_of(st.integers(), st.floats(), st.booleans(), st.none()), st.integers(), max_size=1))
+def test_report_writer_writes_keys_as_json_dumps(obj):
+    # keys that are not strings are written as their values are; one key a dict, as mixed keys do not sort
+    from heightlab.cli import _write_json
+
+    parts = []
+    _write_json(obj, "\n", parts.append)
+    assert "".join(parts) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+def test_report_writer_refuses_what_json_dumps_refuses():
+    from heightlab.cli import _write_json
+
+    for obj in ({(1, 2): 3}, [object()], {"a": {1, 2}}, F(1, 2)):
+        with pytest.raises(TypeError) as mine:
+            _write_json(obj, "\n", [].append)
+        with pytest.raises(TypeError) as ref:
+            json.dumps(obj, sort_keys=True, indent=2)
+        assert str(mine.value) == str(ref.value)
+
+
+# -- rational strings ----------------------------------------------------------------
+
+
+@given(st.from_regex(r"\A[+-]?[0-9]{1,40}(/[0-9]{1,40})?\Z").filter(str.isascii))
+def test_parse_frac_integer_strings_match_fraction(s):
+    from heightlab.twisted_system import parse_frac
+
+    try:
+        expected = Fraction(s)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            parse_frac(s)
+        return
+    got = parse_frac(s)
+    assert type(got) is Fraction and got == expected
+
+
+def test_parse_frac_grammar():
+    from heightlab.twisted_system import parse_frac
+
+    with pytest.raises(ZeroDivisionError):
+        parse_frac("1/0")
+    assert parse_frac("-0/7") == 0 and parse_frac("+05/010") == F(1, 2)
+    assert parse_frac("0.25") == F(1, 4) and parse_frac("1e-3") == F(1, 1000) and parse_frac(".5") == F(1, 2)
+    for s in (" 1/2", "1 / 2", "\t2", "2\n", "٣/٤", "²", "1/٢", "1/-2", "1/+2", "", "+", "1/", "/2", "1_0"):
+        with pytest.raises(ValueError):
+            parse_frac(s)

@@ -298,8 +298,8 @@ def test_enclose_escalates_until_done():
         seen.append(iv.dps)
         return iv.log(2)
 
-    lo, hi = enclose(build, lambda lo, hi: hi - lo < F(1, 10**100), 30)
-    assert F(69314718055994530941, 10**20) < lo < hi < F(69314718055994530942, 10**20)  # ln 2
+    lo, hi, one = enclose(build, lambda lo, hi, one: (hi - lo) * 10**100 < one, 30)
+    assert F(69314718055994530941, 10**20) < F(lo, one) < F(hi, one) < F(69314718055994530942, 10**20)  # ln 2
     assert seen == [30, 60, 120]
 
 
@@ -313,9 +313,9 @@ def test_enclose_refines_past_infinite_endpoints():
         seen.append(iv.dps)
         return 1 / (iv.log(iv.mpf(x.numerator)) - iv.log(iv.mpf(x.denominator)))
 
-    lo, hi = enclose(build, lambda lo, hi: math.floor(lo) == math.floor(hi), 30)
+    lo, hi, one = enclose(build, lambda lo, hi, one: lo // one == hi // one, 30)
     assert seen[0] == 30 and len(seen) > 1
-    assert math.floor(lo) == 10**40  # 1/ln(1 + u) = 1/u + 1/2 - u/12 + ...
+    assert lo // one == 10**40  # 1/ln(1 + u) = 1/u + 1/2 - u/12 + ...
 
 
 def test_enclose_refuses_an_interval_that_stays_infinite():
@@ -323,7 +323,7 @@ def test_enclose_refuses_an_interval_that_stays_infinite():
         return 1 / iv.mpf([-1, 1])
 
     with pytest.raises(CertificationError, match=f"more than {MAX_DPS} digits"):
-        enclose(build, lambda lo, hi: True, 30)
+        enclose(build, lambda lo, hi, one: True, 30)
 
 
 def test_enclose_refuses_an_endpoint_past_power_bits_at_once():
@@ -334,7 +334,7 @@ def test_enclose_refuses_an_endpoint_past_power_bits_at_once():
         return iv.mpf([2, 3]) ** 10**19
 
     with pytest.raises(CertificationError, match=f"more than {POWER_BITS} bits"):
-        enclose(build, lambda lo, hi: True, 30)
+        enclose(build, lambda lo, hi, one: True, 30)
     assert seen == [30]
 
 
@@ -347,7 +347,7 @@ def test_enclose_refuses_past_max_dps():
         return iv.mpf([0, 1])
 
     with pytest.raises(CertificationError, match=f"more than {MAX_DPS} digits"):
-        enclose(build, lambda lo, hi: hi - lo < 1, 30)
+        enclose(build, lambda lo, hi, one: hi - lo < one, 30)
     assert seen[-1] <= MAX_DPS < 2 * seen[-1]
 
 
@@ -438,7 +438,8 @@ def test_first_stage_negates_without_rounding():
 
 
 def _ends(x) -> tuple[F, F]:
-    return exact_reals._endpoints(x)
+    lo, hi, one = exact_reals._endpoints(x)
+    return F(lo, one), F(hi, one)
 
 
 def test_first_stage_adds_terms_far_apart():
@@ -616,7 +617,8 @@ def test_log10_kernel_encloses_the_mpmath_oracle(x, dps):
     sum of its term errors and ln 10's error over ln 10, plus a unit for each
     outward rounding, at w = dps log2(10) + 5 bits, where each ln p and ln 10
     carries at most 4 units."""
-    lo, hi = exact_reals.log10_enclosure(x, lambda lo, hi, one: True, dps)
+    lo, hi, one = exact_reals.log10_enclosure(x, lambda lo, hi, one: True, dps)
+    lo, hi = F(lo, one), F(hi, one)
     scale = sum(abs(e) * math.log10(p) for p, e in x.factors.items())
     digits = 3 * dps + len(str(int(scale))) + 20
     with mpmath.workdps(digits):
@@ -677,16 +679,62 @@ def _decimal_str_cases(draw):
 @given(_decimal_str_cases())
 def test_decimal_str_matches_mpmath_nstr(case):
     q, sig, oracle = case
-    assert exact_reals.decimal_str(q, sig) == _nstr(oracle, sig)
+    assert exact_reals.decimal_str(q.numerator, q.denominator, sig) == _nstr(oracle, sig)
 
 
 def test_decimal_str_examples():
     ds = exact_reals.decimal_str
-    assert ds(F(0), 5) == "0.0"
-    assert ds(F(1, 8), 2) == "0.13"  # a tie, away from zero
-    assert ds(F(-1, 8), 2) == "-0.13"
-    assert ds(F(12300), 5) == "12300.0"
-    assert ds(F(12300), 3) == "1.23e+4"
-    assert ds(F(1, 10**7), 12) == "1.0e-7"
-    assert ds(F(999996, 10**6), 5) == "1.0"
-    assert ds(F(2, 3), 40) == "0." + "6" * 39 + "7"
+    assert ds(0, 1, 5) == ds(0, 7, 5) == "0.0"
+    assert ds(1, 8, 2) == ds(2, 16, 2) == "0.13"  # a tie, away from zero
+    assert ds(-1, 8, 2) == "-0.13"
+    assert ds(12300, 1, 5) == ds(24600, 2, 5) == "12300.0"
+    assert ds(12300, 1, 3) == "1.23e+4"
+    assert ds(1, 10**7, 12) == "1.0e-7"
+    assert ds(999996, 10**6, 5) == "1.0"
+    assert ds(2, 3, 40) == "0." + "6" * 39 + "7"
+
+
+def _rounded(q: F, sig: int, half_even: bool) -> F:
+    """q != 0 rounded to sig significant digits, half-even or half away from
+    zero, in exact rational arithmetic."""
+    a = abs(q)
+    e = len(str(a.numerator)) - len(str(a.denominator))
+    if a < F(10) ** e:
+        e -= 1
+    unit = F(10) ** (e - sig + 1)  # a / unit lies in [10**(sig - 1), 10**sig)
+    k = math.floor(a / unit)
+    rest = a / unit - k
+    if rest > F(1, 2) or rest == F(1, 2) and (not half_even or k % 2):
+        k += 1
+    return (1 if q > 0 else -1) * k * unit
+
+
+@st.composite
+def _printed_values(draw):
+    """(q, k, sig): q a rational with sig digits and any rest, an exact half
+    of the last kept digit, or no rest, and a factor k > 0 it is printed
+    from as k q.numerator / k q.denominator."""
+    sig = draw(st.integers(1, 100))
+    e = draw(st.integers(-40, 140))
+    m = draw(st.integers(10 ** (sig - 1), 10**sig - 1))
+    kind = draw(st.sampled_from(["any", "tie", "exact"]))
+    if kind == "any":
+        m = m + draw(st.fractions(0, 1))
+    elif kind == "tie":  # m.5 units in the last kept place
+        m = m + F(1, 2)
+    q = draw(st.sampled_from([-1, 1])) * m * F(10) ** (e - sig + 1)
+    return q, draw(st.one_of(st.just(1), st.integers(2, 10**20))), sig
+
+
+@settings(max_examples=500, deadline=None)
+@given(_printed_values())
+def test_printing_from_num_den_matches_the_fraction_route(case):
+    """decimal_str and g_str of num/den, in lowest terms or not, print the
+    rational rounded in exact arithmetic: half away from zero for
+    decimal_str and half-even for g_str, exact halves included."""
+    q, k, sig = case
+    num, den = k * q.numerator, k * q.denominator
+    for half_even, write in ((False, exact_reals.decimal_str), (True, exact_reals.g_str)):
+        text = write(num, den, sig)
+        assert F(text) == _rounded(q, sig, half_even)
+        assert text == write(q.numerator, q.denominator, sig)
