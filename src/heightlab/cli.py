@@ -3,14 +3,19 @@
 Exit codes (EXIT_CODES): 0 success, 2 validation failure, 3 unsupported
 system, 4 I/O error, 5 could not certify.  All reports are emitted with
 sorted keys so identical inputs produce byte-identical output.
+
+Each subcommand declares its positionals and flags once, in _COMMANDS; each
+flag has a reader and a default.  _read_argv walks argv against that entry
+(`--flag value` or `--flag=value`, a unique prefix for a flag's name) and
+reads every flag value before the command loads a file; the help and the
+usage line are made from the table.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -87,8 +92,14 @@ def _fail(code: int, msg: str) -> int:
 
 
 def _load_json(path: str):
+    """The JSON value of a file; OSError also for one not UTF-8 or nested too deeply to decode."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise OSError(f"{path} is not UTF-8: {exc}") from None
+        except RecursionError:
+            raise OSError(f"{path} nests too deeply to decode") from None
 
 
 def _emit(obj, out_path, as_csv: bool = False) -> None:
@@ -192,25 +203,6 @@ def _subspace_json(s: Subspace) -> dict:
     }
 
 
-def _rational(text, flag: str, ok=None, need: str = "") -> Fraction:
-    """The value of a numeric flag; ValidationError unless it parses and passes `ok`."""
-    try:
-        x = parse_frac(text)
-    except (ValueError, TypeError, ZeroDivisionError):
-        raise ValidationError(f"--{flag} must be a rational, got {text!r}") from None
-    if ok is not None and not ok(x):
-        raise ValidationError(f"--{flag} must be {need}, got {text}")
-    return x
-
-
-def _at_least_one(x) -> bool:
-    return x >= 1
-
-
-def _in_unit_interval(x) -> bool:
-    return 0 < x <= 1
-
-
 def _subspace_from_json(data, n: int) -> Subspace:
     if not isinstance(data, dict) or "basis" not in data or not isinstance(data["basis"], list):
         raise ValidationError("a subspace file needs a 'basis' list")
@@ -235,43 +227,18 @@ def _load_system(path: str) -> SystemInstance:
     return SystemInstance(n, epsilon, places)
 
 
-def _filtration_json(pair: TwistedPair) -> dict:
-    chain = filtration(pair)
-    entries = []
-    for l, sub in enumerate(chain.subspaces):
-        entries.append(
-            {
-                "basis": [[frac_str(a) for a in row] for row in sub.rows],
-                "dim": sub.dim,
-                "weight": frac_str(chain.weights[l]),
-                "slope": frac_str(chain.slopes[l - 1]) if l >= 1 else None,
-            }
-        )
-    return {"chain": entries}
-
-
-def _infima_json(est, precision: int) -> dict:
-    return {
-        "q": frac_str(est.q),
-        "box": est.box,
-        "lambdas": [_factored_json(l, precision) for l in est.lambdas],
-        "achievers": [list(a) for a in est.achievers],
-        "spans": [_subspace_json(s) for s in est.spans],
-    }
-
-
-def _parse_qgrid(spec: str) -> list[Fraction]:
+def _parse_qgrid(spec: str, flag: str) -> list[Fraction]:
     parts = spec.split(":")
     try:
         a, b, steps = parse_frac(parts[0]), parse_frac(parts[1]), parse_int(parts[2])
     except (ValueError, ZeroDivisionError, IndexError):
-        raise ValidationError(f"--qgrid must be a:b:steps, got {spec!r}") from None
+        raise ValidationError(f"--{flag} must be a:b:steps, got {spec!r}") from None
     if len(parts) != 3 or not 1 <= steps <= QGRID_STEPS_CAP or a < 2 or b < a:
         raise ValidationError(
-            f"--qgrid needs 2 <= a <= b and 1 <= steps <= {QGRID_STEPS_CAP}, got {spec!r}"
+            f"--{flag} needs 2 <= a <= b and 1 <= steps <= {QGRID_STEPS_CAP}, got {spec!r}"
         )
     if b > QGRID_MAX:
-        raise ValidationError(f"--qgrid bounds must be at most {QGRID_MAX:g}, got {spec!r}")
+        raise ValidationError(f"--{flag} bounds must be at most {QGRID_MAX:g}, got {spec!r}")
     if steps == 1:
         return [a]
     ratio = (float(b) / float(a)) ** (1.0 / (steps - 1))
@@ -283,145 +250,34 @@ def _parse_qgrid(spec: str) -> list[Fraction]:
     return out
 
 
-def _integer(text, flag: str) -> int:
-    """The value of an integer flag, as parse_int reads it; ValidationError otherwise."""
-    try:
-        return parse_int(text)
-    except (ValueError, TypeError):
-        raise ValidationError(f"--{flag} must be an integer, got {text!r}") from None
+def _text(text: str, flag: str) -> str:
+    return text
 
 
-def cmd_dispatch(argv) -> int:
-    """Parse arguments, run one subcommand, write reports."""
-    args = _parse(argv)
-    try:
-        if "precision" in args:
-            args.precision = _integer(args.precision, "precision")
-            if not 1 <= args.precision <= MAX_PRECISION:
-                raise ValidationError(f"--precision must be in [1, {MAX_PRECISION}], got {args.precision}")
-        if getattr(args, "box", None) is not None:
-            args.box = _integer(args.box, "box")
-        return args.func(args)
-    except ValidationError as exc:
-        return _fail(2, f"validation failure: {exc}")
-    except UnsupportedSystemError as exc:
-        return _fail(3, f"unsupported system: {exc}")
-    except (OSError, json.JSONDecodeError) as exc:
-        return _fail(4, f"I/O error: {exc}")
-    except CertificationError as exc:
-        return _fail(5, f"could not certify: {exc}")
+def _number(integer: bool, ok=None, need: str = ""):
+    """The reader of an integer or rational flag whose value must pass ok (need says how)."""
+
+    def read(text: str, flag: str):
+        try:
+            x = parse_int(text) if integer else parse_frac(text)
+        except (ValueError, TypeError, ZeroDivisionError):
+            kind = "an integer" if integer else "a rational"
+            raise ValidationError(f"--{flag} must be {kind}, got {text!r}") from None
+        if ok is not None and not ok(x):
+            raise ValidationError(f"--{flag} must be {need}, got {text}")
+        return x
+
+    return read
 
 
-def _parse(argv) -> argparse.Namespace:
-    """parse_args of the top parser, in one pass when argv starts with a subcommand.
-
-    That subcommand's own parser reads the rest, as the top parser would hand
-    it over, and what it leaves goes to the top parser's error, as there.
-    """
-    parser, subcommands = _parsers()
-    sub = subcommands.get(argv[0]) if argv else None
-    if sub is None:
-        return parser.parse_args(argv)
-    args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-    if extra:
-        parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    return args
-
-
-@functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top parser, and each subcommand's parser by name."""
-    parser = argparse.ArgumentParser(
-        prog="heightlab",
-        description="Exact twisted heights, filtrations, infima search and bound tables.",
-        epilog=EXIT_CODES,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, needs_pair=False, needs_system=False, precision=False, **flags):
-        p = sub.add_parser(name)
-        if needs_pair:
-            p.add_argument("pair", help="path to a pair JSON file")
-        if needs_system:
-            p.add_argument("system", help="path to a system JSON file")
-        for flag, kw in flags.items():
-            p.add_argument(f"--{flag}", **kw)
-        p.add_argument("--out", default=None)
-        if precision:  # the subcommands that print certified log10s or decimals
-            p.add_argument("--precision", default=12)
-        p.set_defaults(func=fn)
-        return p
-
-    add("validate", _cmd_validate, needs_pair=True)
-    add("invariants", _cmd_invariants, needs_pair=True, precision=True)
-    p = add("weight", _cmd_weight, needs_pair=True)
-    p.add_argument("subspace", help="path to a subspace JSON file")
-    add("filtration", _cmd_filtration, needs_pair=True)
-    add("exceptional", _cmd_exceptional, needs_pair=True)
-    add("special-t", _cmd_special_t, needs_pair=True)
-    add(
-        "infima",
-        _cmd_infima,
-        needs_pair=True,
-        precision=True,
-        q={"required": True},
-        box={"default": None},
-    )
-    add(
-        "slopes",
-        _cmd_slopes,
-        needs_pair=True,
-        qgrid={"required": True},
-        box={"default": None},
-    )
-    add(
-        "minkowski",
-        _cmd_minkowski,
-        needs_pair=True,
-        precision=True,
-        q={"required": True},
-        box={"default": None},
-    )
-    add(
-        "gap",
-        _cmd_gap,
-        needs_pair=True,
-        precision=True,
-        delta={"required": True},
-        a={"required": True},
-        box={"default": 10},
-    )
-    add(
-        "scan",
-        _cmd_scan,
-        needs_system=True,
-        hmax={"required": True},
-        box={"default": 10},
-    )
-    add(
-        "bounds",
-        _cmd_bounds,
-        precision=True,
-        thm={"required": True},
-        n={},
-        delta={},
-        eps={},
-        R={},
-        D={"default": "1"},
-        dd={"default": "1", "dest": "d"},
-        s={"default": "1"},
-        hl={"default": "1", "dest": "H_L"},
-        hstar={"default": "1", "dest": "H_star"},
-    )
-    add("reduce", _cmd_reduce, needs_system=True)
-    add("cover", _cmd_cover, omega={"required": True}, delta={"required": True}, q1={"default": None})
-    return parser, sub.choices
+_INTEGER = _number(True)
+_AT_LEAST_ONE = _number(False, lambda x: x >= 1, ">= 1")
+_OVER_ONE = _number(False, lambda x: x > 1, "> 1")
+_IN_UNIT_INTERVAL = _number(False, lambda x: 0 < x <= 1, "in (0, 1]")
 
 
 def _cmd_validate(args) -> int:
-    pair = _load_pair(args.pair)
-    rep = validate(pair)
+    rep = validate(_load_pair(args["pair"]))
     _emit(
         {
             "core_ok": rep.core_ok,
@@ -429,80 +285,90 @@ def _cmd_validate(args) -> int:
             "r": rep.r,
             "messages": rep.messages,
         },
-        args.out,
+        args["out"],
     )
     return 0 if rep.core_ok else 2
 
 
 def _cmd_invariants(args) -> int:
-    pair = _load_pair(args.pair)
+    pair = _load_pair(args["pair"])
     delta_l, h_l = pair_invariants(pair)
     _emit(
         {
-            "delta_L": _factored_json(delta_l, args.precision),
-            "H_L": _factored_json(h_l, args.precision),
+            "delta_L": _factored_json(delta_l, args["precision"]),
+            "H_L": _factored_json(h_l, args["precision"]),
             "r": validate(pair).r,
             "theta": frac_str(theta_of(pair)),
             "alpha": frac_str(alpha_of(pair)),
         },
-        args.out,
+        args["out"],
     )
     return 0
 
 
 def _cmd_weight(args) -> int:
-    pair = _load_pair(args.pair)
-    sub = _subspace_from_json(_load_json(args.subspace), pair.n)
-    _emit({"weight": frac_str(weight(pair, sub)), "dim": sub.dim}, args.out)
+    pair = _load_pair(args["pair"])
+    sub = _subspace_from_json(_load_json(args["subspace"]), pair.n)
+    _emit({"weight": frac_str(weight(pair, sub)), "dim": sub.dim}, args["out"])
     return 0
 
 
 def _cmd_filtration(args) -> int:
-    pair = _load_pair(args.pair)
-    _emit(_filtration_json(pair), args.out)
+    chain = filtration(_load_pair(args["pair"]))
+    entries = [
+        {
+            "basis": [[frac_str(a) for a in row] for row in sub.rows],
+            "dim": sub.dim,
+            "weight": frac_str(chain.weights[l]),
+            "slope": frac_str(chain.slopes[l - 1]) if l >= 1 else None,
+        }
+        for l, sub in enumerate(chain.subspaces)
+    ]
+    _emit({"chain": entries}, args["out"])
     return 0
 
 
 def _cmd_exceptional(args) -> int:
-    pair = _load_pair(args.pair)
+    pair = _load_pair(args["pair"])
     t = exceptional_subspace(pair)
-    out = _subspace_json(t)
-    out["weight"] = frac_str(weight(pair, t))
-    out["slope_vs_full"] = frac_str(slope(pair, Subspace.full(pair.n), t))
-    _emit(out, args.out)
+    out = {"weight": frac_str(weight(pair, t)), "slope_vs_full": frac_str(slope(pair, Subspace.full(pair.n), t))}
+    _emit({**_subspace_json(t), **out}, args["out"])
     return 0
 
 
 def _cmd_special_t(args) -> int:
-    pair = _load_pair(args.pair)
-    partition = special_case_T(pair)
-    _emit({"partition": [list(block) for block in partition]}, args.out)
+    partition = special_case_T(_load_pair(args["pair"]))
+    _emit({"partition": [list(block) for block in partition]}, args["out"])
     return 0
 
 
-def _q_and_box(args, pair: TwistedPair) -> tuple[Fraction, int]:
-    """--q, and --box or else the default box policy's box at that q."""
-    q = _rational(args.q, "q", _at_least_one, ">= 1")
-    return q, args.box if args.box is not None else default_box_policy(pair)(q)
+def _box(args, pair: TwistedPair) -> int:
+    """--box, or else the default box policy's box at --q."""
+    return args["box"] if args["box"] is not None else default_box_policy(pair)(args["q"])
 
 
 def _cmd_infima(args) -> int:
-    pair = _load_pair(args.pair)
-    q, box = _q_and_box(args, pair)
-    est = successive_infima(pair, q, box)
-    _emit(_infima_json(est, args.precision), args.out)
+    pair = _load_pair(args["pair"])
+    est = successive_infima(pair, args["q"], _box(args, pair))
+    _emit(
+        {
+            "q": frac_str(est.q),
+            "box": est.box,
+            "lambdas": [_factored_json(l, args["precision"]) for l in est.lambdas],
+            "achievers": [list(a) for a in est.achievers],
+            "spans": [_subspace_json(s) for s in est.spans],
+        },
+        args["out"],
+    )
     return 0
 
 
 def _cmd_slopes(args) -> int:
-    pair = _load_pair(args.pair)
-    qs = _parse_qgrid(args.qgrid)
-    policy = None
-    if args.box is not None:
-        policy = lambda q: args.box
-    rep = slope_profile(pair, qs, policy)
-    if args.out and args.out.endswith(".csv"):
-        _emit(slope_csv(rep), args.out, as_csv=True)
+    pair = _load_pair(args["pair"])
+    box = args["box"]
+    rep = slope_profile(pair, args["qgrid"], None if box is None else lambda q: box)
+    if args["out"] and args["out"].endswith(".csv"):
+        _emit(slope_csv(rep), args["out"], as_csv=True)
         return 0
     _emit(
         {
@@ -514,55 +380,52 @@ def _cmd_slopes(args) -> int:
             "expected_slopes": [f"{e:.12f}" for e in rep.expected],
             "span_matches": {frac_str(q): ok for q, ok in rep.span_matches.items()},
         },
-        args.out,
+        args["out"],
     )
     return 0
 
 
 def _cmd_minkowski(args) -> int:
-    pair = _load_pair(args.pair)
-    q, box = _q_and_box(args, pair)
-    rep = minkowski_check(pair, q, box)
+    pair = _load_pair(args["pair"])
+    rep = minkowski_check(pair, args["q"], _box(args, pair))
     _emit(
         {
             "q": frac_str(rep.q),
             "box": rep.box,
-            "product": _factored_json(rep.product, args.precision),
-            "lower": _factored_json(rep.lower, args.precision),
-            "upper": _factored_json(rep.upper, args.precision),
+            "product": _factored_json(rep.product, args["precision"]),
+            "lower": _factored_json(rep.lower, args["precision"]),
+            "upper": _factored_json(rep.upper, args["precision"]),
             "lower_ok": rep.lower_ok,
             "upper_ok": rep.upper_ok,
         },
-        args.out,
+        args["out"],
     )
     return 0
 
 
 def _cmd_gap(args) -> int:
-    pair = _load_pair(args.pair)
-    delta = _rational(args.delta, "delta", _in_unit_interval, "in (0, 1]")
-    a = _rational(args.a, "a", _at_least_one, ">= 1")
+    pair = _load_pair(args["pair"])
+    delta, a = args["delta"], args["a"]
     if FactoredReal.from_rational(a) ** delta < FactoredReal.from_rational(pair.n):
-        raise ValidationError(f"--a must be >= n^(1/delta) for n = {pair.n}, got {args.a}")
-    rep = gap_experiment(pair, delta, a, args.box)
+        raise ValidationError(f"--a must be >= n^(1/delta) for n = {pair.n}, got {frac_str(a)}")
+    rep = gap_experiment(pair, delta, a, args["box"])
     _emit(
         {
             "a": frac_str(rep.a),
             "delta": frac_str(rep.delta),
             "box": rep.box,
-            "threshold": _factored_json(rep.threshold, args.precision),
+            "threshold": _factored_json(rep.threshold, args["precision"]),
             "solutions": [list(x) for x in rep.solutions],
             "span": _subspace_json(rep.span),
             "proper": rep.proper,
         },
-        args.out,
+        args["out"],
     )
     return 0
 
 
 def _cmd_scan(args) -> int:
-    sys_inst = _load_system(args.system)
-    rep = scan_system(sys_inst, _rational(args.hmax, "hmax", _at_least_one, ">= 1"), args.box)
+    rep = scan_system(_load_system(args["system"]), args["hmax"], args["box"])
     _emit(
         {
             "solutions": [
@@ -574,42 +437,174 @@ def _cmd_scan(args) -> int:
             "bin_ratio": frac_str(rep.bin_ratio),
             "histogram": {str(k): v for k, v in sorted(rep.histogram.items())},
         },
-        args.out,
+        args["out"],
     )
     return 0
 
 
 def _cmd_bounds(args) -> int:
-    # the flags are stored under the theorem parameter names (--dd as d, --hl as H_L, ...)
-    rep = bound_constants(args.thm, vars(args), precision=args.precision)
-    _emit(rep.to_json(), args.out)
+    # the theorem flags stay strings for _read_params, under their parameter names
+    params = dict(args, d=args["dd"], H_L=args["hl"], H_star=args["hstar"])
+    rep = bound_constants(args["thm"], params, precision=args["precision"])
+    _emit(rep.to_json(), args["out"])
     return 0
 
 
 def _cmd_reduce(args) -> int:
-    sys_inst = _load_system(args.system)
-    pair, delta, qexp = reduce_system(sys_inst)
+    pair, delta, qexp = reduce_system(_load_system(args["system"]))
     _emit(
         {
             "pair": pair_to_json(pair),
             "delta": frac_str(delta),
             "q_exponent": frac_str(qexp),
         },
-        args.out,
+        args["out"],
     )
     return 0
 
 
 def _cmd_cover(args) -> int:
-    omega = _rational(args.omega, "omega", lambda x: x > 1, "> 1")
-    delta = _rational(args.delta, "delta", _in_unit_interval, "in (0, 1]")
-    s = interval_cover(omega, delta)
-    out = {"s": s}
-    if args.q1 is not None:
-        q1 = _rational(args.q1, "q1", lambda x: x > 1, "> 1")
+    omega, delta, q1 = args["omega"], args["delta"], args["q1"]
+    out = {"s": interval_cover(omega, delta)}
+    if q1 is not None:
         out["endpoints_log10"] = [f"{e:.12f}" for e in cover_list(q1, omega, delta)]
-    _emit(out, args.out)
+    _emit(out, args["out"])
     return 0
+
+
+# -- the flag tables and their reader ---------------------------------------------
+
+_REQUIRED = object()  # the default of a flag that must be given
+_OUT = {"out": (_text, None)}
+# --precision where a report prints certified digits
+_PRECISION = {**_OUT, "precision": (_number(True, lambda p: 1 <= p <= MAX_PRECISION, f"in [1, {MAX_PRECISION}]"), 12)}
+
+# Each subcommand: its function, its positionals and its flags, flag: (reader, default).
+# A reader takes the flag's string and name; a default is not read.
+_COMMANDS = {
+    "validate": (_cmd_validate, ("pair",), _OUT),
+    "invariants": (_cmd_invariants, ("pair",), _PRECISION),
+    "weight": (_cmd_weight, ("pair", "subspace"), _OUT),
+    "filtration": (_cmd_filtration, ("pair",), _OUT),
+    "exceptional": (_cmd_exceptional, ("pair",), _OUT),
+    "special-t": (_cmd_special_t, ("pair",), _OUT),
+    "infima": (_cmd_infima, ("pair",), {"q": (_AT_LEAST_ONE, _REQUIRED), "box": (_INTEGER, None), **_PRECISION}),
+    "slopes": (_cmd_slopes, ("pair",), {"qgrid": (_parse_qgrid, _REQUIRED), "box": (_INTEGER, None), **_OUT}),
+    "minkowski": (_cmd_minkowski, ("pair",), {"q": (_AT_LEAST_ONE, _REQUIRED), "box": (_INTEGER, None), **_PRECISION}),
+    "gap": (_cmd_gap, ("pair",), {"delta": (_IN_UNIT_INTERVAL, _REQUIRED), "a": (_AT_LEAST_ONE, _REQUIRED),
+                                  "box": (_INTEGER, 10), **_PRECISION}),
+    "scan": (_cmd_scan, ("system",), {"hmax": (_AT_LEAST_ONE, _REQUIRED), "box": (_INTEGER, 10), **_OUT}),
+    # the theorem flags stay strings: bounds_reduction._read_params reads and range-checks them
+    "bounds": (_cmd_bounds, (), {"thm": (_text, _REQUIRED), **dict.fromkeys(("n", "delta", "eps", "R"), (_text, None)),
+                                 **dict.fromkeys(("D", "dd", "s", "hl", "hstar"), (_text, "1")), **_PRECISION}),
+    "reduce": (_cmd_reduce, ("system",), _OUT),
+    "cover": (_cmd_cover, (), {"omega": (_OVER_ONE, _REQUIRED), "delta": (_IN_UNIT_INTERVAL, _REQUIRED),
+                               "q1": (_OVER_ONE, None), **_OUT}),
+}
+
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+_FLAG_FORMS = """pair, system and subspace are paths of JSON files.  A flag is --flag VALUE or
+--flag=VALUE, and a unique prefix of a flag's name stands for it (--prec 5).
+"""
+
+
+def _usage(command) -> str:
+    """The usage line of a subcommand, or of heightlab for None."""
+    if command is None:
+        return f"usage: heightlab [-h] {{{','.join(_COMMANDS)}}} ..."
+    _, positionals, flags = _COMMANDS[command]
+    words = [f"--{f} {f.upper()}" if d is _REQUIRED else f"[--{f} {f.upper()}]" for f, (_, d) in flags.items()]
+    return " ".join(["usage: heightlab", command, "[-h]", *positionals, *words])
+
+
+def _leave(command, error: str | None = None):
+    """Exit 0 after the help, or 2 after the usage line and the error."""
+    if error is not None:
+        prog = "heightlab" if command is None else f"heightlab {command}"
+        print(_usage(command), f"{prog}: error: {error}", sep="\n", file=sys.stderr)
+        raise SystemExit(2)
+    lines = [_usage(command), ""]
+    if command is None:
+        lines += ["Exact twisted heights, filtrations, infima search and bound tables.", "", "commands:"]
+        lines += ["  " + _usage(name).removeprefix("usage: ") for name in _COMMANDS] + [""]
+    print(*lines, _FLAG_FORMS, EXIT_CODES, sep="\n")
+    raise SystemExit(0)
+
+
+def _flag(command, names, arg: str) -> tuple[str, str | None] | None:
+    """(the flag of names that arg is or is a unique prefix of, its value after "=" or
+    None); None for a value.  As argparse reads them, "-", and a negative number or a
+    string with a space that names no flag, are values; "--" ends the flags."""
+    if arg[:1] != "-" or arg == "-":
+        return None
+    if arg in ("-h", "--"):
+        return "help" if arg == "-h" else arg, None
+    name, eq, value = arg[2:].partition("=")
+    hits = [] if arg[1] != "-" else [name] if name in names else [f for f in names if f.startswith(name)]
+    if not hits:
+        if " " in arg or _NEGATIVE_NUMBER.match(arg):
+            return None
+        _leave(command, f"unrecognized arguments: {arg}")
+    if len(hits) > 1:
+        _leave(command, f"ambiguous option: --{name} could match {', '.join('--' + f for f in hits)}")
+    return hits[0], value if eq else None
+
+
+def _read_argv(argv: list) -> tuple:
+    """(the subcommand's function, its values by positional and flag name) of argv;
+    SystemExit as _leave exits, or ValidationError for a value its reader refuses."""
+    if not argv:
+        _leave(None, "the following arguments are required: command")
+    hit = _flag(None, ("help",), argv[0])
+    if hit and hit[0] == "help":
+        _leave(None)
+    command = argv[0]
+    if command not in _COMMANDS:
+        _leave(None, f"argument command: invalid choice: {command!r} (choose from {', '.join(_COMMANDS)})")
+    fn, positionals, flags = _COMMANDS[command]
+    names = (*flags, "help")
+    given, paths = {}, []
+    rest = iter(argv[1:])
+    for arg in rest:
+        flag, value = _flag(command, names, arg) or (None, arg)
+        if flag is None:
+            paths.append(value)
+        elif flag == "--":
+            paths.extend(rest)
+        elif flag == "help":
+            _leave(command)
+        else:
+            if value is None:
+                value = next(rest, None)
+                if value is None or _flag(command, names, value):
+                    _leave(command, f"argument --{flag}: expected one argument")
+            given[flag] = value
+    missing = [f"--{f}" for f, (_, d) in flags.items() if d is _REQUIRED and f not in given]
+    missing[:0] = positionals[len(paths):]
+    if missing:
+        _leave(command, f"the following arguments are required: {', '.join(missing)}")
+    if len(paths) > len(positionals):
+        _leave(command, f"unrecognized arguments: {' '.join(paths[len(positionals):])}")
+    args = dict(zip(positionals, paths))
+    for flag, (read, default) in flags.items():  # the last value of a repeated flag
+        args[flag] = read(given[flag], flag) if flag in given else default
+    return fn, args
+
+
+def cmd_dispatch(argv) -> int:
+    """Read argv against its subcommand's flag table, run the subcommand, write reports."""
+    try:
+        fn, args = _read_argv(list(argv))
+        return fn(args)
+    except ValidationError as exc:
+        return _fail(2, f"validation failure: {exc}")
+    except UnsupportedSystemError as exc:
+        return _fail(3, f"unsupported system: {exc}")
+    except (OSError, json.JSONDecodeError) as exc:
+        return _fail(4, f"I/O error: {exc}")
+    except CertificationError as exc:
+        return _fail(5, f"could not certify: {exc}")
 
 
 def main(argv=None) -> int:

@@ -1,3 +1,7 @@
+import argparse
+import contextlib
+import functools
+import io
 import json
 import math
 from fractions import Fraction
@@ -292,6 +296,22 @@ def test_malformed_pair_exit_2(tmp_path, data):
     path = _write(tmp_path, "bad.json", data)
     for cmd in (["validate", path], ["infima", path, "--q", "10", "--box", "2"]):
         assert cmd_dispatch(cmd) == 2
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"[" * 100000,  # nested too deeply for json's decoder
+        b'{"n": 2, "places": [{"place": "\xff"}]}',  # not UTF-8
+    ],
+)
+def test_undecodable_file_exit_4(e1_path, tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    for cmd in (["validate", str(path)], ["infima", str(path), "--q", "10"], ["weight", e1_path, str(path)]):
+        assert cmd_dispatch(cmd) == 4
+    err = capsys.readouterr().err
+    assert err.count("heightlab: I/O error") == 3 and len(err.splitlines()) == 3
 
 
 @pytest.mark.parametrize(
@@ -604,11 +624,96 @@ def test_cover_count_over_cap_refused_quickly(capsys):
     assert "10000 intervals" in capsys.readouterr().err
 
 
-def test_parser_is_built_once():
-    from heightlab.cli import _parsers
+# -- the flag tables, against the argparse parser they replaced ------------------
 
-    assert _parsers() is _parsers()
 
+@functools.cache
+def _oracle():
+    """The argparse parser the CLI read its flags with before its flag tables, and
+    by subcommand the checks it then made on a flag's last string (cmd_dispatch on
+    --precision and --box, each subcommand on its rationals).  A flag keeps its own
+    name (--dd as dd, --hl as hl)."""
+    from heightlab import cli
+    from heightlab.places_heights import parse_int
+    from heightlab.twisted_system import parse_frac
+
+    def checked(parse, ok=lambda x: True):
+        def check(text):
+            try:
+                x = parse(text)
+            except (ValueError, TypeError, ZeroDivisionError):
+                raise ValidationError(text) from None
+            if not ok(x):
+                raise ValidationError(text)
+            return x
+
+        return check
+
+    required = {"required": True}
+    at_least_one = (checked(parse_frac, lambda x: x >= 1), required)
+    unit = (checked(parse_frac, lambda x: 0 < x <= 1), required)
+    over_one = checked(parse_frac, lambda x: x > 1)
+    box = (checked(parse_int), {"default": None})
+    ten = (checked(parse_int), {"default": 10})
+    parser = argparse.ArgumentParser(prog="heightlab")
+    sub = parser.add_subparsers(dest="command", required=True)
+    checks = {}
+
+    def add(name, *positionals, precision=False, **flags):
+        p = sub.add_parser(name)
+        for positional in positionals:
+            p.add_argument(positional)
+        if precision:
+            flags["precision"] = (checked(parse_int, lambda p: 1 <= p <= cli.MAX_PRECISION), {"default": 12})
+        flags["out"] = (None, {"default": None})
+        for flag, (_, kw) in flags.items():
+            p.add_argument(f"--{flag}", **kw)
+        p.set_defaults(func=getattr(cli, "_cmd_" + name.replace("-", "_")))
+        checks[name] = {flag: check for flag, (check, _) in flags.items() if check}
+
+    add("validate", "pair")
+    add("invariants", "pair", precision=True)
+    add("weight", "pair", "subspace")
+    add("filtration", "pair")
+    add("exceptional", "pair")
+    add("special-t", "pair")
+    add("infima", "pair", precision=True, q=at_least_one, box=box)
+    add("slopes", "pair", qgrid=(lambda spec: cli._parse_qgrid(spec, "qgrid"), required), box=box)
+    add("minkowski", "pair", precision=True, q=at_least_one, box=box)
+    add("gap", "pair", precision=True, delta=unit, a=at_least_one, box=ten)
+    add("scan", "system", hmax=at_least_one, box=ten)
+    theorem = {flag: (None, {}) for flag in ("n", "delta", "eps", "R")}
+    theorem |= {flag: (None, {"default": "1"}) for flag in ("D", "dd", "s", "hl", "hstar")}
+    add("bounds", precision=True, thm=(None, required), **theorem)
+    add("reduce", "system")
+    add("cover", omega=(over_one, required), delta=unit, q1=(over_one, {"default": None}))
+    return parser, checks
+
+
+def _parsed(argv):
+    """(function, values) that the flag tables read from argv, and the same from the
+    oracle; a side's exit code instead where it exits, 2 for a refused value."""
+    from heightlab.cli import _read_argv
+
+    def oracle(argv):
+        parser, checks = _oracle()
+        values = vars(parser.parse_args(argv))
+        command, func = values.pop("command"), values.pop("func")
+        for flag, check in checks[command].items():
+            if values[flag] is not None:
+                values[flag] = check(values[flag])
+        return func, values
+
+    outcomes = []
+    for read in (_read_argv, oracle):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                outcomes.append(read(list(argv)))
+            except SystemExit as exc:
+                outcomes.append(exc.code)
+            except ValidationError:
+                outcomes.append(2)
+    return outcomes
 
 
 @pytest.mark.parametrize(
@@ -625,17 +730,73 @@ def test_parser_is_built_once():
         ["validate", "a.json", "b.json"],
     ],
 )
-def test_dispatch_parses_as_the_top_parser(argv, capsys):
-    # one pass through the subcommand's parser: the same namespace, or the same exit and message
-    from heightlab.cli import _parse, _parsers
+def test_dispatch_parses_as_the_top_parser(argv):
+    # the same values, defaults included, or the same exit code
+    ours, oracle = _parsed(argv)
+    assert ours == oracle
 
-    def outcome(parse):
-        try:
-            return 0, parse(list(argv)), capsys.readouterr()
-        except SystemExit as exc:
-            return exc.code, None, capsys.readouterr()
 
-    assert outcome(_parse) == outcome(_parsers()[0].parse_args)
+# values of every reader's kind, good and bad; those starting with "-" are
+# values ("-", a negative number, a string with a space) or flags ("-1/2")
+_FLAG_VALUES = ["10", "1", "1/2", "2:10:3", "0", "x", "", "-", "-3", "-.5", "-1/2", "-1e5", "-x y", "1e400", "1_0"]
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand's argv from its flag table: too few or too many positionals;
+    flags in full or by a prefix (perhaps an ambiguous one), as "--flag value" or
+    "--flag=value", repeated or with their value missing; in any order."""
+    from heightlab.cli import _COMMANDS
+
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    _, positionals, flags = _COMMANDS[command]
+    n = len(positionals)
+    groups = [[f"file{k}.json"] for k in range(draw(st.sampled_from([n, n, n, n + 1, max(n - 1, 0)])))]
+    for flag in flags:
+        for _ in range(draw(st.sampled_from([0, 1, 1, 2]))):
+            name = "--" + flag[: draw(st.integers(1, len(flag)) | st.just(len(flag)))]
+            value = draw(st.sampled_from(["10", "1", "2:10:3"]) | st.sampled_from(_FLAG_VALUES))
+            form = draw(st.sampled_from(["space", "space", "space", "equals", "equals", "missing"]))
+            groups.append([name, value] if form == "space" else [f"{name}={value}"] if form == "equals" else [name])
+    return [command] + [arg for group in draw(st.permutations(groups)) for arg in group]
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True)
+@given(_argv())
+def test_flag_tables_read_argv_as_argparse_did(argv):
+    ours, oracle = _parsed(argv)
+    assert ours == oracle, argv
+
+
+def test_flag_forms_and_help(e1_path, capsys):
+    assert cmd_dispatch(["invariants", e1_path, "--prec", "5"]) == 0
+    assert cmd_dispatch(["invariants", e1_path, "--precision=5"]) == 0
+    assert cmd_dispatch(["infima", e1_path, "--q=-3"]) == 2  # a value, out of range
+    assert cmd_dispatch(["infima", e1_path, "--q", "0", "--q", "10", "--box", "1"]) == 0  # the last --q counts
+    capsys.readouterr()
+    for argv in (
+        ["bounds", "--thm", "1.1", "--n", "3", "--d", "1/2"],  # --delta or --dd
+        ["infima", e1_path, "--q", "--box", "2"],  # --q without its value
+        ["infima", e1_path, "--box", "2"],  # no --q
+        ["infima", "--q", "10"],  # no pair
+        ["weight", e1_path],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cmd_dispatch(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith(f"usage: heightlab {argv[0]} [-h]")
+    for argv in (["infima", "--help"], ["bounds", "-h"], ["scan", "--he"], ["--help"]):
+        with pytest.raises(SystemExit) as exc:
+            cmd_dispatch(argv)
+        assert exc.value.code == 0
+        assert "0  success" in capsys.readouterr().out
+
+
+def test_flags_are_read_before_files(tmp_path, capsys):
+    # a bad --q is refused before the missing pair file is opened
+    assert cmd_dispatch(["infima", str(tmp_path / "missing.json"), "--q", "0"]) == 2
+    assert cmd_dispatch(["infima", str(tmp_path / "missing.json"), "--q", "10"]) == 4
+    assert "--q must be >= 1" in capsys.readouterr().err
 
 
 def test_printed_log10s_match_the_interval_route():
