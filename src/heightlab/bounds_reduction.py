@@ -16,6 +16,7 @@ formulas is the natural logarithm throughout (recorded in every report).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,6 +48,9 @@ __all__ = [
 
 # Most intervals a cover may have.
 COVER_COUNT_CAP = 10_000
+
+# Most (theorem, parameters, precision) evaluations a process keeps the constants of.
+BOUND_MEMO_SIZE = 256
 
 
 # -- interval plumbing ------------------------------------------------------
@@ -170,13 +174,35 @@ def bound_constants(theorem: str, params: dict, precision: int = 12) -> BoundRep
     Recognized ids: the keys of THEOREMS.  The theorem's parameters are
     read from params by _read_params, checked against their _PARAMS ranges
     and echoed in the report's inputs.
+
+    A process evaluates each (theorem, validated parameters, precision)
+    once and keeps the finished constants, for the last BOUND_MEMO_SIZE of
+    them, so equal values spelled differently ("1/2", "2/4", Fraction(1, 2))
+    share one evaluation.  A refusal (ValidationError) or a CertificationError
+    is not kept and is raised again on every request.  Each report gets
+    constants of its own, equal to those of a fresh evaluation.
     """
     theorem = str(theorem)
     if theorem not in THEOREMS:
         raise ValidationError(f"unknown theorem id {theorem!r}")
-    names, evaluate = THEOREMS[theorem]
-    inputs = _read_params(names, params)
-    return BoundReport(theorem, inputs, evaluate(precision, **inputs))
+    inputs = _read_params(THEOREMS[theorem][0], params)
+    frozen = _frozen_constants(theorem, tuple(inputs.items()), precision)
+    return BoundReport(theorem, inputs, {name: _thaw_entry(entry) for name, entry in frozen})
+
+
+# typed: a precision of another type (12.0, True) gets an entry of its own, evaluated as given
+@functools.lru_cache(maxsize=BOUND_MEMO_SIZE, typed=True)
+def _frozen_constants(theorem: str, inputs: tuple, precision: int) -> tuple:
+    """The constants of one evaluation as (name, entry items) pairs, with tuples for lists."""
+    constants = THEOREMS[theorem][1](precision, **dict(inputs))
+    return tuple(
+        (name, tuple((k, tuple(map(tuple, v)) if k == "factored" else v) for k, v in entry.items()))
+        for name, entry in constants.items()
+    )
+
+
+def _thaw_entry(items: tuple) -> dict:
+    return {k: [list(t) for t in v] if k == "factored" else v for k, v in items}
 
 
 def _two_pow_2n(iv, n):

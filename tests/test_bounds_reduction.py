@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 import time
@@ -23,7 +24,7 @@ from heightlab.bounds_reduction import (
     s1_count,
     s2_count,
 )
-from heightlab.exact_reals import FactoredReal, enclose
+from heightlab.exact_reals import CertificationError, FactoredReal, enclose
 from heightlab.infima_lab import SystemInstance
 from heightlab.places_heights import INF, Place
 from heightlab.twisted_system import ValidationError, validate
@@ -268,9 +269,25 @@ def test_interval_cover_near_one_and_at_the_cap():
         interval_cover(base**COVER_COUNT_CAP + F(1, 10**9), F(1, 1000))
 
 
-@pytest.mark.parametrize("thm", sorted(THEOREMS))
-def test_bounds_at_high_precision_evaluate_each_builder_once(thm, monkeypatch):
-    # every decimal starts at --precision + 15 digits, which settle it at once
+_FLAGS = {"n": 3, "delta": F(1, 2), "eps": F(2, 3), "R": 5, "D": 2, "H_L": F(7, 2), "H_star": F(9, 4), "d": 2, "s": 2}
+
+
+def _params(thm, **changes):
+    names, _ = THEOREMS[thm]
+    return {k: changes.get(k, _FLAGS[k]) for k in names}
+
+
+@pytest.fixture
+def memo():
+    """The memo of bound_constants, empty at the start of the test."""
+    bounds_reduction._frozen_constants.cache_clear()
+    yield bounds_reduction._frozen_constants
+    bounds_reduction._frozen_constants.cache_clear()
+
+
+@pytest.fixture
+def builder_calls(monkeypatch):
+    """One count per enclose call of bounds_reduction: how often it evaluated its builder."""
     counts = []
 
     def spy(build, done, dps):
@@ -284,10 +301,71 @@ def test_bounds_at_high_precision_evaluate_each_builder_once(thm, monkeypatch):
         return enclose(counted, done, dps)
 
     monkeypatch.setattr(bounds_reduction, "enclose", spy)
-    flags = {"n": 3, "delta": F(1, 2), "eps": F(2, 3), "R": 5, "D": 2, "H_L": F(7, 2), "H_star": F(9, 4), "d": 2, "s": 2}
-    names, _ = THEOREMS[thm]
-    bound_constants(thm, {k: flags[k] for k in names}, precision=40)
-    assert counts and set(counts) == {1}
+    return counts
+
+
+@pytest.mark.parametrize("thm", sorted(THEOREMS))
+def test_bounds_at_high_precision_evaluate_each_builder_once(thm, memo, builder_calls):
+    # every decimal starts at --precision + 15 digits, which settle it at once
+    bound_constants(thm, _params(thm), precision=40)
+    assert builder_calls and set(builder_calls) == {1}
+
+
+@pytest.mark.parametrize("thm", sorted(THEOREMS))
+def test_a_repeated_bound_report_equals_a_fresh_one(thm, memo):
+    bound_constants(thm, _params(thm))
+    repeat = bound_constants(thm, _params(thm))
+    assert memo.cache_info().hits == 1
+    memo.cache_clear()
+    fresh = bound_constants(thm, _params(thm))
+    assert memo.cache_info().misses == 1
+    assert repeat == fresh and repeat.to_json() == fresh.to_json()
+
+
+def test_precisions_and_parameters_never_share_a_memo_entry(memo):
+    reports = {}
+    for r in (5, 6):
+        for precision in (12, 24):
+            reports[r, precision] = bound_constants("2.3", _params("2.3", R=r), precision=precision)
+    assert memo.cache_info().misses == 4 and memo.cache_info().currsize == 4
+    assert len({str(rep.to_json()) for rep in reports.values()}) == 4
+    for (r, precision), rep in reports.items():
+        memo.cache_clear()
+        assert rep == bound_constants("2.3", _params("2.3", R=r), precision=precision)
+
+
+def test_equal_parameters_spelled_differently_evaluate_once(memo, builder_calls):
+    reports = [bound_constants("2.3", _params("2.3", delta=delta)) for delta in ("1/2", F(1, 2), "2/4")]
+    evaluated = len(builder_calls)
+    assert evaluated and set(builder_calls) == {1}
+    assert reports[0] == reports[1] == reports[2]
+    bound_constants("2.3", _params("2.3", delta="0.5"))
+    assert len(builder_calls) == evaluated
+    assert memo.cache_info().misses == 1 and memo.cache_info().hits == 3
+
+
+def test_refused_and_uncertifiable_bounds_are_not_stored(memo):
+    for _ in range(2):
+        with pytest.raises(ValidationError):
+            bound_constants("2.3", _params("2.3", delta=2))
+    assert memo.cache_info().misses == 0
+    # the floor bracket of m needs an endpoint of about 2^(2 10^9): refused, not built
+    for _ in range(2):
+        with pytest.raises(CertificationError):
+            bound_constants("1.2", {"n": 10**9, "delta": 1})
+    assert memo.cache_info().misses == 2 and memo.cache_info().currsize == 0
+
+
+def test_mutating_a_bound_report_leaves_the_next_unchanged(memo):
+    params = _params("2.3")
+    first = bound_constants("2.3", params)
+    expected = copy.deepcopy(first.to_json())
+    first.constants["C0"]["factored"][0][0] = 99
+    first.constants["C0"]["factored"].append([3, 1, 1])
+    first.constants["m0"]["value"] = "0"
+    del first.constants["omega0"]
+    first.inputs["n"] = 7
+    assert bound_constants("2.3", params).to_json() == expected
 
 
 def test_interval_cover_refuses_large_counts_quickly():
