@@ -10,8 +10,10 @@ decimals carry certified significant digits.  Each builder is written once
 against mpmath.iv's interface and runs on enclose's binary intervals, at
 digits that double until the enclosure decides.  A constant that needs more than
 exact_reals.MAX_DPS digits raises CertificationError.  Every cover count
-is one routine, _cover_count, on the same enclosures.  "log" in the
-formulas is the natural logarithm throughout (recorded in every report).
+is one routine, _cover_count: for a rational target, the float count
+accepted by two exact integer power comparisons, and otherwise, or when
+they refuse it, the same enclosures.  "log" in the formulas is the
+natural logarithm throughout (recorded in every report).
 """
 
 from __future__ import annotations
@@ -84,11 +86,12 @@ class BoundReport:
     log_convention: str = "ln"
 
     def to_json(self) -> dict:
+        """The report as JSON data, in dicts and lists of its own."""
         return {
             "theorem": self.theorem,
             "log_convention": self.log_convention,
             "inputs": {k: _text(v) for k, v in self.inputs.items()},
-            "constants": self.constants,
+            "constants": {name: _thaw_entry(entry) for name, entry in self.constants.items()},
         }
 
 
@@ -201,8 +204,12 @@ def _frozen_constants(theorem: str, inputs: tuple, precision: int) -> tuple:
     )
 
 
-def _thaw_entry(items: tuple) -> dict:
-    return {k: [list(t) for t in v] if k == "factored" else v for k, v in items}
+def _thaw_entry(items) -> dict:
+    """A fresh entry dict of an entry or its (key, value) items, a fresh list for each factor of "factored"."""
+    entry = dict(items)
+    if "factored" in entry:
+        entry["factored"] = [list(t) for t in entry["factored"]]
+    return entry
 
 
 def _two_pow_2n(iv, n):
@@ -403,7 +410,8 @@ def _cover_count(base: Fraction, target) -> int:
     """Minimal s >= 1 with base**s >= target, for a rational base > 1 and a target > 1.
 
     target is a Fraction, or a builder iv -> enclosure of an irrational
-    target.  s is the ceiling of ln(target)/ln(base), read off an interval
+    target.  A Fraction's count is first tried in integers (_integer_count);
+    otherwise s is the ceiling of ln(target)/ln(base), read off an interval
     enclosure of that ratio.  An irrational target is never a power of base,
     so its enclosure is refined until it pins the ceiling; for a rational
     one, only an enclosure that holds an integer is settled by exact powers.
@@ -411,6 +419,10 @@ def _cover_count(base: Fraction, target) -> int:
     have more than exact_reals.POWER_BITS bits.
     """
     rational = isinstance(target, Fraction)
+    if rational:
+        s = _integer_count(base, target)
+        if s is not None:
+            return s
 
     def ratio(iv):
         ln_target = iv_ln(iv, target) if rational else iv.log(target(iv))
@@ -426,6 +438,28 @@ def _cover_count(base: Fraction, target) -> int:
     if s > COVER_COUNT_CAP:
         raise ValidationError(f"the cover needs more than {COVER_COUNT_CAP} intervals")
     return s
+
+
+def _integer_count(base: Fraction, target: Fraction) -> int | None:
+    """_cover_count's s for a rational target, from exact integer powers; None leaves it to the enclosure.
+
+    The float ceiling s of ln(target)/ln(base) is the count when
+    num**(s-1) * t_den < den**(s-1) * t_num and num**s * t_den >= den**s * t_num,
+    for base = num/den and target = t_num/t_den.  Those powers are built only
+    for s <= COVER_COUNT_CAP and (s + 1) * bits of num <= POWER_BITS: the
+    enclosure checks the budget of power s + 1 at most, so every refusal
+    of that route is left to it.
+    """
+    num, den = base.numerator, base.denominator
+    t_num, t_den = target.numerator, target.denominator
+    try:
+        s = max(1, math.ceil((math.log(t_num) - math.log(t_den)) / math.log1p((num - den) / den)))
+    except (OverflowError, ValueError, ZeroDivisionError):
+        return None
+    if s > COVER_COUNT_CAP or (s + 1) * num.bit_length() > POWER_BITS:
+        return None
+    low, high = num ** (s - 1) * t_den, den ** (s - 1) * t_num
+    return s if low < high and low * num >= high * den else None
 
 
 def interval_cover(omega, delta) -> int:

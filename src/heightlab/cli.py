@@ -92,14 +92,23 @@ def _fail(code: int, msg: str) -> int:
 
 
 def _load_json(path: str):
-    """The JSON value of a file; OSError also for one not UTF-8 or nested too deeply to decode."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except UnicodeDecodeError as exc:
-            raise OSError(f"{path} is not UTF-8: {exc}") from None
-        except RecursionError:
-            raise OSError(f"{path} nests too deeply to decode") from None
+    """The JSON value of a file; OSError also for one not UTF-8 or nested too deeply to decode.
+
+    The text is read as open(path, encoding="utf-8") reads it: strict UTF-8,
+    a BOM kept (json refuses it) and line ends made "\n".
+    """
+    with open(path, "rb", buffering=0) as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path} is not UTF-8: {exc}") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise OSError(f"{path} nests too deeply to decode") from None
 
 
 def _emit(obj, out_path, as_csv: bool = False) -> None:
@@ -465,9 +474,11 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_cover(args) -> int:
     omega, delta, q1 = args["omega"], args["delta"], args["q1"]
-    out = {"s": interval_cover(omega, delta)}
-    if q1 is not None:
-        out["endpoints_log10"] = [f"{e:.12f}" for e in cover_list(q1, omega, delta)]
+    if q1 is None:
+        out = {"s": interval_cover(omega, delta)}
+    else:  # the s + 1 endpoints of the cover
+        ends = cover_list(q1, omega, delta)
+        out = {"s": len(ends) - 1, "endpoints_log10": [f"{e:.12f}" for e in ends]}
     _emit(out, args["out"])
     return 0
 

@@ -675,7 +675,8 @@ def certified_floor(build) -> int:
 # -- printing ---------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
+# typed: a sig of another type (12.0) gets an entry of its own, and decimal refuses it as it would uncached
+@functools.lru_cache(maxsize=None, typed=True)
 def _context(sig: int, rounding: str) -> decimal.Context:
     """The decimal context of sig significant digits, with no exponent limit in reach."""
     return decimal.Context(prec=sig, rounding=rounding, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)

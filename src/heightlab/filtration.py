@@ -154,11 +154,14 @@ def _set_partitions(items):
         yield [[first]] + part
 
 
+@functools.lru_cache(maxsize=64)
+def _special_forms(n: int) -> frozenset:
+    """The coordinate forms and the all-ones form of Q^n, built once per n."""
+    return frozenset({tuple(Fraction(i == j) for j in range(n)) for i in range(n)} | {(Fraction(1),) * n})
+
+
 def _is_special_shaped(pair: TwistedPair) -> bool:
-    n = pair.n
-    ones = tuple(Fraction(1) for _ in range(n))
-    allowed = {tuple(Fraction(i == j) for j in range(n)) for i in range(n)}
-    allowed.add(ones)
+    allowed = _special_forms(pair.n)
     return all(f in allowed for pd in pair.active.values() for f in pd.forms)
 
 

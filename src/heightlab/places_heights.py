@@ -80,7 +80,7 @@ class Place:
     def parse(label) -> "Place":
         """The place of "inf" or None, or of a prime given as parse_int reads it."""
         if label == "inf" or label is None:
-            return Place.infinite()
+            return INF
         return Place.finite(parse_int(label))
 
     def __repr__(self):

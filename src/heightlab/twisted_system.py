@@ -8,6 +8,7 @@ every twisted height value is an exact FactoredReal.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -44,7 +45,9 @@ class ValidationError(Exception):
     """Raised when an operation requires a core-valid pair and gets none."""
 
 
+@functools.lru_cache(maxsize=64)
 def _identity_forms(n: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The coordinate forms of Q^n, built once per n."""
     return tuple(tuple(Fraction(i == j) for j in range(n)) for i in range(n))
 
 
@@ -133,9 +136,7 @@ def form_union(pair: TwistedPair) -> list[tuple[Fraction, ...]]:
     included.  No rescaling before deduplication: the system invariants
     are sensitive to form scaling.
     """
-    seen = []
-    for f in _identity_forms(pair.n):
-        seen.append(f)
+    seen = list(_identity_forms(pair.n))
     for pd in pair.active.values():
         for f in pd.forms:
             if f not in seen:
@@ -155,11 +156,13 @@ def validate(pair: TwistedPair) -> ValidationReport:
     msgs = _dependent_forms(pair)
     core_ok = not msgs
     sums_ok = True
+    max_sum = Fraction(0)
     for v, pd in pair.active.items():
-        if sum(pd.exps) != 0:
+        total = sum(pd.exps[1:], pd.exps[0])  # Fraction + Fraction throughout, no int 0 to start
+        if total != 0:
             sums_ok = False
-            msgs.append(f"exponent sum at {v.label()} is {sum(pd.exps)}, not 0")
-    max_sum = sum(max(pd.exps) for pd in pair.active.values()) if pair.active else Fraction(0)
+            msgs.append(f"exponent sum at {v.label()} is {total}, not 0")
+        max_sum += max(pd.exps)
     if max_sum > 1:
         msgs.append(f"sum of per-place max exponents is {max_sum} > 1")
     normalized_ok = core_ok and sums_ok and max_sum <= 1
@@ -305,7 +308,8 @@ def apply_matrix(phi, x):
 
 
 def frac_str(x) -> str:
-    x = Fraction(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
@@ -316,23 +320,38 @@ EXPONENT_CAP = 4300
 _EXPONENT = re.compile(r"[eE]([-+]?[0-9]+)\Z")
 
 
+@functools.lru_cache(maxsize=256)
+def _int_ratio(s: str) -> Fraction | None:
+    """The Fraction of [+-]?[0-9]+(/[0-9]+)?, read by int alone; None for any other string.
+
+    Kept for the last 256 strings: pair files and flags spell the same few
+    rationals ("0", "1", "-1", "1/2") again and again.  A Fraction is
+    immutable, so every reader may share it.
+    """
+    num, slash, den = s.partition("/")
+    digits = num[1:] if num[:1] in ("+", "-") else num
+    if digits.isascii() and digits.isdigit() and (not slash or den.isascii() and den.isdigit()):
+        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+    return None
+
+
 def parse_frac(s) -> Fraction:
     """The rational of an int, a Fraction, a finite float or a string ("-3/4", "0.25", "1e-3").
 
     A string is ASCII with no whitespace.  An integer or a fraction of them,
-    [+-]?[0-9]+(/[0-9]+)?, is read by int alone; any other string as
-    Fraction reads it.  Raises what Fraction raises for other input (also
-    ZeroDivisionError for "1/0"), TypeError for a bool, and ValueError for
+    [+-]?[0-9]+(/[0-9]+)?, is read by int alone (_int_ratio, which keeps
+    the last 256); any other string as Fraction reads it.  Raises what
+    Fraction raises for other input (also ZeroDivisionError for "1/0"),
+    TypeError for a bool, and ValueError for
     a string with whitespace, a non-ASCII character or an underscore (which
     Fraction reads in " 1/2", in Arabic-Indic digits and, from Python 3.11
     on, in "1_000"), a decimal exponent beyond EXPONENT_CAP in magnitude, or
     an infinite float.
     """
     if isinstance(s, str):
-        num, slash, den = s.partition("/")
-        digits = num[1:] if num[:1] in ("+", "-") else num
-        if digits.isascii() and digits.isdigit() and (not slash or den.isascii() and den.isdigit()):
-            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+        x = _int_ratio(s)
+        if x is not None:
+            return x
         if not s.isascii() or s.split() != [s] or "_" in s:
             raise ValueError(f"not a rational: {s!r}")
         m = _EXPONENT.search(s)
@@ -397,24 +416,27 @@ def places_from_json(data, n_min: int = 1) -> tuple[int, dict]:
             place = Place.parse(entry["place"])
         except (ValueError, TypeError):
             raise ValidationError(f"place must be 'inf' or a prime, got {entry['place']!r}") from None
-        where = f"at place {place.label()}"
         if place in places:
             raise ValidationError(f"place {place.label()} is listed twice")
         if not isinstance(entry["forms"], list) or len(entry["forms"]) != n:
-            raise ValidationError(f"need {n} forms {where}")
-        forms = tuple(parse_rationals(f, n, f"a form {where}") for f in entry["forms"])
-        places[place] = (forms, parse_rationals(entry["exps"], n, f"the exponents {where}"))
+            raise ValidationError(f"need {n} forms at place {place.label()}")
+        forms = tuple(parse_rationals(f, n, "a form", place) for f in entry["forms"])
+        places[place] = (forms, parse_rationals(entry["exps"], n, "the exponents", place))
     return n, places
 
 
-def parse_rationals(values, n: int, what: str) -> tuple[Fraction, ...]:
-    """A list of n rationals read by parse_frac; ValidationError naming `what` otherwise."""
-    if not isinstance(values, list) or len(values) != n:
-        raise ValidationError(f"{what} must be a list of {n} rationals")
-    try:
-        return tuple(parse_frac(a) for a in values)
-    except (ValueError, TypeError, ZeroDivisionError):
-        raise ValidationError(f"{what} holds a value that is not a rational: {values!r}") from None
+def parse_rationals(values, n: int, what: str, place: Place | None = None) -> tuple[Fraction, ...]:
+    """A list of n rationals read by parse_frac; ValidationError naming `what`
+    (and "at place" place, if given) otherwise."""
+    if isinstance(values, list) and len(values) == n:
+        try:
+            return tuple(map(parse_frac, values))
+        except (ValueError, TypeError, ZeroDivisionError):
+            problem = f"holds a value that is not a rational: {values!r}"
+    else:
+        problem = f"must be a list of {n} rationals"
+    where = "" if place is None else f" at place {place.label()}"
+    raise ValidationError(f"{what}{where} {problem}")
 
 
 def pair_from_json(data) -> TwistedPair:

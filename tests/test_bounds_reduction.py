@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from heightlab import bounds_reduction
+from heightlab import bounds_reduction, exact_reals
 from heightlab.bounds_reduction import (
     COVER_COUNT_CAP,
     THEOREMS,
@@ -366,6 +366,37 @@ def test_mutating_a_bound_report_leaves_the_next_unchanged(memo):
     del first.constants["omega0"]
     first.inputs["n"] = 7
     assert bound_constants("2.3", params).to_json() == expected
+
+
+def test_mutating_to_json_leaves_the_report_unchanged(memo):
+    rep = bound_constants("2.3", _params("2.3"))
+    constants, expected = copy.deepcopy(rep.constants), copy.deepcopy(rep.to_json())
+    data = rep.to_json()
+    data["constants"]["C0"]["factored"][0][0] = 99
+    data["constants"]["C0"]["factored"].append([3, 1, 1])
+    data["constants"]["m0"]["value"] = "0"
+    del data["constants"]["omega0"]
+    data["inputs"]["n"] = "7"
+    assert rep.constants == constants and rep.to_json() == expected
+
+
+def test_a_float_precision_gets_one_outcome_in_either_order(memo):
+    """12.0 never shares the decimal context (or the memo entry) of 12."""
+
+    def at_12_0():
+        try:
+            return bound_constants("2.3", _params("2.3"), precision=12.0).to_json()
+        except TypeError as exc:
+            return repr(exc)
+
+    outcomes = []
+    for warm in (False, True):
+        memo.cache_clear()
+        exact_reals._context.cache_clear()
+        if warm:
+            bound_constants("2.3", _params("2.3"), precision=12)
+        outcomes.append(at_12_0())
+    assert outcomes[0] == outcomes[1]
 
 
 def test_interval_cover_refuses_large_counts_quickly():

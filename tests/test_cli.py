@@ -1189,3 +1189,18 @@ def test_parse_frac_grammar():
     for s in (" 1/2", "1 / 2", "\t2", "2\n", "٣/٤", "²", "1/٢", "1/-2", "1/+2", "", "+", "1/", "/2", "1_0"):
         with pytest.raises(ValueError):
             parse_frac(s)
+
+
+def test_parse_frac_reads_a_repeat_as_the_first_time():
+    """Strings read by int alone are kept by the reader; a repeat, a refusal included, has the first read's outcome."""
+    from heightlab.twisted_system import parse_frac
+
+    for s in ("-0/7", "+05/010", "1/2", "3", "0.25", "1e-3", "1/0", " 1/2", "1_0", "٣/٤", "1/-2"):
+        outcomes = []
+        for _ in range(2):
+            try:
+                x = parse_frac(s)
+                outcomes.append((type(x), x))
+            except (ValueError, ZeroDivisionError) as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1], s

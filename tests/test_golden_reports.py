@@ -12,6 +12,7 @@ To print the digests of the current code:
 import hashlib
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -78,6 +79,52 @@ BOUNDS = {
 }
 
 
+# cover: omega x delta, exact powers (1 + delta/2)^k and 10^-6 on either side of
+# them, each with and without --q1; then the refusals: past COVER_COUNT_CAP,
+# powers past POWER_BITS (delta = 1 - 10^-3000, 35 intervals of 9,967-bit
+# powers), and log10 endpoints past the float range
+COVER_DELTAS = ("1", "1/2", "1/3", "1/7", "2/9")
+COVER_OMEGAS = ("11/10", "2", "14/5", "1000")
+COVER_POWERS = (1, 2, 5, 12)
+_BIG_DELTA = frac_str(1 - Fraction(1, 10**3000))
+COVER_REFUSED = (
+    ["--omega", "1000", "--delta", "1/1000"],
+    ["--omega", "1000000", "--delta", _BIG_DELTA, "--q1", "7"],
+    ["--omega", "1000000", "--delta", _BIG_DELTA],
+    ["--omega", "1e308", "--delta", "1", "--q1", "1e10"],
+)
+
+
+def _cover_flags():
+    for delta in COVER_DELTAS:
+        base = 1 + Fraction(delta) / 2
+        omegas = list(COVER_OMEGAS)
+        for k in COVER_POWERS:
+            omegas += [frac_str(base**k + e) for e in (Fraction(-1, 10**6), 0, Fraction(1, 10**6))]
+        for omega in omegas:
+            yield f"{delta}-{omega}", ["--omega", omega, "--delta", delta]
+            yield f"{delta}-{omega}-q1", ["--omega", omega, "--delta", delta, "--q1", "7"]
+    for k, flags in enumerate(COVER_REFUSED):
+        yield f"refused-{k}", flags
+
+
+def _unchecked_pairs():
+    """Pairs validate refuses or flags: dependent forms at one or two places,
+    exponent sums other than 0 and per-place maxima summing past 1."""
+    return [
+        {"n": 2, "places": [{"place": "inf", "forms": [["1", "2"], ["2", "4"]], "exps": ["1", "-1"]}]},
+        {"n": 3, "places": [
+            {"place": "inf", "forms": [["1", "0", "1"], ["0", "1", "1"], ["1", "1", "2"]], "exps": ["0", "0", "0"]},
+            {"place": "5", "forms": [["1", "0", "0"], ["0", "0", "0"], ["0", "0", "1"]], "exps": ["1/2", "0", "-1/2"]}]},
+        {"n": 2, "places": [{"place": "inf", "forms": [["1", "1"], ["0", "1"]], "exps": ["1", "1/2"]}]},
+        {"n": 2, "places": [
+            {"place": "inf", "forms": [["1", "1"], ["0", "1"]], "exps": ["3/4", "-3/4"]},
+            {"place": "2", "forms": [["1", "0"], ["1", "1"]], "exps": ["1/2", "-1/2"]}]},
+        {"n": 3, "places": [{"place": "3", "forms": [["1", "1", "0"], ["0", "1", "1"], ["1", "0", "1"]],
+                             "exps": ["2", "-1", "0"]}]},
+    ]
+
+
 def _pairs():
     """The 20 falsification pairs plus two-place n=3 and n=4 random pairs."""
     rng = random.Random(4242)
@@ -118,6 +165,16 @@ def _cases(command, tmp_path):
     if command in ("filtration", "exceptional"):
         for k, pair in enumerate(_pairs()):
             yield k, [command, _write(tmp_path, f"p{k}.json", pair_to_json(pair))]
+    elif command in ("validate", "invariants"):
+        pairs = [pair_to_json(pair) for pair in _pairs()] + _unchecked_pairs()
+        for k, pair in enumerate(pairs):
+            path = _write(tmp_path, f"p{k}.json", pair)
+            yield k, [command, path]
+            if command == "invariants":
+                yield f"{k}-30", [command, path, "--precision", "30"]
+    elif command == "cover":
+        for label, flags in _cover_flags():
+            yield label, [command] + flags
     elif command == "special-t":
         for k, pair in enumerate(_special_pairs()):
             yield k, [command, _write(tmp_path, f"s{k}.json", pair_to_json(pair))]
@@ -175,6 +232,9 @@ GOLDEN = {
     "scan": "1e31724168419f13a9f652f75ba4ceed50353165bfdf734cd8230ab90a72f1a1",
     "reduce": "74da5ec1ced65f2ff6c57348a2f9a1ca691116657e8fc7cffbd42ca50b68d364",
     "bounds": "57d3d7a12836824744a1173df731e268c657b661b9e439a31038a8bb9bda011b",
+    "cover": "3c9400faf4767e7cc095dbcb832b1b1afed44e1c6d0a839472b1eba65f170209",
+    "validate": "d770c322b2fffca361fa3a5a3e928a2237aae74790e31e94564a871a97140c88",
+    "invariants": "fe6db05d6a25221c945b336b15fbbf4ca2f0dec0c84986fe527e25746c0efda4",
 }
 
 
@@ -187,6 +247,7 @@ if __name__ == "__main__":
     import tempfile
     from pathlib import Path
 
-    for command in ("filtration", "exceptional", "special-t", "weight", "infima", "slopes", "scan", "reduce", "bounds"):
+    for command in ("filtration", "exceptional", "special-t", "weight", "infima", "slopes", "scan", "reduce", "bounds",
+                    "cover", "validate", "invariants"):
         with tempfile.TemporaryDirectory() as d:
             print(f'    "{command}": "{report_digest(command, Path(d))}",')
