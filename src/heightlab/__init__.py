@@ -19,9 +19,7 @@ from .filtration import (
     FiltrationChain,
     UnsupportedSystemError,
     exceptional_subspace,
-    exterior_pair,
     filtration,
-    quotient_pair,
     restrict_pair,
     special_case_T,
     weight,
@@ -40,7 +38,6 @@ from .bounds_reduction import (
     bound_constants,
     cover_list,
     interval_cover,
-    merge_intervals,
     reduce_system,
 )
 

@@ -10,10 +10,10 @@ decimals carry certified significant digits.  Each builder is written once
 against mpmath.iv's interface and runs on enclose's binary intervals, at
 digits that double until the enclosure decides.  A constant that needs more than
 exact_reals.MAX_DPS digits raises CertificationError.  Every cover count
-is one routine, _cover_count: for a rational target, the float count
-accepted by two exact integer power comparisons, and otherwise, or when
-they refuse it, the same enclosures.  "log" in the formulas is the
-natural logarithm throughout (recorded in every report).
+is one routine, _cover_count, on a rational target: the float count
+accepted by two exact integer power comparisons or, when they refuse it,
+one enclosure.  "log" in the formulas is the natural logarithm throughout
+(recorded in every report).
 """
 
 from __future__ import annotations
@@ -37,11 +37,6 @@ __all__ = [
     "THEOREMS",
     "interval_cover",
     "cover_list",
-    "s1_count",
-    "s1_bound",
-    "s2_count",
-    "gamma_value",
-    "merge_intervals",
     "reduce_system",
     "reduction_inequality_holds",
     "internal_t0_consistency",
@@ -406,29 +401,19 @@ def internal_t0_consistency(n: int, R, delta) -> bool:
 # -- interval covers ---------------------------------------------------------
 
 
-def _cover_count(base: Fraction, target) -> int:
-    """Minimal s >= 1 with base**s >= target, for a rational base > 1 and a target > 1.
+def _cover_count(base: Fraction, target: Fraction) -> int:
+    """Minimal s >= 1 with base**s >= target, for a rational base > 1 and a rational target > 1.
 
-    target is a Fraction, or a builder iv -> enclosure of an irrational
-    target.  A Fraction's count is first tried in integers (_integer_count);
-    otherwise s is the ceiling of ln(target)/ln(base), read off an interval
-    enclosure of that ratio.  An irrational target is never a power of base,
-    so its enclosure is refined until it pins the ceiling; for a rational
-    one, only an enclosure that holds an integer is settled by exact powers.
-    ValidationError when s > COVER_COUNT_CAP, or when those powers would
-    have more than exact_reals.POWER_BITS bits.
+    The count is first tried in integers (_integer_count); otherwise s is
+    the ceiling of ln(target)/ln(base), read off one interval enclosure of
+    that ratio, and an enclosure that holds an integer is settled by exact
+    powers.  ValidationError when s > COVER_COUNT_CAP, or when those powers
+    would have more than exact_reals.POWER_BITS bits.
     """
-    rational = isinstance(target, Fraction)
-    if rational:
-        s = _integer_count(base, target)
-        if s is not None:
-            return s
-
-    def ratio(iv):
-        ln_target = iv_ln(iv, target) if rational else iv.log(target(iv))
-        return ln_target / iv_ln(iv, base)
-
-    lo, hi, one = enclose(ratio, lambda lo, hi, one: rational or -lo // one == -hi // one, 30)
+    s = _integer_count(base, target)
+    if s is not None:
+        return s
+    lo, hi, one = enclose(lambda iv: iv_ln(iv, target) / iv_ln(iv, base), lambda lo, hi, one: True, 30)
     s = max(1, -(-lo // one))
     top = -(-hi // one)
     if s <= COVER_COUNT_CAP and top > s:  # the enclosure holds an integer
@@ -496,127 +481,6 @@ def cover_list(q1, omega, delta) -> list[float]:
         num *= base.numerator
         den *= base.denominator
     return out
-
-
-def s1_count(n: int, delta, R, h_l) -> int:
-    """Number of cover intervals for Q in [n^(1/delta), C0).
-
-    The count is the minimal s with (1+delta/2)^s >= delta ln C0 / ln n
-    (_cover_count); the target is the rational delta r when C0 = n^r.
-    """
-    delta = Fraction(delta)
-    R = Fraction(R)
-    c0 = _c0_of(n, delta, R, _as_height(h_l))
-    n_fr = FactoredReal.from_rational(n)
-    if not c0 > n_fr ** (1 / delta):
-        return 1  # the window [n^(1/delta), C0) is empty
-    p, e = next(iter(n_fr.factors.items()))
-    r = c0.factors.get(p, Fraction(0)) / e  # C0 = n^r needs this r
-    if c0 == n_fr**r:
-        return _cover_count(1 + delta / 2, delta * r)
-    return _cover_count(1 + delta / 2, lambda iv: iv_fr(iv, delta) * iv_ln(iv, c0) / iv.log(n))
-
-
-def s1_bound(n: int, delta, R, h_l) -> float:
-    """The closed-form cap 2 + 3 delta^{-1} ln ln (3 H_L^{1/R})."""
-    delta = Fraction(delta)
-
-    def val(iv):
-        inner = iv.log(3) + iv_ln(iv, _as_height(h_l)) / iv_fr(iv, Fraction(R))
-        return 2 + 3 * iv_fr(iv, 1 / delta) * iv.log(inner)
-
-    lo, hi, one = enclose(val, lambda lo, hi, one: True, 40)
-    return (lo + hi) / (2 * one)
-
-
-def s2_count(n: int, delta) -> int:
-    """Number of dyadic cover intervals for Q in [1, n^(1/delta)).
-
-    Minimal s with (1+delta/2)^s >= log(2 sqrt(n))/log 2 (_cover_count);
-    the target is the rational 1 + m/2 when n = 2^m.
-    """
-    base = 1 + Fraction(delta) / 2
-    m = n.bit_length() - 1
-    if n == 1 << m:
-        return _cover_count(base, 1 + Fraction(m, 2))
-    # ln(2 sqrt(n)) / ln 2, written without sqrt
-    return _cover_count(base, lambda iv: (iv.log(2) + iv.log(n) / 2) / iv.log(2))
-
-
-def gamma_value(k: int, delta) -> Fraction:
-    """gamma_k = ((1+delta/2)^k - 1)/(delta/2), exact."""
-    delta = Fraction(delta)
-    return ((1 + delta / 2) ** k - 1) / (delta / 2)
-
-
-def merge_intervals(a_list, omega, b0, omega_prime, m_prime) -> list[Fraction]:
-    """Re-cover a union of intervals by at most m' wider ones.
-
-    Works on log10 endpoints: the input union is [0, a_1) joined with
-    [a_h, omega*a_h); the output intervals are [b_j, omega'*b_j).  Uses
-    the constructive choice: b_1 is the smallest point of the input set S
-    at or after b0, each later b_j the smallest point of S not yet
-    covered.  Verifies the containment before returning.
-    """
-    a = [Fraction(x) for x in a_list]
-    omega = Fraction(omega)
-    omega_p = Fraction(omega_prime)
-    b0 = Fraction(b0)
-    if not a or any(x >= y for x, y in zip(a, a[1:])):
-        raise ValueError("A endpoints must be strictly increasing and non-empty")
-    if a[0] < 0 or b0 < 0:
-        raise ValueError("endpoints must correspond to values >= 1")
-    if not omega > 1 or omega_p < omega:
-        raise ValueError("need omega' >= omega > 1")
-    if m_prime < len(a):
-        raise ValueError("need m' >= m")
-
-    comps: list[list[Fraction]] = []
-    for x in a:
-        lo, hi = x, x * omega
-        if comps and lo <= comps[-1][1]:
-            comps[-1][1] = max(comps[-1][1], hi)
-        else:
-            comps.append([lo, hi])
-    comps = [c for c in comps if c[1] > c[0]]
-    tail = a[-1] * omega  # S continues as [tail, inf)
-
-    def next_in_s(x: Fraction) -> Fraction:
-        if x >= tail:
-            return x
-        for lo, hi in comps:
-            if x < lo:
-                return lo
-            if lo <= x < hi:
-                return x
-        return tail
-
-    bs: list[Fraction] = []
-    cursor = b0
-    while not _covered(comps, b0, bs, omega_p):
-        if len(bs) >= m_prime:
-            raise RuntimeError("failed to cover the input union within m' intervals")
-        start = next_in_s(cursor)
-        bs.append(start)
-        cursor = start * omega_p
-    return bs
-
-
-def _covered(comps, b0, bs, omega_p) -> bool:
-    """Is every input component inside [0,b0) plus the chosen intervals?"""
-    out = [(Fraction(0), b0)] + [(b, b * omega_p) for b in bs]
-    out.sort()
-    merged = []
-    for lo, hi in out:
-        if merged and lo <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-        else:
-            merged.append((lo, hi))
-    for lo, hi in comps:
-        ok = any(mlo <= lo and hi <= mhi for mlo, mhi in merged)
-        if not ok:
-            return False
-    return True
 
 
 # -- reduction from Diophantine systems --------------------------------------

@@ -11,13 +11,12 @@ pairs yields the Newton-polygon filtration.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .exterior_algebra import Subspace, wedge
-from .rational_linalg import RankTracker, int_row, mat_mul, rank, solve_exact
+from .exterior_algebra import Subspace
+from .rational_linalg import RankTracker, int_row, mat_mul
 from .twisted_system import PlaceData, TwistedPair, ValidationError
 
 __all__ = [
@@ -25,7 +24,6 @@ __all__ = [
     "weight",
     "local_weight",
     "local_weight_via_flags",
-    "index_set",
     "flag_subspaces",
     "slope",
     "exceptional_subspace",
@@ -35,10 +33,6 @@ __all__ = [
     "special_case_T",
     "restrict_pair",
     "embed_through",
-    "quotient_pair",
-    "quotient_projection",
-    "quotient_preimage",
-    "exterior_pair",
 ]
 
 
@@ -98,11 +92,6 @@ def _greedy_selection(pd: PlaceData, u: Subspace):
 def local_weight(pair: TwistedPair, u: Subspace, v) -> Fraction:
     """w_v(U): minimal exponent sum over independent restrictions."""
     return _greedy_selection(pair.place_data(v), u)[0]
-
-
-def index_set(pair: TwistedPair, u: Subspace, v) -> tuple[int, ...]:
-    """The greedy index set I_v(U), as positions in the sorted order."""
-    return _greedy_selection(pair.place_data(v), u)[1]
 
 
 def weight(pair: TwistedPair, u: Subspace) -> Fraction:
@@ -371,102 +360,3 @@ def embed_through(t: Subspace, u: Subspace) -> Subspace:
         return Subspace.zero(t.n)
     rows = mat_mul([list(r) for r in u.rows], [list(r) for r in t.rows])
     return Subspace(t.n, rows)
-
-
-def quotient_projection(t: Subspace) -> list[tuple[Fraction, ...]]:
-    """Rows of the projection Q^n -> Q^(n-k) with kernel T.
-
-    In echelon coordinates x decomposes as (part in T) + (part supported
-    on the non-pivot columns); the projection returns the latter.
-    """
-    n, k = t.n, t.dim
-    pivots = t.pivots
-    nonpiv = [j for j in range(n) if j not in pivots]
-    rows = []
-    for j in nonpiv:
-        row = [Fraction(0)] * n
-        row[j] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            row[pc] -= t.rows[i][j]
-        rows.append(tuple(row))
-    return rows
-
-
-def quotient_preimage(t: Subspace, u: Subspace) -> Subspace:
-    """phi''^{-1}(U) in Q^n for U a subspace of Q^(n-k)."""
-    n = t.n
-    nonpiv = [j for j in range(n) if j not in t.pivots]
-    if u.n != len(nonpiv):
-        raise ValueError("dimension mismatch")
-    lifted = []
-    for row in u.rows:
-        v = [Fraction(0)] * n
-        for coord, j in zip(row, nonpiv):
-            v[j] = coord
-        lifted.append(tuple(v))
-    return Subspace(n, lifted + list(t.rows))
-
-
-def quotient_pair(pair: TwistedPair, t: Subspace, normalized: bool = True) -> TwistedPair:
-    """The induced pair on Q^(n-k) via forms vanishing on T.
-
-    For each place the complementary forms are corrected by the unique
-    combination of earlier greedy forms that kills them on T, then pushed
-    through the projection.  With `normalized` the exponents are
-    recentered per place: d_iv = ((n-k)/n) (c_iv - theta_v) with theta_v
-    the mean complementary exponent, so each place sums to zero.
-    """
-    pair.ensure_core_valid()
-    n, k = pair.n, t.dim
-    if not 0 < k < n:
-        raise ValueError("T must be proper and nonzero")
-    basis = t.rows
-    nonpiv = [j for j in range(n) if j not in t.pivots]
-    active = {}
-    for v, pd in pair.active.items():
-        sorted_fc = _sorted_forms(pd)
-        chosen = set(_greedy_selection(pd, t)[1])
-        sel = [f for pos, (f, _) in enumerate(sorted_fc, start=1) if pos in chosen]
-        comp = [fc for pos, fc in enumerate(sorted_fc, start=1) if pos not in chosen]
-        new_forms = []
-        new_exps = []
-        for form, c in comp:
-            target = _restriction(form, basis)
-            corrected = list(form)
-            if sel:
-                cols = [_restriction(f, basis) for f in sel]
-                coeffs = solve_exact(list(zip(*cols)), target)
-                if coeffs is None:
-                    raise ValidationError("complementary form not reducible on T")
-                for a, f in zip(coeffs, sel):
-                    corrected = [x - a * y for x, y in zip(corrected, f)]
-            if any(x != 0 for x in _restriction(corrected, basis)):
-                raise AssertionError("corrected form fails to vanish on T")
-            new_forms.append(tuple(corrected[j] for j in nonpiv))
-            new_exps.append(c)
-        if rank(new_forms) != n - k:
-            raise ValidationError("quotient forms are dependent")
-        if normalized:
-            theta = sum(new_exps, Fraction(0)) / (n - k)
-            new_exps = [Fraction(n - k, n) * (c - theta) for c in new_exps]
-        active[v] = PlaceData(tuple(new_forms), tuple(new_exps))
-    return TwistedPair(n - k, active).without_neutral_places()
-
-
-def exterior_pair(pair: TwistedPair, p: int) -> TwistedPair:
-    """The p-th exterior system on Q^N: wedged forms, summed exponents."""
-    pair.ensure_core_valid()
-    n = pair.n
-    if not 1 <= p < n:
-        raise ValueError(f"need 1 <= p < n, got p={p}")
-    active = {}
-    for v, pd in pair.active.items():
-        forms = []
-        exps = []
-        for subset in combinations(range(n), p):
-            forms.append(wedge([pd.forms[i] for i in subset]))
-            exps.append(sum((pd.exps[i] for i in subset), Fraction(0)))
-        active[v] = PlaceData(tuple(forms), tuple(exps))
-    out = TwistedPair(math.comb(n, p), active).without_neutral_places()
-    out.ensure_core_valid()
-    return out

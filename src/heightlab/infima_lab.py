@@ -1,9 +1,9 @@
 """Brute-force estimation of successive infima and related experiments.
 
 One kernel, enumerate_primitive, serves every search (infima, slopes,
-minkowski, the exterior check, gap and scan): it enumerates the primitive
-integer vectors up to a box bound in product order, row by row.  A row
-fixes every coordinate but the last; rows with a negative lead are
+minkowski, gap and scan): it enumerates the primitive integer vectors up
+to a box bound in product order, row by row.  A row fixes every
+coordinate but the last; rows with a negative lead are
 skipped whole, the prefix gcd is taken once per row, and the values of
 the integer forms (each place's forms cleared of denominators) are set
 once per row and stepped along it, so no vector costs a dot product.  The
@@ -33,13 +33,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from operator import add, gt, mul
 
 from .bounds_reduction import reduce_system
 from .exact_reals import FactoredReal, certified_floor, cmp_power_product, iv_ln, log10_rational
-from .exterior_algebra import Subspace, wedge
-from .filtration import FiltrationChain, exceptional_subspace, exterior_pair, filtration
+from .exterior_algebra import Subspace
+from .filtration import FiltrationChain, exceptional_subspace, filtration
 from .places_heights import INF, Place, primitive_scale, valuation
 from .rational_linalg import RankTracker, det, int_kernel
 from .twisted_system import (
@@ -48,7 +48,6 @@ from .twisted_system import (
     alpha_of,
     pair_invariants,
     theta_of,
-    twisted_height,
     validate,
 )
 
@@ -62,8 +61,6 @@ __all__ = [
     "slope_profile",
     "SlopeReport",
     "slope_csv",
-    "exterior_infima_check",
-    "ExteriorReport",
     "gap_experiment",
     "GapReport",
     "SystemInstance",
@@ -565,9 +562,6 @@ class SlopeReport:
     expected: tuple[float, ...]  # -mu for each index i
     span_matches: dict[Fraction, bool]
 
-    def slopes_at(self, q) -> list[float]:
-        return [row[3] for row in self.rows if row[0] == q]
-
 
 def slope_profile(pair: TwistedPair, q_list, box_policy=None) -> SlopeReport:
     """Estimated slopes for each Q in an increasing list, vs the filtration."""
@@ -601,62 +595,6 @@ def slope_csv(report: SlopeReport) -> str:
     for q, i, ll, s in report.rows:
         lines.append(f"{q},{i},{ll:.12f},{s:.12f}")
     return "\n".join(lines) + "\n"
-
-
-@dataclass
-class ExteriorReport:
-    p: int
-    hadamard_ok: bool
-    upper_ok: bool
-    lower_ok: bool
-    nus: tuple[FactoredReal, ...]
-    hat_lambdas: tuple[FactoredReal, ...]
-
-
-def exterior_infima_check(pair: TwistedPair, p: int, q, box: int) -> ExteriorReport:
-    """Wedge-height inequalities on the achiever vectors.
-
-    (a) the Hadamard-type bound Hhat(x_1 ^ ... ^ x_p) <= p^{p/2} prod H(x_l)
-    is asserted exactly on all achiever subsets; (b) the products nu_j of
-    p-subsets of lambda-bars are compared against the exterior system's
-    estimates: the upper half (hat-lambda_j <= p^{p/2} nu_j) is rigorous
-    for estimates because the achiever wedges are injected into the
-    exterior search, the lower half is reported only.
-    """
-    n = pair.n
-    if not 1 <= p < n:
-        raise ValueError("need 1 <= p < n")
-    est = successive_infima(pair, q, box)
-    hat = exterior_pair(pair, p)
-    const = FactoredReal.from_rational(p) ** Fraction(p, 2)
-
-    hadamard_ok = True
-    wedges = []
-    for subset in combinations(range(n), p):
-        w = wedge([est.achievers[i] for i in subset])
-        wedges.append((subset, w))
-        lhs = twisted_height(hat, q, w)
-        rhs = const
-        for i in subset:
-            rhs = rhs * est.lambdas[i]
-        if not lhs <= rhs:
-            hadamard_ok = False
-
-    nus = sorted(
-        (
-            math.prod((est.lambdas[i] for i in subset), start=FactoredReal.one())
-            for subset in combinations(range(n), p)
-        ),
-    )
-    hat_est = successive_infima(hat, q, box, extra_vectors=[w for _, w in wedges])
-
-    big_n = math.comb(n, p)
-    upper_ok = all(
-        hl <= const * nu for hl, nu in zip(hat_est.lambdas, nus)
-    )
-    lowc = FactoredReal.from_rational(big_n) ** Fraction(-n * p * big_n)
-    lower_ok = all(lowc * nu <= hl for hl, nu in zip(hat_est.lambdas, nus))
-    return ExteriorReport(p, hadamard_ok, upper_ok, lower_ok, tuple(nus), hat_est.lambdas)
 
 
 @dataclass

@@ -25,7 +25,6 @@ __all__ = [
     "height",
     "height_one",
     "height_two_squared",
-    "inhomogeneous_height",
     "primitive_scale",
     "parse_int",
 ]
@@ -180,8 +179,3 @@ def height_two_squared(x) -> Fraction:
 def height_two(x) -> FactoredReal:
     """H_2(x) as a FactoredReal with exponent 1/2 where needed."""
     return FactoredReal.from_rational(height_two_squared(x)) ** Fraction(1, 2)
-
-
-def inhomogeneous_height(coeffs) -> FactoredReal:
-    """Height of a linear form with 1 prepended to its coefficient vector."""
-    return height((Fraction(1),) + qvec(coeffs))

@@ -6,8 +6,8 @@ denominators, and fraction-free Gauss-Jordan elimination runs on the
 integer rows -- kept primitive with a positive pivot, or, for `det`,
 divided exactly by the previous pivot (Bareiss, Math. Comp. 22, 1968).
 Fractions are built only at the boundary: the reduced-echelon rows of
-`rref` and `kernel_basis`, solutions and determinants.  Sized for the
-n <= 6 ambient dimensions this package works in.
+`echelon_fractions` and determinants.  Sized for the n <= 6 ambient
+dimensions this package works in.
 """
 
 from __future__ import annotations
@@ -22,14 +22,9 @@ __all__ = [
     "int_echelon",
     "int_kernel",
     "echelon_fractions",
-    "rref",
     "rank",
     "det",
-    "kernel_basis",
-    "mat_vec",
     "mat_mul",
-    "identity",
-    "solve_exact",
     "minors",
     "RankTracker",
 ]
@@ -126,16 +121,6 @@ def echelon_fractions(rows) -> list[list[Fraction]]:
     return out
 
 
-def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row-echelon form; returns (rows, pivot column indices).
-
-    Zero rows are dropped, so the result is a canonical basis of the row
-    space: two row spaces are equal iff their rref outputs are equal.
-    """
-    red, pivots = int_echelon(rows)
-    return echelon_fractions(red), pivots
-
-
 def rank(rows) -> int:
     return len(int_echelon(rows)[1])
 
@@ -174,34 +159,9 @@ def int_kernel(rows, ncols: int) -> list[list[int]]:
     return int_echelon(basis)[0]
 
 
-def kernel_basis(rows, ncols: int) -> list[tuple[Fraction, ...]]:
-    """Basis (rref rows) of {x : A x = 0} for the matrix with given rows."""
-    return [tuple(r) for r in echelon_fractions(int_kernel(rows, ncols))]
-
-
-def mat_vec(rows, x) -> tuple[Fraction, ...]:
-    return tuple(sum(a * b for a, b in zip(r, x)) for r in rows)
-
-
 def mat_mul(a, b) -> list[list[Fraction]]:
     bt = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def identity(n: int) -> list[list[Fraction]]:
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-
-
-def solve_exact(rows, rhs) -> tuple[Fraction, ...] | None:
-    """One solution of A x = rhs, or None if inconsistent."""
-    ncols = len(rows[0]) if rows else 0
-    red, pivots = int_echelon([list(r) + [v] for r, v in zip(rows, rhs)])
-    if pivots and pivots[-1] == ncols:
-        return None
-    x = [Fraction(0)] * ncols
-    for row, pc in zip(red, pivots):
-        x[pc] = Fraction(row[-1], row[pc])
-    return tuple(x)
 
 
 def minors(rows, p: int) -> tuple[Fraction, ...]:

@@ -17,7 +17,7 @@ from itertools import combinations
 
 from .exact_reals import FactoredReal
 from .places_heights import INF, Place, abs_value, parse_int, primitive_scale
-from .rational_linalg import det, mat_vec, qvec, rank
+from .rational_linalg import det, qvec, rank
 
 __all__ = [
     "TwistedPair",
@@ -136,12 +136,10 @@ def form_union(pair: TwistedPair) -> list[tuple[Fraction, ...]]:
     included.  No rescaling before deduplication: the system invariants
     are sensitive to form scaling.
     """
-    seen = list(_identity_forms(pair.n))
+    seen = dict.fromkeys(_identity_forms(pair.n))
     for pd in pair.active.values():
-        for f in pd.forms:
-            if f not in seen:
-                seen.append(f)
-    return seen
+        seen.update(dict.fromkeys(pd.forms))
+    return list(seen)
 
 
 def _dependent_forms(pair: TwistedPair) -> list[str]:
@@ -299,11 +297,6 @@ def compose(pair: TwistedPair, phi) -> TwistedPair:
     return TwistedPair(n, active).without_neutral_places()
 
 
-def apply_matrix(phi, x):
-    """phi(x) for an n x n matrix given as rows."""
-    return mat_vec([qvec(r) for r in phi], qvec(x))
-
-
 # -- JSON ----------------------------------------------------------------
 
 
@@ -382,8 +375,7 @@ def pair_to_json(pair: TwistedPair) -> dict:
 # Largest dimension n a pair or system file may declare.  Every check of
 # a pair builds its n x n identity forms (the inactive places), so a bare
 # {"n": 10**9, "places": []} must be refused before anything is built.
-# The package works in n <= 6; exterior systems of such pairs (n up to
-# C(6, 3) = 20) are built in process, not read from files.
+# The package works in n <= 6; the cap leaves room above it.
 DIM_CAP = 32
 
 

@@ -15,14 +15,9 @@ from heightlab.bounds_reduction import (
     THEOREMS,
     bound_constants,
     cover_list,
-    gamma_value,
     internal_t0_consistency,
     interval_cover,
-    merge_intervals,
     reduce_system,
-    s1_bound,
-    s1_count,
-    s2_count,
 )
 from heightlab.exact_reals import CertificationError, FactoredReal, enclose
 from heightlab.infima_lab import SystemInstance
@@ -405,111 +400,6 @@ def test_interval_cover_refuses_large_counts_quickly():
         with pytest.raises(ValidationError):
             interval_cover(omega, delta)
     assert time.perf_counter() - start < 1
-
-
-def test_s1_bound_holds():
-    rng = random.Random(70)
-    for _ in range(40):
-        n = rng.randint(2, 5)
-        delta = F(1, rng.randint(1, 4))
-        r = n + rng.randint(0, 4)
-        h_l = F(rng.randint(1, 50))
-        s1 = s1_count(n, delta, r, h_l)
-        assert s1 <= s1_bound(n, delta, r, h_l)
-        assert s1 >= 1
-
-
-def test_s1_exact_branch():
-    # H_L = 1 puts C0 on the n^(1/delta) branch: a single interval
-    assert s1_count(3, F(1, 2), 3, 1) == 1
-
-
-def test_s1_count_tie_is_settled_exactly():
-    # C0 = 512^(1/4) = 2^(9/4), so the target delta ln C0 / ln n is 9/4 = (3/2)^2
-    assert s1_count(2, 1, 4, 512) == 2
-
-
-def _s1_oracle(n, delta, R, h_l):
-    """Minimal s with (1+delta/2)^s >= delta ln C0 / ln n in 60-digit floats; a tie counts as reached."""
-    with mpmath.workdps(60):
-        mp = mpmath.mp
-        d = mp.mpf(delta.numerator) / delta.denominator
-        c0 = max(mp.mpf(int(h_l)) ** (1 / mp.mpf(R)), mp.mpf(n) ** (1 / d))
-        target = d * mp.log(c0) / mp.log(n)
-        s = 1
-        while (1 + d / 2) ** s < target - mp.mpf(10) ** -50:
-            s += 1
-        return s
-
-
-def test_s1_count_matches_oracle():
-    rng = random.Random(70)
-    cases = []
-    for _ in range(200):
-        n = rng.randint(2, 5)
-        cases.append((n, F(1, rng.randint(1, 4)), n + rng.randint(0, 4), F(rng.randint(1, 50))))
-    # ties: H_L = n^k with delta k / R = (1+delta/2)^s exactly, so C0 = n^(k/R)
-    for n in (2, 3, 6):
-        for delta in (F(1), F(1, 2), F(2, 3)):
-            for s in (1, 2, 4):
-                ratio = (1 + delta / 2) ** s / delta  # k / R
-                cases.append((n, delta, ratio.denominator, F(n) ** ratio.numerator))
-    for n, delta, R, h_l in cases:
-        assert s1_count(n, delta, R, h_l) == _s1_oracle(n, delta, R, h_l), (n, delta, R, h_l)
-
-
-def test_s2_count():
-    # minimal s with (1+delta/2)^s >= log(2 sqrt n)/log 2
-    assert s2_count(4, 1) == 2  # target 2, and 1.5 < 2 <= 2.25
-    assert s2_count(2, 1) == 1  # target 3/2 hit exactly at s = 1
-    val = s2_count(5, F(1, 2))
-    target = _mp_oracle(lambda mp: mp.log(2 * mp.sqrt(5)) / mp.log(2))
-    assert F(5, 4) ** (val - 1) < float(target) <= F(5, 4) ** val
-
-
-def test_s2_count_power_of_two_matches_exact_multiplication():
-    for m in range(1, 40):
-        for delta in (F(1), F(1, 2), F(1, 3), F(2, 3), F(1, 100)):
-            assert s2_count(2**m, delta) == _cover_by_multiplication(1 + F(m, 2), delta), (m, delta)
-
-
-def test_gamma_values():
-    assert gamma_value(0, 1) == 0
-    assert gamma_value(1, 1) == 1
-    assert gamma_value(3, 1) == F(19, 4)
-    # recurrence gamma_k = 1 + gamma_{k-1} (1 + delta/2)
-    delta = F(1, 3)
-    for k in range(1, 6):
-        assert gamma_value(k, delta) == 1 + gamma_value(k - 1, delta) * (1 + delta / 2)
-
-
-def test_merge_intervals_examples():
-    # single interval, omega' = omega: B1 = max(A1, B0)
-    assert merge_intervals([F(2)], F(3, 2), F(1), F(3, 2), 1) == [F(2)]
-    assert merge_intervals([F(2)], F(3, 2), F(5, 2), F(3, 2), 1) == [F(5, 2)]
-    # two overlapping intervals, omega' = omega^2: one output interval
-    out = merge_intervals([F(1), F(5, 4)], F(3, 2), F(1), F(9, 4), 2)
-    assert out == [F(1)]
-
-
-def test_merge_intervals_containment_random():
-    rng = random.Random(71)
-    for _ in range(100):
-        m = rng.randint(1, 4)
-        a = sorted({F(rng.randint(1, 40), rng.randint(1, 4)) for _ in range(m)})
-        omega = 1 + F(rng.randint(1, 8), 8)
-        omega_p = omega * (1 + F(rng.randint(0, 4), 4))
-        b0 = F(rng.randint(0, 3), 3)
-        m_prime = len(a) + rng.randint(0, 2)
-        bs = merge_intervals(a, omega, b0, omega_p, m_prime)
-        assert len(bs) <= m_prime
-        assert all(x >= b0 for x in bs)
-        # sample points of the input union are covered by the output union
-        for x in a:
-            for t in (x, (x + x * omega) / 2, x * omega - F(1, 1000)):
-                if t < b0:
-                    continue
-                assert any(b <= t < b * omega_p for b in bs), (a, omega, b0, bs, t)
 
 
 def test_reduce_system_examples():

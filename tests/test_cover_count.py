@@ -11,20 +11,14 @@ from fractions import Fraction as F
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heightlab.bounds_reduction import COVER_COUNT_CAP, _cover_count, s1_count, s2_count
+from heightlab.bounds_reduction import COVER_COUNT_CAP, _cover_count
 from heightlab.exact_reals import POWER_BITS, enclose, iv_ln
 from heightlab.twisted_system import ValidationError
 
 
-def _enclosure_count(base: F, target) -> int:
+def _enclosure_count(base: F, target: F) -> int:
     """Minimal s >= 1 with base**s >= target, read off an interval enclosure of ln(target)/ln(base)."""
-    rational = isinstance(target, F)
-
-    def ratio(iv):
-        ln_target = iv_ln(iv, target) if rational else iv.log(target(iv))
-        return ln_target / iv_ln(iv, base)
-
-    lo, hi, one = enclose(ratio, lambda lo, hi, one: rational or -lo // one == -hi // one, 30)
+    lo, hi, one = enclose(lambda iv: iv_ln(iv, target) / iv_ln(iv, base), lambda lo, hi, one: True, 30)
     s = max(1, -(-lo // one))
     top = -(-hi // one)
     if s <= COVER_COUNT_CAP and top > s:  # the enclosure holds an integer
@@ -93,18 +87,18 @@ def test_powers_at_the_bit_budget(bits, odd, extra, near):
 @settings(max_examples=300, deadline=None)
 @given(_DELTAS, st.builds(F, st.integers(1, 10**6), st.integers(1, 10**3)), st.integers(1, 80))
 def test_s1_and_s2_targets(delta, excess, m):
-    """s1_count's delta r for C0 = n^r, r > 1/delta, and s2_count's 1 + m/2 for n = 2^m."""
+    """Theorem 2.1's cover targets: delta r for C0 = n^r with r > 1/delta, and 1 + m/2 for n = 2^m."""
     base = 1 + delta / 2
     _same(base, delta * (1 / delta + excess))
     _same(base, 1 + F(m, 2))
 
 
 def test_the_counts_of_s1_and_s2_on_rational_targets():
-    # C0 = 512^(1/4) = 2^(9/4): delta r = 9/4 = (3/2)^2, a power of the base
-    assert s1_count(2, 1, 4, 512) == _enclosure_count(F(3, 2), F(9, 4)) == 2
+    # n = 2, delta = 1, R = 4, H_L = 512: C0 = 2^(9/4), and delta r = 9/4 = (3/2)^2 is a power of the base
+    assert _cover_count(F(3, 2), F(9, 4)) == _enclosure_count(F(3, 2), F(9, 4)) == 2
     for m in (1, 7, 40):
         for delta in (F(1), F(2, 9), F(1, 7)):
-            assert s2_count(2**m, delta) == _enclosure_count(1 + delta / 2, 1 + F(m, 2))
+            assert _cover_count(1 + delta / 2, 1 + F(m, 2)) == _enclosure_count(1 + delta / 2, 1 + F(m, 2))
 
 
 def test_both_refusals():

@@ -1,6 +1,5 @@
 import importlib
 import itertools
-import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -10,19 +9,15 @@ import pytest
 from heightlab.exterior_algebra import Subspace, subspace_height_sq
 from heightlab.filtration import (
     MEET_BUDGET,
+    _greedy_selection,
     UnsupportedSystemError,
     candidate_subspaces,
     embed_through,
     exceptional_subspace,
-    exterior_pair,
     filtration,
     flag_subspaces,
-    index_set,
     local_weight,
     local_weight_via_flags,
-    quotient_pair,
-    quotient_preimage,
-    quotient_projection,
     restrict_pair,
     special_case_T,
     weight,
@@ -39,7 +34,7 @@ from heightlab.suite import (
     random_special_pair,
     random_subspace_rows,
 )
-from heightlab.twisted_system import TwistedPair, validate
+from heightlab.twisted_system import TwistedPair
 
 F = Fraction
 # the module itself: the package binds the name `filtration` to the function
@@ -110,7 +105,8 @@ def test_monotone_index_sets():
         take = rng.randint(1, big.dim)
         small = Subspace.span(n, list(big.rows)[:take])
         for v in pair.active:
-            assert set(index_set(pair, small, v)) <= set(index_set(pair, big, v))
+            pd = pair.place_data(v)
+            assert set(_greedy_selection(pd, small)[1]) <= set(_greedy_selection(pd, big)[1])
 
 
 def test_flag_subspaces_examples():
@@ -339,82 +335,6 @@ def test_restrict_pair_weight_correspondence():
         assert weight(r, u) == weight(pair, embed_through(t, u))
 
 
-def test_quotient_pair_examples():
-    q = quotient_pair(pair_e1(), Subspace.span(2, [(1, 0)]))
-    assert q.n == 1 and q.active == {}
-
-    q = quotient_pair(pair_e3(), Subspace.span(3, [(1, 0, 0), (0, 1, 0)]))
-    assert q.n == 1 and q.active == {}
-
-    # equal complementary exponents center to zero
-    pair = diag_pair([2, 1, 1])
-    q = quotient_pair(pair, Subspace.span(3, [(1, 0, 0)]))
-    assert all(all(c == 0 for c in pd.exps) for pd in q.active.values())
-
-
-def test_quotient_weight_correspondence():
-    rng = random.Random(49)
-    for _ in range(60):
-        n = rng.randint(2, 4)
-        pair = random_pair(rng, n)
-        k = rng.randint(1, n - 1)
-        t = _rand_subspace(rng, n, k)
-        q = quotient_pair(pair, t, normalized=False)
-        u = _rand_subspace(rng, n - k)
-        w_t = weight(pair, t)
-        assert weight(q, u) == weight(pair, quotient_preimage(t, u)) - w_t
-
-
-def test_quotient_projection_shape():
-    rng = random.Random(50)
-    for _ in range(40):
-        n = rng.randint(2, 4)
-        k = rng.randint(1, n - 1)
-        t = _rand_subspace(rng, n, k)
-        proj = quotient_projection(t)
-        assert len(proj) == n - k
-        # kernel of the projection is exactly T
-        assert Subspace.kernel(n, proj) == t
-
-
-def test_quotient_normalization_properties():
-    # zero place sums always; max-sum <= 1 when the source is normalized
-    rng = random.Random(51)
-    from heightlab.suite import random_normalized_pair
-
-    for _ in range(40):
-        n = rng.randint(2, 4)
-        pair = random_normalized_pair(rng, n, places=rng.choice([1, 2]))
-        t = exceptional_subspace(pair)
-        if not 0 < t.dim < n:
-            continue
-        q = quotient_pair(pair, t)
-        rep = validate(q)
-        assert rep.normalized_ok
-        # negative semi-definite weights on the quotient (destabilized)
-        for _ in range(20):
-            u = _rand_subspace(rng, n - t.dim)
-            assert weight(q, u) <= 0
-
-
-def test_exterior_pair_examples():
-    ext = exterior_pair(pair_e3(), 2)
-    assert ext.n == 3
-    assert ext.place_data(INF).exps == (F(1), F(0), F(-1))
-
-    assert exterior_pair(diag_pair([0, 0, 0]), 2).active == {}
-
-    rng = random.Random(52)
-    for _ in range(30):
-        n = rng.randint(2, 4)
-        p = rng.randint(1, n - 1)
-        pair = random_pair(rng, n)
-        ext = exterior_pair(pair, p)
-        for v, pd in pair.active.items():
-            hat = ext.place_data(v)
-            assert sum(hat.exps) == math.comb(n - 1, p - 1) * sum(pd.exps)
-
-
 def test_height_cap_on_filtration_subspaces():
     # every chain subspace obeys the doubly exponential Euclidean-height cap
     for _, pair in curated_slope_suite():
@@ -434,7 +354,3 @@ def test_restrict_quotient_argument_validation():
         restrict_pair(pair_e1(), Subspace.zero(2))
     with pytest.raises(ValueError):
         restrict_pair(pair_e1(), Subspace.full(2))
-    with pytest.raises(ValueError):
-        quotient_pair(pair_e1(), Subspace.full(2))
-    with pytest.raises(ValueError):
-        exterior_pair(pair_e1(), 2)

@@ -25,7 +25,7 @@ from heightlab.infima_lab import (
     successive_infima,
 )
 from heightlab.places_heights import INF, Place, primitive_scale
-from heightlab.rational_linalg import RankTracker, rank, solve_exact
+from heightlab.rational_linalg import RankTracker, echelon_fractions, int_echelon, rank
 from heightlab.suite import curated_slope_suite, diag_pair, random_pair
 from heightlab.twisted_system import TwistedPair, twisted_height
 
@@ -380,6 +380,13 @@ def textbook_greedy(pair, q, stream):
     return [heights[k] for k in kept], [stream[k] for k in kept]
 
 
+def _dual_basis(basis):
+    """The forms f_i with f_i(b_j) = [i == j]: the rows of (B^T)^-1, read off the rref of [B^T | I]."""
+    n = len(basis)
+    aug = [[b[i] for b in basis] + [int(i == k) for k in range(n)] for i in range(n)]
+    return [tuple(row[n:]) for row in echelon_fractions(int_echelon(aug)[0])]
+
+
 @st.composite
 def greedy_streams(draw):
     """(pair, q, stream) at n = 1-4.  The forms are the dual basis of a basis
@@ -390,7 +397,7 @@ def greedy_streams(draw):
     n = draw(st.integers(1, 4))
     small = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
     basis = draw(st.lists(small, min_size=n, max_size=n).filter(lambda b: rank(b) == n))
-    forms = [solve_exact(basis, [int(i == j) for j in range(n)]) for i in range(n)]
+    forms = _dual_basis(basis)
     exps = draw(st.lists(st.sampled_from([F(-1), F(0), F(0), F(1, 2), F(1)]), min_size=n - 1, max_size=n - 1))
     pair = TwistedPair(n, {INF: (forms, exps + [F(2)])})
     coords = st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1)

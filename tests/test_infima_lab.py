@@ -9,7 +9,6 @@ from heightlab.infima_lab import (
     SystemInstance,
     default_box_policy,
     enumerate_primitive,
-    exterior_infima_check,
     gap_experiment,
     height_floor,
     minkowski_check,
@@ -170,7 +169,7 @@ def test_minkowski_shifted_alpha():
 def test_slope_profile_e1():
     rep = slope_profile(pair_e1(), [100, 1000])
     for q in rep.qs:
-        s = rep.slopes_at(q)
+        s = [row[3] for row in rep.rows if row[0] == q]
         assert abs(s[0] + 1) < 1e-9
         assert abs(s[1] - 1) < 1e-9
         assert rep.span_matches[q]
@@ -189,7 +188,7 @@ def test_slope_csv_shape():
 def test_slope_profile_untwisted_is_flat():
     rep = slope_profile(diag_pair([0, 0]), [10, 100], box_policy=lambda q: 3)
     for q in rep.qs:
-        for s in rep.slopes_at(q):
+        for s in [row[3] for row in rep.rows if row[0] == q]:
             assert s == 0.0
     assert rep.expected == (0.0, 0.0)
 
@@ -199,22 +198,6 @@ def test_slope_profile_validates_grid():
         slope_profile(pair_e1(), [100, 100])
     with pytest.raises(ValueError):
         slope_profile(pair_e1(), [1])
-
-
-def test_exterior_infima_p2():
-    rep = exterior_infima_check(pair_e3(), 2, 10, 2)
-    assert rep.hadamard_ok and rep.upper_ok and rep.lower_ok
-    # nu products of (1/10, 1, 10): (1/10, 1, 10)
-    assert rep.nus[0] == FR({2: -1, 5: -1})
-    assert rep.nus[2] == FR({2: 1, 5: 1})
-
-
-def test_exterior_infima_p1_identity():
-    est = successive_infima(pair_e1(), 100, 2)
-    rep = exterior_infima_check(pair_e1(), 1, 100, 2)
-    assert tuple(rep.nus) == est.lambdas
-    assert rep.hat_lambdas == est.lambdas
-    assert rep.hadamard_ok and rep.upper_ok and rep.lower_ok
 
 
 def test_gap_experiment_examples():

@@ -12,7 +12,6 @@ from heightlab.places_heights import (
     height_one,
     height_two,
     height_two_squared,
-    inhomogeneous_height,
     primitive_scale,
     vec_norm,
 )
@@ -128,9 +127,3 @@ def test_cauchy_schwarz_all_places():
             lhs = abs_value(dot, v)
             rhs = vec_norm(x, v, "sup") * vec_norm(y, v, "sup")
             assert lhs <= rhs
-
-
-def test_inhomogeneous_height():
-    # H*(L) is the height of the 1-extended coefficient vector
-    assert inhomogeneous_height((F(1, 2), 3)) == height((1, F(1, 2), 3))
-    assert inhomogeneous_height((0, 0)) == ONE

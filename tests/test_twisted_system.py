@@ -13,8 +13,8 @@ from heightlab.rational_linalg import det, mat_mul
 from heightlab.suite import pair_e1, pair_e2, random_pair
 from heightlab.twisted_system import (
     TwistedPair,
-    apply_matrix,
     compose,
+    form_union,
     pair_from_json,
     pair_invariants,
     pair_to_json,
@@ -62,6 +62,22 @@ def test_validate_examples():
     dependent = TwistedPair(2, {INF: (((F(1), F(0)), (F(2), F(0))), (F(1), F(-1)))})
     rep = validate(dependent)
     assert not rep.core_ok and not rep.normalized_ok
+
+
+def test_form_union_counts_a_repeated_form_once_and_its_multiple_apart():
+    # L = X1 + X2 at inf and at 2, and 2L at 3: forms are not rescaled before dedup
+    l, two_l = (1, 1), (2, 2)
+    pair = TwistedPair(
+        2,
+        {
+            INF: ((l, (1, -1)), (F(1, 2), F(-1, 2))),
+            Place.finite(2): ((l, (0, 1)), (1, -1)),
+            Place.finite(3): ((two_l, (1, 0)), (1, -1)),
+        },
+    )
+    # the coordinate forms first, then each new form in place order
+    assert form_union(pair) == [(1, 0), (0, 1), l, (1, -1), two_l]
+    assert validate(pair).r == 5
 
 
 def test_twisted_height_examples():
@@ -224,7 +240,8 @@ def test_compose_height_identity():
         composed = compose(pair, phi)
         x = random_vector(rng, n)
         q = F(rng.randint(1, 30))
-        assert twisted_height(composed, q, x) == twisted_height(pair, q, apply_matrix(phi, x))
+        phi_x = tuple(sum(F(a) * b for a, b in zip(row, x)) for row in phi)
+        assert twisted_height(composed, q, x) == twisted_height(pair, q, phi_x)
 
 
 def test_compose_delta_invariant():
