@@ -28,7 +28,7 @@ from .exact_reals import (
     log10_rational,
 )
 from .places_heights import height
-from .twisted_system import PlaceData, TwistedPair, ValidationError, pair_invariants, parse_frac, twisted_height, validate
+from .twisted_system import PlaceData, TwistedPair, ValidationError, delta_l, parse_frac, twisted_height, validate
 
 __all__ = [
     "CertificationError",
@@ -512,6 +512,5 @@ def reduction_inequality_holds(pair: TwistedPair, delta, q_exponent, x) -> bool:
     h = height(x)
     q = h ** Fraction(q_exponent)  # H(x) >= 1, so Q >= 1
     lhs = twisted_height(pair, q, x)
-    dl, _ = pair_invariants(pair)
-    rhs = dl ** Fraction(1, pair.n) * q ** (-Fraction(delta))
+    rhs = delta_l(pair) ** Fraction(1, pair.n) * q ** (-Fraction(delta))
     return lhs <= rhs

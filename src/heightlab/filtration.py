@@ -202,7 +202,10 @@ def candidate_subspaces(pair: TwistedPair) -> list[Subspace]:
     exceeds MEET_BUDGET -- generic unrelated places, where the extra
     kernels only breed junk -- the joins are built over the flag meets
     only and the remaining meets enter as bare candidates.  The pool size
-    is capped at CANDIDATE_CAP, with a hard error on overflow.  Nothing
+    is capped at CANDIDATE_CAP, with a hard error on overflow.  At two
+    active places or fewer both branches hold the join-of-meets of the jump
+    flags, which holds the least-slope subspace: the pool is complete (at
+    three or more the answer is optimal within the pool only).  Nothing
     here depends on the forms being coordinate or all-ones forms, so
     special_case_T's partition search checks this pool independently.
     """

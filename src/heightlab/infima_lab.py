@@ -40,12 +40,13 @@ from .bounds_reduction import reduce_system
 from .exact_reals import FactoredReal, certified_floor, cmp_power_product, iv_ln, log10_rational
 from .exterior_algebra import Subspace
 from .filtration import FiltrationChain, exceptional_subspace, filtration
-from .places_heights import INF, Place, primitive_scale, valuation
-from .rational_linalg import RankTracker, det, int_kernel
+from .places_heights import INF, Place, valuation
+from .rational_linalg import RankTracker, clear_forms, det, int_kernel
 from .twisted_system import (
     TwistedPair,
     ValidationError,
     alpha_of,
+    delta_l,
     pair_invariants,
     theta_of,
     validate,
@@ -116,7 +117,7 @@ def enumerate_primitive(n: int, box: int, forms=()):
 
 
 def _form_values(forms, x) -> tuple[int, ...]:
-    """The values of integer forms at one given vector x (the seed and extra vectors of a search)."""
+    """The values of integer forms at one given vector x (the seed vectors of a search)."""
     return tuple(sum(map(mul, f, x)) for f in forms)
 
 
@@ -126,12 +127,6 @@ def _check_float_exponents(pair: TwistedPair) -> float:
         return max((abs(float(c)) for pd in pair.active.values() for c in pd.exps), default=0.0)
     except OverflowError:
         raise ValidationError("pair exponents must lie within the float range") from None
-
-
-def _clear_forms(forms) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(den, F): the least common denominator of a place's forms and the integer forms F_i = den * L_i."""
-    den = math.lcm(*(a.denominator for f in forms for a in f))
-    return den, tuple(tuple(int(a * den) for a in f) for f in forms)
 
 
 class _IntegerForms:
@@ -157,7 +152,7 @@ class _IntegerForms:
         self.corr = Fraction(1)
         for v in sorted(set(pair.active) | {INF}) if places is None else places:
             pd = pair.place_data(v)
-            den, int_forms = _clear_forms(pd.forms)
+            den, int_forms = clear_forms(pd.forms)
             if v.is_infinite:
                 self.corr /= den
             else:
@@ -431,7 +426,7 @@ def _float_bound(e: float, *logs: float) -> float:
     return 10.0**e if e < 308 else math.inf
 
 
-def _infima_grid(pair: TwistedPair, grid, extra_vectors=()) -> list[InfimaEstimate]:
+def _infima_grid(pair: TwistedPair, grid) -> list[InfimaEstimate]:
     """successive_infima at every (Q, box) of `grid`, from one enumeration.
 
     The largest box is enumerated once and the Q-free terms of each
@@ -451,13 +446,12 @@ def _infima_grid(pair: TwistedPair, grid, extra_vectors=()) -> list[InfimaEstima
     states = [_Greedy(forms, q, box) for q, box in grid]
 
     seeds = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    extras = [primitive_scale(v) for v in extra_vectors]
-    for vec in seeds + extras:
+    for vec in seeds:
         terms = forms.terms(_form_values(forms.flat, vec))
         for st in states:
             st.feed(vec, terms)
     bound = _reject_bounds(forms, states)
-    seen = set(seeds) | set(extras)
+    seen = set(seeds)
     bmax = max(box for _, box in grid)
     nested = any(st.box < bmax for st in states)
     for vec, values in enumerate_primitive(n, bmax, forms.flat):
@@ -475,7 +469,7 @@ def _infima_grid(pair: TwistedPair, grid, extra_vectors=()) -> list[InfimaEstima
     return [st.estimate() for st in states]
 
 
-def successive_infima(pair: TwistedPair, q, box: int, extra_vectors=()) -> InfimaEstimate:
+def successive_infima(pair: TwistedPair, q, box: int) -> InfimaEstimate:
     """Enumerate, sort by exact twisted height, select greedily.
 
     Returns non-decreasing lambda-bar values achieved by independent
@@ -483,7 +477,7 @@ def successive_infima(pair: TwistedPair, q, box: int, extra_vectors=()) -> Infim
     enumerated vectors of height <= lambda_bar_i.  True infima are never
     larger than the reported estimates.
     """
-    return _infima_grid(pair, [(q, box)], extra_vectors)[0]
+    return _infima_grid(pair, [(q, box)])[0]
 
 
 def check_box(n: int, box: int) -> None:
@@ -537,14 +531,12 @@ def minkowski_check(pair: TwistedPair, q, box: int) -> MinkowskiReport:
     """
     est = successive_infima(pair, q, box)
     n = pair.n
-    delta, _ = pair_invariants(pair)
+    delta = delta_l(pair)
     alpha = alpha_of(pair)
     qpow = FactoredReal.from_rational(Fraction(q)) ** (-alpha)
     lower = FactoredReal.from_rational(n) ** Fraction(-n, 2) * delta * qpow
     upper = FactoredReal.from_rational(2) ** Fraction(n * (n - 1), 2) * delta * qpow
-    prod = FactoredReal.one()
-    for l in est.lambdas:
-        prod = prod * l
+    prod = math.prod(est.lambdas, start=FactoredReal.one())
     lower_ok = lower <= prod
     upper_ok = prod <= upper
     if not lower_ok:
@@ -620,8 +612,7 @@ def gap_experiment(pair: TwistedPair, delta, a, box: int) -> GapReport:
     n = pair.n
     if FactoredReal.from_rational(a) ** delta < FactoredReal.from_rational(n):
         raise ValueError("need A >= n^(1/delta)")
-    dl, _ = pair_invariants(pair)
-    threshold = dl ** Fraction(1, n) * FactoredReal.from_rational(a) ** (-delta / 2)
+    threshold = delta_l(pair) ** Fraction(1, n) * FactoredReal.from_rational(a) ** (-delta / 2)
     thr_log = threshold.log10_float()
     check_box(n, box)
     forms = _IntegerForms(pair)
@@ -796,16 +787,6 @@ def _mult_bin(h: int, ratio: Fraction) -> int:
 def height_floor(pair: TwistedPair, q) -> FactoredReal:
     """n^{-1} H_L^{-C(r,n)} Q^{-theta}: a floor under every twisted height."""
     _, h = pair_invariants(pair)
-    r = validate(pair).r
-    theta = theta_of(pair)
-    qfr = (
-        FactoredReal.from_rational(Fraction(q))
-        if not isinstance(q, FactoredReal)
-        else q
-    )
+    qfr = q if isinstance(q, FactoredReal) else FactoredReal.from_rational(Fraction(q))
     n = pair.n
-    return (
-        FactoredReal.from_rational(Fraction(1, n))
-        * h ** Fraction(-math.comb(r, n))
-        * qfr ** (-theta)
-    )
+    return FactoredReal.from_rational(Fraction(1, n)) * h ** -math.comb(validate(pair).r, n) * qfr ** -theta_of(pair)

@@ -6,8 +6,8 @@ denominators, and fraction-free Gauss-Jordan elimination runs on the
 integer rows -- kept primitive with a positive pivot, or, for `det`,
 divided exactly by the previous pivot (Bareiss, Math. Comp. 22, 1968).
 Fractions are built only at the boundary: the reduced-echelon rows of
-`echelon_fractions` and determinants.  Sized for the n <= 6 ambient
-dimensions this package works in.
+`echelon_fractions` and determinants.  Pairs declare n <= 32
+(`twisted_system.DIM_CAP`), and every routine here is polynomial in n.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from math import gcd, lcm
 __all__ = [
     "qvec",
     "int_row",
+    "clear_forms",
     "int_echelon",
     "int_kernel",
     "echelon_fractions",
@@ -50,6 +51,12 @@ def _cleared(row) -> tuple[list[int], int]:
 def int_row(row) -> list[int]:
     """The row times the lcm of its denominators: an integer row on the same line."""
     return _cleared(row)[0]
+
+
+def clear_forms(forms) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(den, F): the least common denominator of all the forms and the integer forms F_i = den * L_i."""
+    den = lcm(*(a.denominator for f in forms for a in f))
+    return den, tuple(tuple(int(a * den) for a in f) for f in forms)
 
 
 def int_echelon(rows, bareiss: bool = False) -> tuple[list[list[int]], list[int]]:

@@ -17,7 +17,7 @@ from itertools import combinations
 
 from .exact_reals import FactoredReal
 from .places_heights import INF, Place, abs_value, parse_int, primitive_scale
-from .rational_linalg import det, qvec, rank
+from .rational_linalg import clear_forms, det, qvec, rank
 
 __all__ = [
     "TwistedPair",
@@ -26,6 +26,7 @@ __all__ = [
     "ValidationError",
     "validate",
     "twisted_height",
+    "delta_l",
     "pair_invariants",
     "shift_exponents",
     "compose",
@@ -213,30 +214,33 @@ def twisted_height(pair: TwistedPair, q, x) -> FactoredReal:
     return total
 
 
+def delta_l(pair: TwistedPair) -> FactoredReal:
+    """Delta_L = prod_v |det L^(v)|_v: one determinant per active place."""
+    pair.ensure_core_valid()
+    delta = FactoredReal.one()
+    for v, pd in pair.active.items():
+        av = abs_value(det(pd.forms), v)
+        if av is None:
+            raise ValidationError(f"singular forms at {v.label()}")
+        delta = delta * av
+    return delta
+
+
 def pair_invariants(pair: TwistedPair) -> tuple[FactoredReal, FactoredReal]:
     """(Delta_L, H_L): the determinant product and the n-subset maximum.
 
     Asserts the sandwich H_L^(1 - C(r,n)) <= Delta_L <= H_L.
     """
-    pair.ensure_core_valid()
+    delta = delta_l(pair)
     n = pair.n
-    delta = FactoredReal.one()
-    for v, pd in pair.active.items():
-        d = det(pd.forms)
-        av = abs_value(d, v)
-        if av is None:
-            raise ValidationError(f"singular forms at {v.label()}")
-        delta = delta * av
-
     union = form_union(pair)
-    r = len(union)
-    dets = [abs(d) for d in map(det, combinations(union, n)) if d != 0]
-    # H_L = max |d| * prod_p max |d|_p, and |d|_p = p^(-v_p(d)) is largest where v_p(d) is least
-    vals = [FactoredReal.from_rational(d).factors for d in dets]
-    least = {p: min(v.get(p, 0) for v in vals) for p in set().union(*vals)}
-    h = FactoredReal.from_rational(max(dets)) * FactoredReal({p: -e for p, e in least.items()})
+    # H_L = max |det B| * prod_p max |det B|_p over the n-subsets B.  With the forms
+    # cleared by one denominator D the minors are M_B = D^n det B, so the first factor
+    # is max |M_B| / D^n and the second D^n / gcd(M_B): no minor is factored
+    minors = [abs(d.numerator) for d in map(det, combinations(clear_forms(union)[1], n))]
+    h = FactoredReal.from_rational(Fraction(max(minors), math.gcd(*minors)))
 
-    binom = math.comb(r, n)
+    binom = math.comb(len(union), n)
     if not (h ** (1 - binom) <= delta <= h):
         raise AssertionError("determinant sandwich violated (internal error)")
     return delta, h
@@ -375,7 +379,7 @@ def pair_to_json(pair: TwistedPair) -> dict:
 # Largest dimension n a pair or system file may declare.  Every check of
 # a pair builds its n x n identity forms (the inactive places), so a bare
 # {"n": 10**9, "places": []} must be refused before anything is built.
-# The package works in n <= 6; the cap leaves room above it.
+# The cap bounds what a file declares, not the work a command does on it.
 DIM_CAP = 32
 
 

@@ -4,6 +4,7 @@ import functools
 import io
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from heightlab.cli import cmd_dispatch
-from heightlab.suite import pair_e1, pair_e3
+from heightlab.suite import pair_e1, pair_e3, random_normalized_pair
 from heightlab.twisted_system import ValidationError, pair_from_json, pair_to_json, twisted_height
 
 F = Fraction
@@ -159,6 +160,19 @@ def test_gap_report(e1_path, tmp_path):
     data = json.loads(text)
     assert data["solutions"] == [[1, 0]]
     assert data["proper"] is True
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_minkowski_and_gap_at_n7_read_delta_l_alone(seed, tmp_path):
+    # two places: up to 21 distinct forms and C(21, 7) = 116,280 maximal
+    # minors, none of which minkowski or gap reads
+    pair = random_normalized_pair(random.Random(seed), 7, places=2)
+    path = tmp_path / "p7.json"
+    path.write_text(json.dumps(pair_to_json(pair)))
+    code, _ = _run(["minkowski", str(path), "--q", "10", "--box", "1"], tmp_path / "m.json")
+    assert code == 0
+    code, _ = _run(["gap", str(path), "--delta", "1", "--a", "7", "--box", "1"], tmp_path / "g.json")
+    assert code == 0
 
 
 def test_scan_and_reduce(sys_path, tmp_path):

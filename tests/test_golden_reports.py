@@ -20,11 +20,12 @@ from heightlab.cli import cmd_dispatch
 from heightlab.suite import (
     curated_falsification_suite,
     curated_slope_suite,
+    random_normalized_pair,
     random_pair,
     random_special_pair,
     random_subspace_rows,
 )
-from heightlab.twisted_system import frac_str, pair_to_json
+from heightlab.twisted_system import PlaceData, TwistedPair, frac_str, pair_to_json, validate
 from test_infima_kernel import _p_adic, _tied
 
 SLOPES_BOX = {2: 6, 3: 3, 4: 2}
@@ -133,6 +134,44 @@ def _pairs():
     return pairs
 
 
+def _rational_forms(rng, pair):
+    """The pair with every form entry times a random rational: the same
+    exponents, rational forms at every place (all of them stay independent)."""
+    scale = lambda f: tuple(a * Fraction(rng.randint(1, 4), rng.randint(1, 6)) for a in f)
+    active = {v: PlaceData(tuple(map(scale, pd.forms)), pd.exps) for v, pd in pair.active.items()}
+    return TwistedPair(pair.n, active)
+
+
+# minkowski: the pairs of _pairs() and two-place and three-place pairs with
+# rational forms, at two values of Q and a small box per n
+MINKOWSKI_QS = ("10", "1000")
+MINKOWSKI_BOX = {2: 5, 3: 2, 4: 1}
+
+
+def _minkowski_pairs():
+    rng = random.Random(2727)
+    pairs = _pairs()
+    pairs += [_rational_forms(rng, random_pair(rng, n, places=k)) for n in (2, 3, 4) for k in (2, 3)]
+    return pairs
+
+
+# gap: normalized pairs at one to three places, half of them with rational
+# forms, at delta = 1/2 and two values of A >= n^2; then the refusals (exit 2):
+# A < n^(1/delta), and a pair that is not normalized
+GAP_AS = ("16", "1000")
+GAP_BOX = {2: 6, 3: 3, 4: 2}
+
+
+def _gap_pairs():
+    rng = random.Random(2728)
+    pairs = [p for _, p in curated_slope_suite() if validate(p).normalized_ok]
+    for n in (2, 3, 4):
+        for k in (1, 2, 3):
+            pair = random_normalized_pair(rng, n, places=k)
+            pairs += [pair, _rational_forms(rng, pair)]
+    return pairs
+
+
 def _special_pairs():
     rng = random.Random(77)
     pairs = [p for _, p in curated_slope_suite()]
@@ -172,6 +211,20 @@ def _cases(command, tmp_path):
             yield k, [command, path]
             if command == "invariants":
                 yield f"{k}-30", [command, path, "--precision", "30"]
+    elif command == "minkowski":
+        for k, pair in enumerate(_minkowski_pairs()):
+            path = _write(tmp_path, f"p{k}.json", pair_to_json(pair))
+            for q in MINKOWSKI_QS:
+                yield f"{k}-{q}", [command, path, "--q", q, "--box", str(MINKOWSKI_BOX[pair.n])]
+    elif command == "gap":
+        for k, pair in enumerate(_gap_pairs()):
+            path = _write(tmp_path, f"p{k}.json", pair_to_json(pair))
+            for a in GAP_AS:
+                yield f"{k}-{a}", [command, path, "--delta", "1/2", "--a", a, "--box", str(GAP_BOX[pair.n])]
+        path = _write(tmp_path, "e1.json", pair_to_json(curated_slope_suite()[0][1]))
+        yield "small-a", [command, path, "--delta", "1/2", "--a", "3", "--box", "2"]
+        path = _write(tmp_path, "skew.json", pair_to_json(curated_slope_suite()[3][1]))
+        yield "not-normalized", [command, path, "--delta", "1/2", "--a", "16", "--box", "2"]
     elif command == "cover":
         for label, flags in _cover_flags():
             yield label, [command] + flags
@@ -235,6 +288,8 @@ GOLDEN = {
     "cover": "3c9400faf4767e7cc095dbcb832b1b1afed44e1c6d0a839472b1eba65f170209",
     "validate": "d770c322b2fffca361fa3a5a3e928a2237aae74790e31e94564a871a97140c88",
     "invariants": "fe6db05d6a25221c945b336b15fbbf4ca2f0dec0c84986fe527e25746c0efda4",
+    "minkowski": "2115b8dfc91d0280939b3f652a354ba0a8837a2d2c75d9d83c497a91891cb221",
+    "gap": "e80bbce67dfecebfdad5177d6625103bd1e4098f053b41a06c100ebbad9f65d1",
 }
 
 
@@ -248,6 +303,6 @@ if __name__ == "__main__":
     from pathlib import Path
 
     for command in ("filtration", "exceptional", "special-t", "weight", "infima", "slopes", "scan", "reduce", "bounds",
-                    "cover", "validate", "invariants"):
+                    "cover", "validate", "invariants", "minkowski", "gap"):
         with tempfile.TemporaryDirectory() as d:
             print(f'    "{command}": "{report_digest(command, Path(d))}",')

@@ -281,9 +281,3 @@ def test_scan_histogram_thins_out():
             assert s["height"] ** 3 * abs(s["x"][0]) <= max(abs(c) for c in s["x"])
     assert set(rep.histogram) == {0} or max(rep.histogram) <= 1
     assert heights <= {1}
-
-
-def test_extra_vectors_join_the_pool():
-    est = successive_infima(pair_e1(), 100, 1, extra_vectors=[(5, 1)])
-    # (5,1) has height max(5/100 * skipped..) -- just check it didn't break
-    assert est.lambdas[0] <= FR({2: -2, 5: -2})

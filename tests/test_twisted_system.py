@@ -2,6 +2,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -10,10 +11,11 @@ from heightlab.exterior_algebra import Subspace
 from heightlab.filtration import exceptional_subspace, weight
 from heightlab.places_heights import INF, Place, abs_value
 from heightlab.rational_linalg import det, mat_mul
-from heightlab.suite import pair_e1, pair_e2, random_pair
+from heightlab.suite import pair_e1, pair_e2, random_pair, random_special_pair
 from heightlab.twisted_system import (
     TwistedPair,
     compose,
+    delta_l,
     form_union,
     pair_from_json,
     pair_invariants,
@@ -147,6 +149,74 @@ def test_invariants_sandwich_random():
         binom = math.comb(rep.r, pair.n)
         assert h ** (1 - binom) <= delta
         assert delta <= h
+
+
+def _h_l_by_factoring(pair):
+    """H_L minor by minor: every nonzero n-subset determinant of the form
+    union is factored, and the least valuation of each prime is kept."""
+    dets = [abs(d) for d in map(det, combinations(form_union(pair), pair.n)) if d != 0]
+    vals = [FR.from_rational(d).factors for d in dets]
+    least = {p: min(v.get(p, 0) for v in vals) for p in set().union(*vals)}
+    return FR.from_rational(max(dets)) * FR({p: -e for p, e in least.items()})
+
+
+def _delta_l_by_places(pair):
+    total = ONE
+    for v, pd in pair.active.items():
+        total = total * abs_value(det(pd.forms), v)
+    return total
+
+
+def _rational_pair(rng, n, places):
+    """Forms with rational entries at `places` of inf, 2, 3 and 5 (not always inf)."""
+    active = {}
+    for v in rng.sample([INF, Place.finite(2), Place.finite(3), Place.finite(5)], places):
+        while True:
+            forms = tuple(tuple(F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)) for _ in range(n))
+            if det(forms):
+                break
+        exps = [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n - 1)]
+        active[v] = (forms, (*exps, -sum(exps, F(0))))
+    return TwistedPair(n, active)
+
+
+def _seeded_pairs(seed, count):
+    """n = 2-4 at 1-3 places: integer, special-shaped and rational forms in turn."""
+    rng = random.Random(seed)
+    for k in range(count):
+        n, places = rng.randint(2, 4), rng.randint(1, 3)
+        if k % 3 == 0:
+            yield random_pair(rng, n, places=places)
+        elif k % 3 == 1:
+            yield random_special_pair(rng, n, places=places)
+        else:
+            yield _rational_pair(rng, n, places)
+
+
+def test_pair_invariants_match_the_per_minor_factoring():
+    for pair in _seeded_pairs(2701, 300):
+        delta, h = pair_invariants(pair)
+        assert delta == delta_l(pair) == _delta_l_by_places(pair)
+        assert h == _h_l_by_factoring(pair)
+
+
+def test_pair_invariants_factor_no_minor(monkeypatch):
+    # one absolute value per active place (from_rational at inf, prime_power
+    # at a prime) and one from_rational for H_L; no minor is factored
+    calls = {"from_rational": 0, "prime_power": 0}
+    for name in calls:
+        method = getattr(FR, name)
+
+        def counted(cls, *args, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(*args)
+
+        monkeypatch.setattr(FR, name, classmethod(counted))
+    for pair in _seeded_pairs(2702, 30):
+        calls.update(dict.fromkeys(calls, 0))
+        pair_invariants(pair)
+        finite = sum(not v.is_infinite for v in pair.active)
+        assert calls == {"from_rational": len(pair.active) - finite + 1, "prime_power": finite}
 
 
 def test_universal_height_floor():
